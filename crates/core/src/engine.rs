@@ -67,22 +67,22 @@ pub fn execute(table: &Table, spec: &NullSpec, cache: Option<&EvalCache>) -> Res
             // The χ² reference distribution is a per-dataset invariant:
             // the global bucket proportions of the attribute. One cache
             // probe serves both the proportions and the bin bounds.
-            let outcome = match cache {
+            let (inv, global);
+            let (bounds, proportions) = match cache {
                 Some(c) => {
-                    let inv = c.invariants(table, attribute)?;
-                    let filtered = select_histogram(table, attribute, &selection, inv.bounds)?;
-                    chi_square_gof(&filtered.counts(), &inv.proportions)?
+                    inv = c.invariants(table, attribute)?;
+                    (inv.bounds, &inv.proportions)
                 }
                 None => {
-                    let global = histogram(table, attribute, None)?;
-                    let bounds = histogram_bounds(table, attribute, cache)?;
-                    let filtered = select_histogram(table, attribute, &selection, bounds)?;
-                    chi_square_gof(&filtered.counts(), &global.proportions())?
+                    global = histogram(table, attribute, None)?.proportions();
+                    (histogram_bounds(table, attribute, cache)?, &global)
                 }
             };
+            let filtered = select_histogram(table, attribute, &selection, bounds)?;
+            let outcome = chi_square_gof(&filtered.counts(), proportions)?;
             Ok(Execution {
                 outcome,
-                support_fraction: fraction(selection.count_ones(), table.rows()),
+                support_fraction: fraction(selected(&filtered), table.rows()),
             })
         }
         NullSpec::NoDistributionDifference {
@@ -102,9 +102,10 @@ pub fn execute(table: &Table, spec: &NullSpec, cache: Option<&EvalCache>) -> Res
             } else {
                 chi_square_independence(&rows)?
             };
+            let union = selected(&hist_a) + selected(&hist_b) - sel_a.count_ones_and(&sel_b);
             Ok(Execution {
                 outcome,
-                support_fraction: fraction(union_count(&sel_a, &sel_b), table.rows()),
+                support_fraction: fraction(union, table.rows()),
             })
         }
         NullSpec::MeanEquality {
@@ -256,6 +257,13 @@ fn select_histogram(
         None => categorical_histogram(table, attribute, Some(selection))?,
     };
     Ok(h)
+}
+
+/// `|selection|`, read back from a histogram taken under it: every
+/// selected row falls in exactly one bucket, and the counting kernel
+/// already counted the selection once to pick its strategy.
+fn selected(histogram: &Histogram) -> usize {
+    histogram.total() as usize
 }
 
 /// Rows covered by either selection: `|A| + |B| − |A ∩ B|`, with the

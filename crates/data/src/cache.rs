@@ -20,6 +20,11 @@
 //! * **per-attribute invariants**: the global histogram, its bucket
 //!   proportions (what `chi_square_gof` consumes on every rule-2 call),
 //!   and the full-column numeric min/max that bin edges derive from.
+//!   The heaviest invariant of all, the partition of the rows into the
+//!   attribute's buckets, lives one level down: the column's bucket
+//!   index on the [`Table`] itself (see [`crate::hist`]), where uncached
+//!   sessions find it too. The global histogram and the bounds memoized
+//!   here are read from that index.
 //!
 //! The bitmap cache is lock-striped (fingerprint hash → stripe) and
 //! LRU-bounded per stripe, so a long exploration cannot grow it without

@@ -75,11 +75,11 @@ pub fn crosstab(
     let width = col_labels.len();
     // The r×c grid is a flattened bucket space, so selection counting
     // (including the majority complement-and-subtract trick) is the
-    // histogram kernel.
-    let flat =
-        crate::hist::count_selected(table.rows(), row_labels.len() * width, selection, |i| {
-            row_codes.at(i) * width + col_codes.at(i)
-        });
+    // histogram kernel's row walk; no single column's index covers it.
+    let buckets = row_labels.len() * width;
+    let flat = crate::hist::count_selected(table.rows(), buckets, selection, None, |i| {
+        row_codes.at(i) * width + col_codes.at(i)
+    });
     let counts = if width == 0 {
         vec![Vec::new(); row_labels.len()]
     } else {

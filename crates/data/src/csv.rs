@@ -4,7 +4,10 @@
 //! double-quote quoting with `""` escapes, a mandatory header row. Schema
 //! inference tries `int64 → float64 → bool → categorical` per column over
 //! the whole file, so a column containing `1, 2, x` lands on categorical
-//! rather than erroring halfway through.
+//! rather than erroring halfway through. A `float64` column holds finite
+//! values only: `NaN`, `inf` and overflowing literals parse as floats in
+//! Rust but have no place on a histogram axis, so a column containing
+//! one is categorical too.
 
 use crate::column::Column;
 use crate::table::Table;
@@ -147,7 +150,8 @@ fn infer_column(raw: &[String]) -> Column {
     if raw.iter().all(|s| s.parse::<i64>().is_ok()) {
         return Column::Int64(raw.iter().map(|s| s.parse().expect("checked")).collect());
     }
-    if raw.iter().all(|s| s.parse::<f64>().is_ok()) {
+    let finite = |s: &String| s.parse::<f64>().is_ok_and(f64::is_finite);
+    if raw.iter().all(finite) {
         return Column::Float64(raw.iter().map(|s| s.parse().expect("checked")).collect());
     }
     if raw.iter().all(|s| s == "true" || s == "false") {
@@ -220,6 +224,23 @@ mod tests {
         // Ints promote to float when any cell is fractional.
         let t = read_csv("x\n1\n2.5\n".as_bytes()).unwrap();
         assert_eq!(t.column_type("x").unwrap(), ColumnType::Float64);
+    }
+
+    #[test]
+    fn non_finite_cells_never_type_a_column_as_float() {
+        // `f64::from_str` accepts all of these; a Float64 column holding
+        // one would give every numeric histogram an infinite bin width.
+        for cell in ["NaN", "inf", "-inf", "infinity", "1e999"] {
+            let csv = format!("x,y\n1.5,1\n{cell},2\n2.5,3\n");
+            let t = read_csv(csv.as_bytes()).unwrap();
+            assert_eq!(
+                t.column_type("x").unwrap(),
+                ColumnType::Categorical,
+                "{cell}"
+            );
+            assert_eq!(t.value("x", 1).unwrap(), Value::Str(cell.into()));
+            assert_eq!(t.column_type("y").unwrap(), ColumnType::Int64);
+        }
     }
 
     #[test]

@@ -59,6 +59,14 @@ pub enum DataError {
         /// Constraint that was violated.
         constraint: &'static str,
     },
+    /// A numeric column holds a `NaN` or infinite cell, so fixed-width
+    /// bins over its range are undefined.
+    NonFinite {
+        /// The offending column.
+        column: String,
+        /// First row (0-based) holding a non-finite value.
+        row: usize,
+    },
     /// Underlying I/O failure (message-only so the error stays `Clone`).
     Io {
         /// Stringified `std::io::Error`.
@@ -103,6 +111,9 @@ impl fmt::Display for DataError {
                 constraint,
             } => {
                 write!(f, "{context}: argument violates `{constraint}`")
+            }
+            DataError::NonFinite { column, row } => {
+                write!(f, "column `{column}`: non-finite value at row {row}")
             }
             DataError::Io { message } => write!(f, "io error: {message}"),
         }

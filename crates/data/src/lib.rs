@@ -19,7 +19,9 @@
 //! * [`predicate`] — the filter AST users build by dragging visualizations
 //!   together (equality, ranges, negation, conjunction, disjunction).
 //! * [`hist`] — histogram/group-by computation over selections, the
-//!   visualization primitive of the paper's Figure 1.
+//!   visualization primitive of the paper's Figure 1, and the per-column
+//!   bucket index (one bitmap per bucket) that answers it by AND +
+//!   popcount.
 //! * [`csv`] — minimal CSV reader/writer with schema inference.
 //! * [`sample`] — seeded down-sampling, holdout splits, and independent
 //!   column permutation (the paper's "randomized Census" null workload).

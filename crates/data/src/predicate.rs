@@ -142,10 +142,12 @@ impl Predicate {
 
     /// Evaluates the predicate to a selection bitmap over `table`.
     ///
-    /// Leaf predicates run word-packed kernels: 64 rows fold into one
-    /// `u64` per inner-loop trip with no `Vec<bool>` intermediate, `In`
-    /// scans the column once against a membership set, and boolean
-    /// combinators stay word-at-a-time on the packed bitmaps.
+    /// Equality and membership leaves over dictionary and bool columns
+    /// are an OR (or complement) of the column's bucket-index bitmaps,
+    /// no row is read. Every other leaf runs a word-packed scan: 64 rows
+    /// fold into one `u64` per inner-loop trip with no `Vec<bool>`
+    /// intermediate, and `In` scans once against a membership set.
+    /// Boolean combinators stay word-at-a-time on the packed bitmaps.
     pub fn eval(&self, table: &Table) -> Result<Bitmap> {
         let rows = table.rows();
         match self {
@@ -218,8 +220,22 @@ fn pack_cmp<T: Copy>(vals: &[T], op: CmpOp, rhs: f64, conv: impl Fn(T) -> f64) -
     }
 }
 
+/// `Eq` → `false`, `Neq` → `true`: the only comparisons dictionary and
+/// bool columns support.
+fn negated(op: CmpOp, constraint: &'static str) -> Result<bool> {
+    match op {
+        CmpOp::Eq => Ok(false),
+        CmpOp::Neq => Ok(true),
+        _ => Err(DataError::InvalidArgument {
+            context: "Predicate::eval",
+            constraint,
+        }),
+    }
+}
+
 fn eval_cmp(table: &Table, column: &str, op: CmpOp, value: &Value) -> Result<Bitmap> {
-    let col = table.column(column)?;
+    let at = table.column_index(column)?;
+    let col = table.column_at(at);
     let mismatch = || DataError::TypeMismatch {
         column: column.to_owned(),
         expected: value.type_name(),
@@ -234,39 +250,51 @@ fn eval_cmp(table: &Table, column: &str, op: CmpOp, value: &Value) -> Result<Bit
             let rhs = value.as_f64().ok_or_else(mismatch)?;
             Ok(pack_cmp(v, op, rhs, |x| x))
         }
-        Column::Bool(v) => {
+        // Dictionary and bool equality is a bucket of the column's
+        // index (or its complement), not a scan.
+        Column::Bool(_) => {
             let rhs = value.as_bool().ok_or_else(mismatch)?;
-            match op {
-                CmpOp::Eq => Ok(pack(v, |x| x == rhs)),
-                CmpOp::Neq => Ok(pack(v, |x| x != rhs)),
-                _ => Err(DataError::InvalidArgument {
-                    context: "Predicate::eval",
-                    constraint: "bool columns support only =/≠",
-                }),
-            }
+            let negate = negated(op, "bool columns support only =/≠")?;
+            let index = table
+                .bucket_index(at)?
+                .expect("bool columns are always indexed");
+            Ok(index.bucket((rhs != negate) as usize).clone())
         }
         Column::Categorical { labels, codes } => {
             let rhs = value.as_str().ok_or_else(mismatch)?;
-            let target = labels.iter().position(|l| l == rhs).map(|i| i as u32);
-            match (op, target) {
-                (CmpOp::Eq, Some(t)) => Ok(pack(codes, |c| c == t)),
-                (CmpOp::Eq, None) => Ok(Bitmap::zeros(codes.len())),
-                (CmpOp::Neq, Some(t)) => Ok(pack(codes, |c| c != t)),
-                (CmpOp::Neq, None) => Ok(Bitmap::ones(codes.len())),
-                _ => Err(DataError::InvalidArgument {
-                    context: "Predicate::eval",
-                    constraint: "categorical columns support only =/≠",
-                }),
-            }
+            let negate = negated(op, "categorical columns support only =/≠")?;
+            let Some(target) = labels.iter().position(|l| l == rhs) else {
+                // An unknown label equals no row and differs from all.
+                return Ok(if negate {
+                    Bitmap::ones(codes.len())
+                } else {
+                    Bitmap::zeros(codes.len())
+                });
+            };
+            Ok(match table.bucket_index(at)? {
+                Some(index) if negate => index.bucket(target).not(),
+                Some(index) => index.bucket(target).clone(),
+                // A dictionary too large to index is scanned.
+                None => {
+                    let code = target as u32;
+                    pack(codes, |c| (c == code) != negate)
+                }
+            })
         }
     }
 }
 
-/// Membership kernel: one scan of the column against a pre-resolved
-/// value set, instead of the old one-full-scan-per-listed-value
-/// (O(k·n) plus k bitmap allocations).
+/// Membership kernel. Dictionary and bool columns OR the listed
+/// buckets of the column's index; numeric columns (and dictionaries too
+/// large to index) scan once against a pre-resolved value set.
 fn eval_in(table: &Table, column: &str, values: &[Value]) -> Result<Bitmap> {
-    let col = table.column(column)?;
+    let at = table.column_index(column)?;
+    let col = table.column_at(at);
+    let mismatch = |value: &Value| DataError::TypeMismatch {
+        column: column.to_owned(),
+        expected: value.type_name(),
+        actual: col.column_type().name(),
+    };
     match col {
         Column::Int64(v) => {
             let set = numeric_set(column, col, values)?;
@@ -276,34 +304,31 @@ fn eval_in(table: &Table, column: &str, values: &[Value]) -> Result<Bitmap> {
             let set = numeric_set(column, col, values)?;
             Ok(pack(v, |x| set.contains_value(x)))
         }
-        Column::Bool(v) => {
+        Column::Bool(_) => {
             // member[0] ⇔ `false` is listed, member[1] ⇔ `true` is listed.
             let mut member = [false; 2];
             for value in values {
-                let rhs = value.as_bool().ok_or_else(|| DataError::TypeMismatch {
-                    column: column.to_owned(),
-                    expected: value.type_name(),
-                    actual: col.column_type().name(),
-                })?;
+                let rhs = value.as_bool().ok_or_else(|| mismatch(value))?;
                 member[rhs as usize] = true;
             }
-            Ok(pack(v, |x| member[x as usize]))
+            let index = table
+                .bucket_index(at)?
+                .expect("bool columns are always indexed");
+            Ok(index.union(&member))
         }
         Column::Categorical { labels, codes } => {
-            // A code-indexed membership table: `In` over a dictionary
-            // column reduces to a range-free lookup per row.
+            // One flag per dictionary code.
             let mut member = vec![false; labels.len()];
             for value in values {
-                let rhs = value.as_str().ok_or_else(|| DataError::TypeMismatch {
-                    column: column.to_owned(),
-                    expected: value.type_name(),
-                    actual: col.column_type().name(),
-                })?;
+                let rhs = value.as_str().ok_or_else(|| mismatch(value))?;
                 if let Some(i) = labels.iter().position(|l| l == rhs) {
                     member[i] = true;
                 }
             }
-            Ok(pack(codes, |c| member[c as usize]))
+            Ok(match table.bucket_index(at)? {
+                Some(index) => index.union(&member),
+                None => pack(codes, |c| member[c as usize]),
+            })
         }
     }
 }
@@ -576,7 +601,10 @@ pub(crate) mod arbitrary {
 
     pub const LABELS: [&str; 4] = ["a", "b", "c", "d"];
     pub const FLOATS: [f64; 5] = [-1.5, 0.0, 2.5, 7.25, 64.0];
-    pub const COLUMNS: [&str; 5] = ["i", "f", "b", "c", "ghost"];
+    pub const COLUMNS: [&str; 6] = ["i", "f", "b", "c", "w", "ghost"];
+    /// Labels of the wide dictionary `w`: too many for a bucket index,
+    /// so its leaves take the scan kernels.
+    pub const WIDE_LABELS: usize = 40;
 
     /// A small table over one column of each type (plus adversarial
     /// lengths: 0, tail-word, multi-word row counts all occur).
@@ -585,11 +613,17 @@ pub(crate) mod arbitrary {
         let floats: Vec<f64> = (0..rows).map(|_| FLOATS[g.pick(FLOATS.len())]).collect();
         let bools: Vec<bool> = (0..rows).map(|_| g.pick(2) == 0).collect();
         let cats: Vec<&str> = (0..rows).map(|_| LABELS[g.pick(LABELS.len())]).collect();
+        // `w` starts with `LABELS`, so drawn string literals hit it too.
+        let wide_labels = (0..WIDE_LABELS)
+            .map(|l| LABELS.get(l).map_or(format!("w{l}"), |s| s.to_string()))
+            .collect();
+        let wide = (0..rows).map(|_| g.pick(WIDE_LABELS) as u32).collect();
         TableBuilder::new()
             .push("i", Column::Int64(ints))
             .push("f", Column::Float64(floats))
             .push("b", Column::Bool(bools))
             .push("c", Column::categorical_from_strs(&cats))
+            .push("w", Column::categorical_from_codes(wide_labels, wide))
             .build()
             .expect("generated table is well-formed")
     }
@@ -662,21 +696,29 @@ mod equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The word-packed kernels agree with the scalar reference on
-        /// every random table × random AST — bit-identical bitmaps on
-        /// success, identical errors on failure.
+        /// The kernels agree with the scalar reference on every random
+        /// table × random AST — bit-identical bitmaps on success,
+        /// identical errors on failure — whether a leaf is the first
+        /// use of its column's bucket index (`cold`: a fresh table per
+        /// predicate) or finds every index already built (`warm`).
         #[test]
         fn vectorized_eval_matches_scalar_reference(
             seed in 0u64..u64::MAX,
             rows in 0usize..200,
         ) {
             let mut g = Gen(seed);
-            let table = super::arbitrary::table(&mut g, rows);
+            let warm = super::arbitrary::table(&mut g, rows);
+            for at in 0..warm.num_columns() {
+                warm.bucket_index(at).expect("generated cells are finite");
+            }
+            let names: Vec<&str> = warm.column_names().iter().map(String::as_str).collect();
             for _ in 0..4 {
                 let pred = super::arbitrary::predicate(&mut g, 3);
-                let fast = pred.eval(&table);
-                let slow = reference::eval(&pred, &table);
-                prop_assert_eq!(fast, slow, "diverged on {}", pred);
+                let cold = warm.project(&names).expect("same columns");
+                prop_assert_eq!(cold.index_bytes(), 0);
+                let slow = reference::eval(&pred, &warm);
+                prop_assert_eq!(pred.eval(&cold), slow.clone(), "cold diverged on {}", &pred);
+                prop_assert_eq!(pred.eval(&warm), slow, "warm diverged on {}", &pred);
             }
         }
     }

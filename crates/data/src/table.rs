@@ -2,18 +2,45 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnType};
+use crate::hist::BucketIndex;
 use crate::value::Value;
 use crate::{DataError, Result};
+use std::sync::{Arc, OnceLock};
 
 /// A named, typed, immutable table.
 ///
 /// Tables are cheap to share (`Arc<Table>` upstream) and all exploration
 /// operations — filtering, histograms, sampling — are non-destructive reads.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Each column carries a lazily built [`BucketIndex`]. It is derived
+/// state: equality, [`Table::fingerprint`], `Debug` and the tables
+/// [`Table::filter`]/[`Table::project`] return never see it, and a clone
+/// shares the indexes already built.
+#[derive(Clone)]
 pub struct Table {
     names: Vec<String>,
     columns: Vec<Column>,
     rows: usize,
+    indexes: Vec<OnceLock<Result<Option<Arc<BucketIndex>>>>>,
+    /// Index builds run on this table and its clones.
+    #[cfg(test)]
+    index_builds: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.names == other.names && self.columns == other.columns
+    }
+}
+
+impl std::fmt::Debug for Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Table")
+            .field("names", &self.names)
+            .field("columns", &self.columns)
+            .field("rows", &self.rows)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Table {
@@ -45,10 +72,41 @@ impl Table {
             cols.push(col);
         }
         Ok(Table {
+            indexes: cols.iter().map(|_| OnceLock::new()).collect(),
+            #[cfg(test)]
+            index_builds: Arc::default(),
             names,
             columns: cols,
             rows,
         })
+    }
+
+    /// The bucket index of the column at `column`, built on first use
+    /// (racing first users build it once and share it). `None` when the
+    /// column has too many distinct buckets for an index to be smaller
+    /// than the column; an error when a numeric column holds a
+    /// non-finite cell.
+    pub(crate) fn bucket_index(&self, column: usize) -> Result<Option<&BucketIndex>> {
+        self.indexes[column]
+            .get_or_init(|| {
+                #[cfg(test)]
+                self.index_builds
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let built = BucketIndex::build(&self.names[column], &self.columns[column])?;
+                Ok(built.map(Arc::new))
+            })
+            .as_ref()
+            .map(Option::as_deref)
+            .map_err(DataError::clone)
+    }
+
+    /// Heap bytes held by the bucket indexes built so far.
+    pub fn index_bytes(&self) -> usize {
+        self.indexes
+            .iter()
+            .filter_map(|slot| slot.get()?.as_ref().ok()?.as_deref())
+            .map(BucketIndex::bytes)
+            .sum()
     }
 
     /// Number of rows.
@@ -303,6 +361,78 @@ mod tests {
                 .fingerprint()
         };
         assert_ne!(zeros(0.0), zeros(-0.0));
+    }
+
+    #[test]
+    fn a_built_index_is_invisible_to_eq_fingerprint_clone_and_derived_tables() {
+        use crate::hist::histogram;
+        use crate::predicate::Predicate;
+        let plain = demo();
+        let indexed = demo();
+        let before = (indexed.fingerprint(), format!("{indexed:?}"));
+        for column in ["age", "salary", "sex", "employed"] {
+            histogram(&indexed, column, None).unwrap();
+        }
+        Predicate::eq("sex", "F").eval(&indexed).unwrap();
+        assert!(indexed.index_bytes() > 0);
+        assert_eq!(plain.index_bytes(), 0);
+        assert_eq!(indexed, plain);
+        assert_eq!((indexed.fingerprint(), format!("{indexed:?}")), before);
+        // A clone equals both and shares what was built; tables derived
+        // from an indexed one start without indexes, and answer alike.
+        let clone = indexed.clone();
+        assert_eq!(clone, plain);
+        assert_eq!(clone.index_bytes(), indexed.index_bytes());
+        let sel = Bitmap::from_indices(4, &[1, 2, 3]);
+        let names = ["age", "salary", "sex", "employed"];
+        for (derived, fresh) in [
+            (indexed.filter(&sel).unwrap(), plain.filter(&sel).unwrap()),
+            (
+                indexed.project(&names).unwrap(),
+                plain.project(&names).unwrap(),
+            ),
+        ] {
+            assert_eq!(derived.index_bytes(), 0);
+            assert_eq!(derived, fresh);
+            assert_eq!(derived.fingerprint(), fresh.fingerprint());
+        }
+        for column in names {
+            assert_eq!(
+                histogram(&clone, column, Some(&sel)),
+                histogram(&plain, column, Some(&sel))
+            );
+        }
+    }
+
+    #[test]
+    fn racing_first_users_build_an_index_once() {
+        use std::sync::atomic::Ordering;
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        let codes: Vec<u32> = (0..10_000).map(|i| i % 7).collect();
+        let labels = (0..7).map(|l| l.to_string()).collect();
+        let t = TableBuilder::new()
+            .push("c", Column::categorical_from_codes(labels, codes))
+            .build()
+            .unwrap();
+        let gate = Barrier::new(THREADS);
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        let index = t.bucket_index(0).unwrap().expect("7 labels are indexed");
+                        index as *const BucketIndex as usize
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(seen.iter().all(|&address| address == seen[0]));
+        assert_eq!(t.index_builds.load(Ordering::Relaxed), 1);
+        // Later users, and clones, reuse it.
+        crate::hist::histogram(&t.clone(), "c", None).unwrap();
+        assert_eq!(t.index_builds.load(Ordering::Relaxed), 1);
     }
 
     #[test]
