@@ -32,7 +32,7 @@ use aware_serve::proto::{
 use aware_serve::service::{Service, ServiceConfig};
 use aware_serve::tcp::Client;
 use aware_serve::ServerFront;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, record_json, Criterion, Throughput};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
@@ -166,31 +166,6 @@ impl Lane {
     }
 }
 
-/// Appends one record to `$BENCH_JSON` in the criterion shim's exact
-/// row shape, so the awk guard and artifact diffing work identically
-/// across every bench in the workspace.
-fn record_json(label: &str, mode: &str, median_ns: f64) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let rate = if median_ns > 0.0 {
-        BATCH as f64 / (median_ns * 1e-9)
-    } else {
-        0.0
-    };
-    let line = format!(
-        "{{\"bench\":\"{label}\",\"mode\":\"{mode}\",\"median_ns\":{median_ns:.1},\"elements_per_sec\":{rate:.1}}}\n",
-    );
-    let _ = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-}
-
 fn serve_reactor(_c: &mut Criterion) {
     let table = census();
 
@@ -204,7 +179,12 @@ fn serve_reactor(_c: &mut Criterion) {
         for lane in [&mut thread, &mut reactor, &mut idle] {
             lane.run_batch();
             println!("test-mode bench {}: ok", lane.label);
-            record_json(lane.label, "test", 0.0);
+            record_json(
+                lane.label,
+                "test",
+                0.0,
+                Some(Throughput::Elements(BATCH as u64)),
+            );
         }
         return;
     }
@@ -230,7 +210,12 @@ fn serve_reactor(_c: &mut Criterion) {
         let median = lane.median_ns();
         let lo = lane.samples_ns[0];
         let hi = lane.samples_ns[lane.samples_ns.len() - 1];
-        record_json(lane.label, "measured", median);
+        record_json(
+            lane.label,
+            "measured",
+            median,
+            Some(Throughput::Elements(BATCH as u64)),
+        );
         println!(
             "bench {:<55} {:>9.2} µs/iter  [{:.2} µs .. {:.2} µs]  {:>9.2}K elem/s",
             lane.label,

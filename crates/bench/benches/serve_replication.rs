@@ -32,7 +32,9 @@ use aware_serve::proto::{
 };
 use aware_serve::service::{Service, ServiceConfig};
 use aware_serve::tcp::{Client, TcpServer};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, record_quantiles, BenchmarkId, Criterion, Throughput,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -146,29 +148,6 @@ fn steady_state_batch(sids: &[SessionId], round: u64) -> Vec<Command> {
         });
     }
     cmds
-}
-
-/// Appends a latency-quantile record to the `BENCH_JSON` artifact in
-/// the same JSON-lines shape the criterion shim writes.
-fn record_quantiles(label: &str, samples_ns: &mut [u64], extra: &str) {
-    samples_ns.sort_unstable();
-    let q = |p: f64| samples_ns[((samples_ns.len() - 1) as f64 * p) as usize];
-    let (p50, p90, p99) = (q(0.50), q(0.90), q(0.99));
-    println!("bench {label:<55} p50 {p50} ns  p90 {p90} ns  p99 {p99} ns");
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!(
-        "{{\"bench\":\"{label}\",\"mode\":\"measured\",\"p50_ns\":{p50},\"p90_ns\":{p90},\"p99_ns\":{p99}{extra}}}\n",
-    );
-    let _ = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
 }
 
 fn serve_replication(c: &mut Criterion) {

@@ -27,9 +27,6 @@
 //!   remapped sessions via the serve-side `export_session`/
 //!   `import_session` commands (dataset content fingerprints prove
 //!   both shards hold the same table before a ledger moves);
-//! * [`metrics`] — the router's own counters (`forwarded`,
-//!   `migrations`, `shard_errors`), riding the protocol's
-//!   count-prefixed stats scalar list with no version bump;
 //! * [`replica`] — replication planning under `aware-replica`: each
 //!   session's ring position names a primary plus R warm replicas (the
 //!   successor walk), images ship with monotone epochs, and failover
@@ -58,7 +55,6 @@
 
 pub mod breaker;
 pub mod gossip;
-pub mod metrics;
 pub mod pool;
 pub mod replica;
 pub mod ring;

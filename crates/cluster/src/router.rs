@@ -73,13 +73,13 @@
 //! wins; mutations stay strictly primary-only and at-most-once.
 
 use crate::gossip::Membership;
-use crate::metrics::RouterMetrics;
 use crate::pool::ShardPool;
 use crate::replica::{self, SessState};
 use crate::ring::{Ring, DEFAULT_VNODES};
+use aware_serve::metrics::Metrics;
 use aware_serve::proto::{
-    BatchMode, Command, DatasetInfo, Encoding, MemberStatus, Response, SessionId, StatsSnapshot,
-    COMMAND_KINDS,
+    BatchMode, Command, DatasetInfo, MemberStatus, Response, SessionId, Stat, StatsSnapshot,
+    COMMAND_KINDS, SCALARS,
 };
 use aware_serve::service::Dispatch;
 use aware_serve::{ErrorCode, ServeError};
@@ -180,7 +180,9 @@ struct Inner {
     /// flaps the ring; the view is disseminated to shards via `gossip`.
     membership: Mutex<Membership>,
     next_session: AtomicU64,
-    metrics: RouterMetrics,
+    /// Process start, for the router's own `uptime_seconds`.
+    started: Instant,
+    metrics: Metrics,
     /// Serializes join/leave/failover; command forwarding never takes
     /// this.
     rebalance: Mutex<()>,
@@ -226,7 +228,8 @@ impl Router {
             stranded: Mutex::new(HashMap::new()),
             membership: Mutex::new(Membership::new()),
             next_session: AtomicU64::new(0),
-            metrics: RouterMetrics::new(),
+            started: Instant::now(),
+            metrics: Metrics::new(),
             rebalance: Mutex::new(()),
             config,
         });
@@ -415,8 +418,8 @@ fn adapt_shard_response(
     if let Response::Error(e) = &response {
         if e.code == ErrorCode::Shutdown {
             pool.mark_unhealthy();
-            inner.metrics.shard_error();
-            inner.metrics.error();
+            inner.metrics.inc(Stat::shard_errors);
+            inner.metrics.inc(Stat::errors);
             return unavailable(format!(
                 "shard {} is shutting down; session state is intact there — \
                  retry when the shard returns",
@@ -446,7 +449,7 @@ fn note_slow(
     if rt_us < ms.saturating_mul(1000) {
         return;
     }
-    inner.metrics.slow_query();
+    inner.metrics.inc(Stat::slow_queries);
     aware_obs::logline!(
         aware_obs::log::Level::Warn,
         "slow_query",
@@ -468,14 +471,14 @@ fn forward_session(inner: &Inner, cmd: Command, trace: u64) -> Response {
     let pool = match owner_pool(inner, id) {
         Ok(pool) => pool,
         Err(refusal) => {
-            inner.metrics.error();
+            inner.metrics.inc(Stat::errors);
             return refusal;
         }
     };
     if let Some(replica) = hedge_target(inner, &cmd, id, pool.addr()) {
         return hedged_call(inner, cmd, id, kind, trace, pool, replica);
     }
-    inner.metrics.forwarded(1);
+    inner.metrics.inc(Stat::forwarded);
     let start = Instant::now();
     let result = pool.call_traced(&cmd, trace);
     let rt_us = start.elapsed().as_micros() as u64;
@@ -484,8 +487,8 @@ fn forward_session(inner: &Inner, cmd: Command, trace: u64) -> Response {
     match result {
         Ok(response) => adapt_shard_response(inner, &pool, Some(id), response),
         Err(e) => {
-            inner.metrics.shard_error();
-            inner.metrics.error();
+            inner.metrics.inc(Stat::shard_errors);
+            inner.metrics.inc(Stat::errors);
             unavailable(format!(
                 "shard serving session {id} is unreachable ({e}); its wealth ledger \
                  is intact there — retry when the shard returns"
@@ -522,7 +525,7 @@ fn create_session(
         }
         return response;
     }
-    inner.metrics.error();
+    inner.metrics.inc(Stat::errors);
     Response::Error(ServeError::invalid(
         "could not allocate a free session id in 16 attempts — \
          were sessions created on the shards directly?",
@@ -593,7 +596,7 @@ fn replicate_one(inner: &Inner, id: SessionId, r: usize) -> bool {
     let Some(primary_pool) = primary_pool else {
         return false;
     };
-    inner.metrics.forwarded(1);
+    inner.metrics.inc(Stat::forwarded);
     let image = match primary_pool.call(&Command::SnapshotSession { session: id }) {
         Ok(Response::SessionExported { image, .. }) => image,
         Ok(Response::Error(e)) if e.code == ErrorCode::UnknownSession => {
@@ -602,7 +605,7 @@ fn replicate_one(inner: &Inner, id: SessionId, r: usize) -> bool {
         }
         Ok(_) => return false, // stays dirty; next round retries
         Err(_) => {
-            inner.metrics.shard_error();
+            inner.metrics.inc(Stat::shard_errors);
             return false;
         }
     };
@@ -617,7 +620,7 @@ fn replicate_one(inner: &Inner, id: SessionId, r: usize) -> bool {
     for addr in &desired {
         let pool = inner.pools.read().unwrap().get(addr).cloned();
         let Some(pool) = pool else { continue };
-        inner.metrics.forwarded(1);
+        inner.metrics.inc(Stat::forwarded);
         match pool.call(&Command::ReplicateSession {
             session: id,
             epoch,
@@ -638,7 +641,7 @@ fn replicate_one(inner: &Inner, id: SessionId, r: usize) -> bool {
                 );
             }
             Ok(_) => {}
-            Err(_) => inner.metrics.shard_error(),
+            Err(_) => inner.metrics.inc(Stat::shard_errors),
         }
     }
     let stale = {
@@ -702,7 +705,7 @@ fn fail_over(inner: &Inner, dead: &str) {
         for (addr, acked_epoch) in candidates {
             let pool = inner.pools.read().unwrap().get(&addr).cloned();
             let Some(pool) = pool else { continue };
-            inner.metrics.forwarded(1);
+            inner.metrics.inc(Stat::forwarded);
             match pool.call(&Command::PromoteReplica { session: id }) {
                 Ok(Response::ReplicaPromoted { epoch, .. }) => {
                     winner = Some((addr, epoch));
@@ -726,7 +729,7 @@ fn fail_over(inner: &Inner, dead: &str) {
                     last_refusal = Some(e);
                 }
                 Ok(_) => {}
-                Err(_) => inner.metrics.shard_error(), // unreachable replica: keep its ack
+                Err(_) => inner.metrics.inc(Stat::shard_errors), // unreachable replica: keep its ack
             }
         }
         match winner {
@@ -879,7 +882,7 @@ fn hedged_call(
     primary: Arc<ShardPool>,
     replica_pool: Arc<ShardPool>,
 ) -> Response {
-    inner.metrics.forwarded(2);
+    inner.metrics.add(Stat::forwarded, 2);
     let start = Instant::now();
     let (tx, rx) = std::sync::mpsc::channel();
     // The losing leg is not detached-forever: every pool socket carries
@@ -917,7 +920,7 @@ fn hedged_call(
                 }
             }
             Err(e) => {
-                inner.metrics.shard_error();
+                inner.metrics.inc(Stat::shard_errors);
                 let slot = if is_primary {
                     &mut primary_outcome
                 } else {
@@ -930,7 +933,7 @@ fn hedged_call(
             }
         }
     }
-    inner.metrics.error();
+    inner.metrics.inc(Stat::errors);
     primary_outcome
         .or(replica_outcome)
         .unwrap_or_else(|| unavailable(format!("hedged read of session {id} got no response")))
@@ -1013,61 +1016,15 @@ fn recover_inventory(inner: &Inner, pool: &ShardPool) {
 // Stats aggregation
 // ---------------------------------------------------------------------------
 
-fn sum_stats(total: &mut StatsSnapshot, shard: &StatsSnapshot) {
-    total.sessions_created += shard.sessions_created;
-    total.sessions_closed += shard.sessions_closed;
-    total.sessions_evicted += shard.sessions_evicted;
-    total.sessions_live += shard.sessions_live;
-    total.commands += shard.commands;
-    total.hypotheses_tested += shard.hypotheses_tested;
-    total.discoveries += shard.discoveries;
-    total.rejected_by_budget += shard.rejected_by_budget;
-    total.errors += shard.errors;
-    total.batches += shard.batches;
-    total.batch_commands += shard.batch_commands;
-    total.overloaded += shard.overloaded;
-    total.ndjson_requests += shard.ndjson_requests;
-    total.binary_frames += shard.binary_frames;
-    total.cache_hits += shard.cache_hits;
-    total.cache_misses += shard.cache_misses;
-    total.persisted += shard.persisted;
-    total.forwarded += shard.forwarded;
-    total.migrations += shard.migrations;
-    total.shard_errors += shard.shard_errors;
-    total.slow_queries += shard.slow_queries;
-    // Replication scalars: shards own the gauges/counters they can see
-    // (held images, performed promotions, replica-served reads); the
-    // lag is router-only knowledge and is overwritten after the sum.
-    total.replicas_live += shard.replicas_live;
-    total.promotions += shard.promotions;
-    total.hedged_reads += shard.hedged_reads;
-    // Resilience scalars: a plain serve reports 0 for all three, but a
-    // shard that is itself a router (tiered topologies) sums through.
-    total.shard_timeouts += shard.shard_timeouts;
-    total.breaker_opens += shard.breaker_opens;
-    total.breaker_shed += shard.breaker_shed;
-    // Quantiles cannot be summed; MAX-merge is the honest cluster-wide
-    // upper bound the scalar list can carry (the exposition endpoint
-    // serves the real per-shard distributions).
-    total.latency_p50_us = total.latency_p50_us.max(shard.latency_p50_us);
-    total.latency_p90_us = total.latency_p90_us.max(shard.latency_p90_us);
-    total.latency_p99_us = total.latency_p99_us.max(shard.latency_p99_us);
-    total.latency_p999_us = total.latency_p999_us.max(shard.latency_p999_us);
-    for (slot, n) in total.batch_size_hist.iter_mut().zip(shard.batch_size_hist) {
-        *slot += n;
-    }
-}
-
-/// Cluster-wide stats: every shard's counters summed (the probe that
-/// fetches them doubles as the health check), batch-size histograms
-/// merged bucket-wise, the router's own counters folded in, and the
-/// per-shard health breakdown attached (JSON surface only — the
-/// binary payload stays the count-prefixed scalar list). Returns the
-/// merged total plus each healthy shard's own snapshot, so the
-/// exposition endpoint can serve both views off one probe round.
+/// Cluster-wide stats: the router's own counters with every shard's
+/// snapshot merged in by each scalar's declared rule (the probe that
+/// fetches them doubles as the health check), and the per-shard
+/// health breakdown attached (JSON surface only — the binary payload
+/// stays the count-prefixed scalar list). Returns the merged total
+/// plus each healthy shard's own snapshot, so the exposition endpoint
+/// can serve both views off one probe round.
 fn probe_all(inner: &Inner) -> (StatsSnapshot, Vec<(String, StatsSnapshot)>) {
     let pools = pools_sorted(inner);
-    let mut total = StatsSnapshot::default();
     let mut per_shard: Vec<(String, StatsSnapshot)> = Vec::new();
     std::thread::scope(|scope| {
         let probes: Vec<_> = pools
@@ -1077,35 +1034,15 @@ fn probe_all(inner: &Inner) -> (StatsSnapshot, Vec<(String, StatsSnapshot)>) {
         for probe in probes {
             let (addr, result) = probe.join().expect("probe thread");
             match result {
-                Ok(stats) => {
-                    sum_stats(&mut total, &stats);
-                    per_shard.push((addr, stats));
-                }
-                Err(_) => inner.metrics.shard_error(),
+                Ok(stats) => per_shard.push((addr, stats)),
+                Err(_) => inner.metrics.inc(Stat::shard_errors),
             }
         }
     });
-    let m = &inner.metrics;
-    total.commands += m.commands.load(Ordering::Relaxed);
-    total.errors += m.errors.load(Ordering::Relaxed);
-    total.batches += m.batches.load(Ordering::Relaxed);
-    total.batch_commands += m.batch_commands.load(Ordering::Relaxed);
-    total.ndjson_requests += m.ndjson_requests.load(Ordering::Relaxed);
-    total.binary_frames += m.binary_frames.load(Ordering::Relaxed);
-    total.forwarded += m.forwarded.load(Ordering::Relaxed);
-    total.migrations += m.migrations.load(Ordering::Relaxed);
-    total.shard_errors += m.shard_errors.load(Ordering::Relaxed);
-    total.slow_queries += m.slow_queries.load(Ordering::Relaxed);
-    // The router's own hop latency joins the MAX-merge; uptime is the
-    // router's alone (summing shard uptimes would be meaningless).
-    let [p50, p90, p99, p999] = m.latency().summary();
-    total.latency_p50_us = total.latency_p50_us.max(p50);
-    total.latency_p90_us = total.latency_p90_us.max(p90);
-    total.latency_p99_us = total.latency_p99_us.max(p99);
-    total.latency_p999_us = total.latency_p999_us.max(p999);
-    total.uptime_seconds = m.uptime_seconds();
-    // Only the router knows how far replicas trail their primaries
-    // (shards report 0 for this field).
+    // The live-session gauge is the shards' to report.
+    let mut total = inner.metrics.snapshot(0);
+    total.uptime_seconds = inner.started.elapsed().as_secs();
+    // Only the router knows how far replicas trail their primaries.
     total.replication_lag_max_epochs = replication_lag(inner);
     // Deadline/breaker accounting lives in the router's shard pools.
     for pool in &pools {
@@ -1113,10 +1050,10 @@ fn probe_all(inner: &Inner) -> (StatsSnapshot, Vec<(String, StatsSnapshot)>) {
         total.breaker_opens += pool.breaker_opens();
         total.breaker_shed += pool.breaker_shed();
     }
-    for (slot, counter) in total.batch_size_hist.iter_mut().zip(&m.batch_size_hist) {
-        *slot += counter.load(Ordering::Relaxed);
+    for (_, stats) in &per_shard {
+        total.merge(stats);
     }
-    total.shards = pools_sorted(inner).iter().map(|p| p.health()).collect();
+    total.shards = pools.iter().map(|p| p.health()).collect();
     (total, per_shard)
 }
 
@@ -1142,9 +1079,9 @@ fn list_datasets(inner: &Inner) -> Response {
                 next_session: inner.next_session.load(Ordering::Relaxed),
             };
         }
-        inner.metrics.shard_error();
+        inner.metrics.inc(Stat::shard_errors);
     }
-    inner.metrics.error();
+    inner.metrics.inc(Stat::errors);
     unavailable("no shard answered the dataset roster")
 }
 
@@ -1171,7 +1108,7 @@ fn fetch_roster(inner: &Inner, pool: &ShardPool) -> Result<Vec<DatasetInfo>, Res
             pool.addr()
         )))),
         Err(e) => {
-            inner.metrics.shard_error();
+            inner.metrics.inc(Stat::shard_errors);
             Err(unavailable(format!("shard roster check failed: {e}")))
         }
     }
@@ -1206,7 +1143,7 @@ fn migrate_session(inner: &Inner, id: SessionId, to_addr: &str) -> Migration {
             _ => return Migration::Failed,
         }
     };
-    inner.metrics.forwarded(1);
+    inner.metrics.inc(Stat::forwarded);
     let image = match from_pool.call(&Command::ExportSession { session: id }) {
         Ok(Response::SessionExported { image, .. }) => image,
         Ok(Response::Error(e)) if e.code == ErrorCode::UnknownSession => {
@@ -1224,7 +1161,7 @@ fn migrate_session(inner: &Inner, id: SessionId, to_addr: &str) -> Migration {
             return Migration::Failed;
         }
         Err(e) => {
-            inner.metrics.shard_error();
+            inner.metrics.inc(Stat::shard_errors);
             aware_obs::logline!(
                 aware_obs::log::Level::Error,
                 "migration_export_failed",
@@ -1235,7 +1172,7 @@ fn migrate_session(inner: &Inner, id: SessionId, to_addr: &str) -> Migration {
             return Migration::Failed;
         }
     };
-    inner.metrics.forwarded(1);
+    inner.metrics.inc(Stat::forwarded);
     let import = to_pool.call(&Command::ImportSession {
         session: id,
         image: image.clone(),
@@ -1253,12 +1190,12 @@ fn migrate_session(inner: &Inner, id: SessionId, to_addr: &str) -> Migration {
             if let Some(state) = inner.sessions.lock().unwrap().get_mut(&id) {
                 state.dirty = true;
             }
-            inner.metrics.migration();
+            inner.metrics.inc(Stat::migrations);
             Migration::Moved
         }
         other => {
             if let Err(e) = &other {
-                inner.metrics.shard_error();
+                inner.metrics.inc(Stat::shard_errors);
                 aware_obs::logline!(
                     aware_obs::log::Level::Error,
                     "migration_import_failed",
@@ -1279,7 +1216,7 @@ fn migrate_session(inner: &Inner, id: SessionId, to_addr: &str) -> Migration {
             match from_pool.call(&Command::ImportSession { session: id, image }) {
                 Ok(Response::SessionImported { .. }) => Migration::Failed,
                 rollback => {
-                    inner.metrics.shard_error();
+                    inner.metrics.inc(Stat::shard_errors);
                     forget_session(inner, id);
                     aware_obs::logline!(
                         aware_obs::log::Level::Error,
@@ -1394,7 +1331,7 @@ fn join_shard(inner: &Inner, addr: String) -> Response {
     let new_ring = inner.topology.read().unwrap().ring.join(&addr);
     let (migrated, failed) = rebalance_to(inner, new_ring);
     if !failed.is_empty() {
-        inner.metrics.error();
+        inner.metrics.inc(Stat::errors);
         return unavailable(format!(
             "join of {addr} incomplete: {migrated} sessions migrated, {} failed and \
              stay on their current shards — stranded sessions {} keep serving from \
@@ -1433,7 +1370,7 @@ fn leave_shard(inner: &Inner, addr: String) -> Response {
     let new_ring = inner.topology.read().unwrap().ring.leave(&addr);
     let (migrated, failed) = rebalance_to(inner, new_ring);
     if !failed.is_empty() {
-        inner.metrics.error();
+        inner.metrics.inc(Stat::errors);
         // Name the stranded ledgers and where they still live: with no
         // replicas, the departing shard holds the *only* copy of each,
         // so the operator must know exactly what is at stake before
@@ -1478,7 +1415,7 @@ fn route_one(inner: &Inner, cmd: Command, trace: u64) -> Response {
         | Command::SnapshotSession { .. }
         | Command::ListSessions
         | Command::Gossip { .. } => {
-            inner.metrics.error();
+            inner.metrics.inc(Stat::errors);
             Response::Error(ServeError::invalid(
                 "replication commands are shard-internal — the router manages \
                  replicas, promotion, and membership itself",
@@ -1501,7 +1438,7 @@ impl Dispatch for RouterHandle {
     fn call_traced(&self, cmd: Command, trace: u64) -> Response {
         let inner = &self.inner;
         inner.metrics.batch(1);
-        inner.metrics.command();
+        inner.metrics.inc(Stat::commands);
         route_one(inner, cmd, trace)
     }
 
@@ -1527,7 +1464,7 @@ impl Dispatch for RouterHandle {
         // Classify: admin inline, everything else routed by session id.
         let mut forwards: Vec<(usize, SessionId, Command)> = Vec::new();
         for (index, cmd) in cmds.into_iter().enumerate() {
-            inner.metrics.command();
+            inner.metrics.inc(Stat::commands);
             match cmd {
                 Command::Stats
                 | Command::ListDatasets
@@ -1596,7 +1533,7 @@ impl Dispatch for RouterHandle {
                         .push((index, cmd));
                 }
                 Err(refusal) => {
-                    inner.metrics.error();
+                    inner.metrics.inc(Stat::errors);
                     slots[index] = Some(refusal);
                 }
             }
@@ -1633,7 +1570,7 @@ impl Dispatch for RouterHandle {
                     }
                     if let Some(ms) = inner.config.slow_ms {
                         if rt_us >= ms.saturating_mul(1000) {
-                            inner.metrics.slow_query();
+                            inner.metrics.inc(Stat::slow_queries);
                             aware_obs::logline!(
                                 aware_obs::log::Level::Warn,
                                 "slow_query",
@@ -1648,7 +1585,7 @@ impl Dispatch for RouterHandle {
                 }
                 match result {
                     Ok(responses) => {
-                        inner.metrics.forwarded(items.len() as u64);
+                        inner.metrics.add(Stat::forwarded, items.len() as u64);
                         for ((index, cmd), response) in items.into_iter().zip(responses) {
                             slots[index] = Some(match &pool {
                                 Some(pool) => {
@@ -1659,9 +1596,9 @@ impl Dispatch for RouterHandle {
                         }
                     }
                     Err(message) => {
-                        inner.metrics.shard_error();
+                        inner.metrics.inc(Stat::shard_errors);
                         for (index, _) in items {
-                            inner.metrics.error();
+                            inner.metrics.inc(Stat::errors);
                             slots[index] = Some(unavailable(format!(
                                 "shard unreachable mid-batch ({message}); session state \
                                  is intact on the shard — retry when it returns"
@@ -1681,13 +1618,8 @@ impl Dispatch for RouterHandle {
             .collect()
     }
 
-    fn record_protocol_error(&self) {
-        self.inner.metrics.command();
-        self.inner.metrics.error();
-    }
-
-    fn record_wire_request(&self, encoding: Encoding) {
-        self.inner.metrics.wire_request(encoding);
+    fn metrics(&self) -> &Metrics {
+        &self.inner.metrics
     }
 }
 
@@ -1705,7 +1637,7 @@ impl RouterHandle {
 
     /// Total sessions migrated by rebalances so far.
     pub fn migrations(&self) -> u64 {
-        self.inner.metrics.migrations()
+        self.inner.metrics.get(Stat::migrations)
     }
 
     /// Runs one replication round now (the background prober runs the
@@ -1748,115 +1680,21 @@ impl RouterHandle {
 
         r.family("aware_up", "gauge", "1 while the router serves.");
         r.sample("aware_up", &[], 1);
+        r.scalars(&SCALARS, &merged.scalars());
+        // The two cache scalars are hidden from the table walk because
+        // a shard serves them per dataset; here they are the totals.
         r.family(
-            "aware_uptime_seconds",
-            "gauge",
-            "Seconds since the router started.",
+            "aware_cache_hits_total",
+            "counter",
+            "Evaluation-cache hits, cluster-wide.",
         );
-        r.sample("aware_uptime_seconds", &[], merged.uptime_seconds);
-
+        r.sample("aware_cache_hits_total", &[], merged.cache_hits);
         r.family(
-            "aware_sessions_live",
-            "gauge",
-            "Live sessions, cluster-wide.",
+            "aware_cache_misses_total",
+            "counter",
+            "Evaluation-cache misses, cluster-wide.",
         );
-        r.sample("aware_sessions_live", &[], merged.sessions_live);
-        r.family(
-            "aware_replicas_live",
-            "gauge",
-            "Warm replica images held, cluster-wide.",
-        );
-        r.sample("aware_replicas_live", &[], merged.replicas_live);
-        r.family(
-            "aware_replication_lag_max_epochs",
-            "gauge",
-            "Worst per-session gap between primary state and acked replica epochs.",
-        );
-        r.sample(
-            "aware_replication_lag_max_epochs",
-            &[],
-            merged.replication_lag_max_epochs,
-        );
-        for (name, help, value) in [
-            (
-                "aware_commands_total",
-                "Commands, cluster-wide.",
-                merged.commands,
-            ),
-            (
-                "aware_hypotheses_tested_total",
-                "Hypotheses tested, cluster-wide.",
-                merged.hypotheses_tested,
-            ),
-            (
-                "aware_discoveries_total",
-                "Discoveries, cluster-wide.",
-                merged.discoveries,
-            ),
-            (
-                "aware_errors_total",
-                "Error responses, cluster-wide.",
-                merged.errors,
-            ),
-            (
-                "aware_forwarded_total",
-                "Commands forwarded across the hop.",
-                merged.forwarded,
-            ),
-            (
-                "aware_migrations_total",
-                "Sessions migrated by rebalances.",
-                merged.migrations,
-            ),
-            (
-                "aware_shard_errors_total",
-                "Transport/protocol failures against shards.",
-                merged.shard_errors,
-            ),
-            (
-                "aware_slow_queries_total",
-                "Slow-query records, cluster-wide.",
-                merged.slow_queries,
-            ),
-            (
-                "aware_promotions_total",
-                "Replica promotions performed by failovers.",
-                merged.promotions,
-            ),
-            (
-                "aware_hedged_reads_total",
-                "Reads served from a replica image by hedging.",
-                merged.hedged_reads,
-            ),
-            (
-                "aware_cache_hits_total",
-                "Evaluation-cache hits, cluster-wide.",
-                merged.cache_hits,
-            ),
-            (
-                "aware_cache_misses_total",
-                "Evaluation-cache misses, cluster-wide.",
-                merged.cache_misses,
-            ),
-            (
-                "aware_shard_timeouts_total",
-                "Shard round trips abandoned on a blown deadline.",
-                merged.shard_timeouts,
-            ),
-            (
-                "aware_breaker_opens_total",
-                "Circuit-breaker open transitions across shards.",
-                merged.breaker_opens,
-            ),
-            (
-                "aware_breaker_shed_total",
-                "Calls shed without touching the network while a breaker was open.",
-                merged.breaker_shed,
-            ),
-        ] {
-            r.family(name, "counter", help);
-            r.sample(name, &[], value);
-        }
+        r.sample("aware_cache_misses_total", &[], merged.cache_misses);
 
         r.family(
             "aware_router_latency_us",

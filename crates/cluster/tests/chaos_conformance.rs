@@ -55,6 +55,27 @@ impl ProcGuard {
             .status()
             .expect("run kill -STOP");
         assert!(status.success(), "SIGSTOP failed");
+        // `kill` returns once the signal is queued, not once it has
+        // acted: until the thread that dequeues it runs, the process's
+        // other threads can still execute — and acknowledge — a
+        // command whose effect then dies with the frozen process.
+        // Wait until every thread reports stopped.
+        let tasks = format!("/proc/{}/task", self.0.id());
+        wait_for(|| {
+            let stopped = std::fs::read_dir(&tasks).ok()?.all(|task| {
+                task.ok()
+                    .and_then(|t| std::fs::read_to_string(t.path().join("stat")).ok())
+                    // pid (comm) STATE …; comm may itself hold spaces.
+                    .and_then(|stat| {
+                        stat.rsplit(')')
+                            .next()
+                            .map(|rest| rest.trim_start().starts_with('T'))
+                    })
+                    .unwrap_or(false)
+            });
+            stopped.then_some(())
+        })
+        .expect("the process never stopped");
     }
 }
 

@@ -238,19 +238,30 @@ impl Bencher {
     }
 }
 
-/// Appends one benchmark record to the JSON-lines file named by the
-/// `BENCH_JSON` environment variable (no-op when unset). CI points this
-/// at an artifact (e.g. `BENCH_serve.json`) so the perf trajectory is
-/// tracked across PRs; test-mode runs record `"mode":"test"` with zero
-/// timings, real runs record the measured median and rate.
-fn record_json(label: &str, mode: &str, median_ns: f64, throughput: Option<Throughput>) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
+/// The artifact named by the `BENCH_JSON` environment variable, when
+/// set and non-empty. CI points this at a JSON-lines file (e.g.
+/// `BENCH_serve.json`) so the perf trajectory is tracked across PRs.
+fn bench_json_path() -> Option<String> {
+    std::env::var("BENCH_JSON").ok().filter(|p| !p.is_empty())
+}
+
+fn append_row(path: &str, line: &str) {
+    let _ = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+}
+
+/// Appends one median record to the `BENCH_JSON` artifact (no-op when
+/// unset): test-mode runs record `"mode":"test"` with zero timings,
+/// real runs record the measured median and rate. Public so a bench
+/// that drives its own sampling loop emits the exact row shape the
+/// harness does — one shape for the CI guards and artifact diffs.
+pub fn record_json(label: &str, mode: &str, median_ns: f64, throughput: Option<Throughput>) {
+    if let Some(path) = bench_json_path() {
+        record_json_to(&path, label, mode, median_ns, throughput);
     }
-    record_json_to(&path, label, mode, median_ns, throughput);
 }
 
 fn record_json_to(
@@ -280,11 +291,23 @@ fn record_json_to(
     let line = format!(
         "{{\"bench\":\"{escaped}\",\"mode\":\"{mode}\",\"median_ns\":{median_ns:.1},\"{unit}\":{rate:.1}}}\n",
     );
-    let _ = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
+    append_row(path, &line);
+}
+
+/// Sorts `samples_ns`, prints its p50/p90/p99, and appends them as one
+/// latency-quantile record to the `BENCH_JSON` artifact. `extra` is
+/// spliced in verbatim before the closing brace (`,"key":value…`).
+pub fn record_quantiles(label: &str, samples_ns: &mut [u64], extra: &str) {
+    samples_ns.sort_unstable();
+    let q = |p: f64| samples_ns[((samples_ns.len() - 1) as f64 * p) as usize];
+    let (p50, p90, p99) = (q(0.50), q(0.90), q(0.99));
+    println!("bench {label:<55} p50 {p50} ns  p90 {p90} ns  p99 {p99} ns");
+    if let Some(path) = bench_json_path() {
+        let line = format!(
+            "{{\"bench\":\"{label}\",\"mode\":\"measured\",\"p50_ns\":{p50},\"p90_ns\":{p90},\"p99_ns\":{p99}{extra}}}\n",
+        );
+        append_row(&path, &line);
+    }
 }
 
 fn run_bench<F: FnMut(&mut Bencher)>(

@@ -135,6 +135,62 @@ fn write_response(
     stream.flush()
 }
 
+/// How a declared scalar appears on the exposition endpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone; family `aware_<name>_total`.
+    Counter,
+    /// Point-in-time reading; family `aware_<name>`.
+    Gauge,
+    /// Carried by `stats` only: the endpoint serves it in a richer
+    /// shape (per-dataset labels, a full summary) or not at all.
+    Hidden,
+}
+
+/// How a cluster router folds one participant's value into its total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    Sum,
+    /// For quantiles, which cannot be summed: the max is the honest
+    /// cluster-wide upper bound a scalar can carry.
+    Max,
+    /// Only the router can know the value (its own uptime, replica
+    /// acks); a shard's reading is ignored.
+    RouterOwned,
+}
+
+/// Whether a JSON `stats` reply must carry the scalar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decode {
+    /// Present since protocol v1; absence is a malformed reply.
+    Required,
+    /// Added later: missing decodes as 0 so an older peer still parses.
+    Lenient,
+}
+
+/// One declared scalar metric. A table of these drives every rendering
+/// of the value: JSON key, binary wire position (its row index),
+/// cluster merge, and exposition family.
+#[derive(Debug, Clone, Copy)]
+pub struct MetricDef {
+    pub name: &'static str,
+    pub decode: Decode,
+    pub merge: Merge,
+    pub kind: Kind,
+    pub help: &'static str,
+}
+
+impl MetricDef {
+    /// The exposition family name, or `None` for a hidden scalar.
+    pub fn family(&self) -> Option<String> {
+        match self.kind {
+            Kind::Counter => Some(format!("aware_{}_total", self.name)),
+            Kind::Gauge => Some(format!("aware_{}", self.name)),
+            Kind::Hidden => None,
+        }
+    }
+}
+
 /// Builds a Prometheus text-format body: `# TYPE` headers, one
 /// `name{labels} value` sample per line, histograms rendered as
 /// summaries (quantile labels plus `_sum` and `_count`).
@@ -153,6 +209,21 @@ impl TextRender {
     pub fn family(&mut self, name: &str, kind: &str, help: &str) {
         self.out.push_str(&format!("# HELP {name} {help}\n"));
         self.out.push_str(&format!("# TYPE {name} {kind}\n"));
+    }
+
+    /// Every non-hidden scalar of a declared table as its own
+    /// unlabeled family; `values[i]` is the reading of `defs[i]`.
+    pub fn scalars(&mut self, defs: &[MetricDef], values: &[u64]) {
+        for (def, &value) in defs.iter().zip(values) {
+            let kind = match def.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge => "gauge",
+                Kind::Hidden => continue,
+            };
+            let family = def.family().expect("a shown scalar has a family");
+            self.family(&family, kind, def.help);
+            self.sample(&family, &[], value);
+        }
     }
 
     /// One integer sample.

@@ -1,67 +1,69 @@
-//! Server-wide metrics: lock-free monotone counters, per-command-kind
-//! latency histograms with a stage breakdown, and a live-session
-//! gauge, snapshotted on demand by the `stats` command and rendered by
-//! the `--metrics-addr` exposition endpoint.
+//! Server-wide metrics: one lock-free atomic slot per declared scalar
+//! ([`crate::proto::SCALARS`]), per-command-kind latency histograms
+//! with a stage breakdown, and a live-session gauge, snapshotted on
+//! demand by the `stats` command and rendered by the `--metrics-addr`
+//! exposition endpoint. A cluster router holds the same block; slots
+//! it never touches stay 0.
 
-use crate::proto::{Encoding, StatsSnapshot, BATCH_SIZE_BUCKETS, COMMAND_KINDS};
+use crate::proto::{Encoding, Stat, StatsSnapshot, BATCH_SIZE_BUCKETS, COMMAND_KINDS};
 use aware_obs::hist::{HistogramSnapshot, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// One stage of a command's life, each with its own latency histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// An accepted unit waiting in a worker's queue before pickup.
+    QueueWait,
+    /// Executing one command.
+    Execute,
+    /// Writing one durable session snapshot (tmp + fsync + rename).
+    SnapshotFlush,
+    /// Encoding + writing one reply to the wire.
+    WireEncode,
+}
+
+impl Stage {
+    pub const COUNT: usize = 4;
+    /// The `stage` label values, in discriminant order.
+    pub const NAMES: [&'static str; Stage::COUNT] =
+        ["queue_wait", "execute", "snapshot_flush", "wire_encode"];
+}
+
 /// Counter block shared by every worker and connection thread.
 ///
-/// All counters are cumulative since server start except
-/// `sessions_live`, which is a gauge derived from the registry at
-/// snapshot time. Relaxed ordering is deliberate: each counter is an
-/// independent statistic, not a synchronization edge. Histogram
-/// recording is likewise one relaxed `fetch_add` per sample.
-#[derive(Debug, Default)]
+/// Every slot is cumulative since start; the gauges among the declared
+/// scalars (`sessions_live`, cache and store readings, uptime) are
+/// folded in by the owner at snapshot time. Relaxed ordering is
+/// deliberate: each counter is an independent statistic, not a
+/// synchronization edge. Histogram recording is likewise one relaxed
+/// `fetch_add` per sample.
+#[derive(Debug)]
 pub struct Metrics {
-    sessions_created: AtomicU64,
-    sessions_closed: AtomicU64,
-    sessions_evicted: AtomicU64,
-    commands: AtomicU64,
-    hypotheses_tested: AtomicU64,
-    discoveries: AtomicU64,
-    rejected_by_budget: AtomicU64,
-    errors: AtomicU64,
-    batches: AtomicU64,
-    batch_commands: AtomicU64,
-    overloaded: AtomicU64,
-    ndjson_requests: AtomicU64,
-    binary_frames: AtomicU64,
-    slow_queries: AtomicU64,
-    promotions: AtomicU64,
-    hedged_reads: AtomicU64,
-    reactor_conn_opened: AtomicU64,
+    scalars: [AtomicU64; Stat::COUNT],
+    /// `reactor_connections` is opened − closed, computed at snapshot
+    /// time from two monotone counters (the scalar's own slot counts
+    /// opens) so concurrent open/close never races a decrement below
+    /// zero.
     reactor_conn_closed: AtomicU64,
-    reactor_wakeups: AtomicU64,
-    push_frames: AtomicU64,
-    drr_deferrals: AtomicU64,
     batch_size_hist: [AtomicU64; 5],
     /// End-to-end command latency (queue wait + execute), bucketed by
     /// [`COMMAND_KINDS`] index. The all-kinds distribution is the
     /// bucket-wise merge of these at snapshot time — no separate
     /// total histogram to double-record into.
     latency_by_kind: [LatencyHistogram; COMMAND_KINDS.len()],
-    /// Stage breakdown: time an accepted unit waited in a worker's
-    /// queue before pickup.
-    stage_queue_wait: LatencyHistogram,
-    /// Stage breakdown: time spent executing one command.
-    stage_execute: LatencyHistogram,
-    /// Stage breakdown: time writing one durable session snapshot
-    /// (tmp + fsync + rename).
-    stage_snapshot_flush: LatencyHistogram,
-    /// Stage breakdown: time encoding + writing one reply to the wire.
-    stage_wire_encode: LatencyHistogram,
+    stages: [LatencyHistogram; Stage::COUNT],
 }
 
-/// Histogram bucket index for a batch of `n` commands; edges are
-/// [`BATCH_SIZE_BUCKETS`].
-fn batch_bucket(n: usize) -> usize {
-    BATCH_SIZE_BUCKETS
-        .iter()
-        .position(|&edge| n as u64 <= edge)
-        .unwrap_or(BATCH_SIZE_BUCKETS.len())
+impl Default for Metrics {
+    fn default() -> Metrics {
+        Metrics {
+            scalars: std::array::from_fn(|_| AtomicU64::new(0)),
+            reactor_conn_closed: AtomicU64::new(0),
+            batch_size_hist: Default::default(),
+            latency_by_kind: Default::default(),
+            stages: Default::default(),
+        }
+    }
 }
 
 impl Metrics {
@@ -69,103 +71,53 @@ impl Metrics {
         Metrics::default()
     }
 
-    pub fn session_created(&self) {
-        self.sessions_created.fetch_add(1, Ordering::Relaxed);
+    /// Counts one event against `stat`.
+    pub fn inc(&self, stat: Stat) {
+        self.add(stat, 1);
     }
 
-    pub fn session_closed(&self) {
-        self.sessions_closed.fetch_add(1, Ordering::Relaxed);
+    /// Counts `n` events against `stat`.
+    pub fn add(&self, stat: Stat, n: u64) {
+        self.scalars[stat as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    pub fn session_evicted(&self) {
-        self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn command(&self) {
-        self.commands.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn hypothesis_tested(&self, rejected: bool) {
-        self.hypotheses_tested.fetch_add(1, Ordering::Relaxed);
-        if rejected {
-            self.discoveries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn rejected_by_budget(&self) {
-        self.rejected_by_budget.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+    /// The cumulative count recorded against `stat`.
+    pub fn get(&self, stat: Stat) -> u64 {
+        self.scalars[stat as usize].load(Ordering::Relaxed)
     }
 
     /// One dispatch unit of `n` commands accepted by `call_batch` (a
     /// plain `call` is a batch of one).
     pub fn batch(&self, n: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_commands.fetch_add(n as u64, Ordering::Relaxed);
-        self.batch_size_hist[batch_bucket(n)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Work refused by backpressure (session capacity or pending cap).
-    pub fn overloaded(&self) {
-        self.overloaded.fetch_add(1, Ordering::Relaxed);
+        self.inc(Stat::batches);
+        self.add(Stat::batch_commands, n as u64);
+        let bucket = BATCH_SIZE_BUCKETS
+            .iter()
+            .position(|&edge| n as u64 <= edge)
+            .unwrap_or(BATCH_SIZE_BUCKETS.len());
+        self.batch_size_hist[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// One wire message received on the given surface.
     pub fn wire_request(&self, encoding: Encoding) {
-        match encoding {
-            Encoding::Json => &self.ndjson_requests,
-            Encoding::Binary => &self.binary_frames,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        self.inc(match encoding {
+            Encoding::Json => Stat::ndjson_requests,
+            Encoding::Binary => Stat::binary_frames,
+        });
     }
 
-    /// One command past the `--slow-ms` threshold (a slow-query record
-    /// was emitted).
-    pub fn slow_query(&self) {
-        self.slow_queries.fetch_add(1, Ordering::Relaxed);
+    /// A request that failed before reaching a command (frame too
+    /// long, malformed JSON, unknown command), so the `stats` counters
+    /// see protocol-level abuse, not only session-level errors.
+    pub fn protocol_error(&self) {
+        self.inc(Stat::commands);
+        self.inc(Stat::errors);
     }
 
-    /// One replica image promoted to the live session on this shard.
-    pub fn promotion(&self) {
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One read-only command answered from a held replica image (the
-    /// serving half of a router's hedged read).
-    pub fn hedged_read(&self) {
-        self.hedged_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One connection accepted by the reactor front end. The
-    /// `reactor_connections` gauge is opened − closed, computed at
-    /// snapshot time from two monotone counters so concurrent
-    /// open/close never races a decrement below zero.
-    pub fn reactor_conn_opened(&self) {
-        self.reactor_conn_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One reactor connection fully closed (deregistered and dropped).
+    /// One reactor connection fully closed (deregistered and dropped);
+    /// its accept was an `inc(Stat::reactor_connections)`.
     pub fn reactor_conn_closed(&self) {
         self.reactor_conn_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One `epoll_wait` return with at least one ready event.
-    pub fn reactor_wakeup(&self) {
-        self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One server-push frame handed to a subscribed connection.
-    pub fn push_frame(&self) {
-        self.push_frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One dispatch unit deferred by the deficit-round-robin drainer
-    /// because its route exhausted the round's quantum.
-    pub fn drr_deferral(&self) {
-        self.drr_deferrals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// End-to-end latency (µs) of one command of the given
@@ -174,24 +126,9 @@ impl Metrics {
         self.latency_by_kind[kind.min(COMMAND_KINDS.len() - 1)].record(micros);
     }
 
-    /// Queue wait (µs) of one dispatch unit: enqueue → worker pickup.
-    pub fn observe_queue_wait(&self, micros: u64) {
-        self.stage_queue_wait.record(micros);
-    }
-
-    /// Execute stage (µs) of one command.
-    pub fn observe_execute(&self, micros: u64) {
-        self.stage_execute.record(micros);
-    }
-
-    /// One durable snapshot flush (µs).
-    pub fn observe_snapshot_flush(&self, micros: u64) {
-        self.stage_snapshot_flush.record(micros);
-    }
-
-    /// One reply encoded + written to the wire (µs).
-    pub fn observe_wire_encode(&self, micros: u64) {
-        self.stage_wire_encode.record(micros);
+    /// One sample (µs) of the given stage.
+    pub fn observe(&self, stage: Stage, micros: u64) {
+        self.stages[stage as usize].record(micros);
     }
 
     /// The all-kinds latency distribution: bucket-wise merge of every
@@ -209,80 +146,37 @@ impl Metrics {
         self.latency_by_kind[kind.min(COMMAND_KINDS.len() - 1)].snapshot()
     }
 
-    /// The four stage distributions, in (queue wait, execute,
-    /// snapshot flush, wire encode) order.
-    pub fn stages(&self) -> [(&'static str, HistogramSnapshot); 4] {
-        [
-            ("queue_wait", self.stage_queue_wait.snapshot()),
-            ("execute", self.stage_execute.snapshot()),
-            ("snapshot_flush", self.stage_snapshot_flush.snapshot()),
-            ("wire_encode", self.stage_wire_encode.snapshot()),
-        ]
+    /// The four stage distributions, labeled, in [`Stage`] order.
+    pub fn stages(&self) -> [(&'static str, HistogramSnapshot); Stage::COUNT] {
+        std::array::from_fn(|i| (Stage::NAMES[i], self.stages[i].snapshot()))
     }
 
-    /// Snapshot with the given live-session gauge.
+    /// Snapshot with the given live-session gauge. Scalars nothing in
+    /// this block records (cache, store, uptime, replication readings)
+    /// read 0; their owner overwrites them.
     pub fn snapshot(&self, sessions_live: u64) -> StatsSnapshot {
-        let mut batch_size_hist = [0u64; 5];
-        for (slot, counter) in batch_size_hist.iter_mut().zip(&self.batch_size_hist) {
+        let mut snapshot = StatsSnapshot::default();
+        for (slot, counter) in snapshot.scalars_mut().into_iter().zip(&self.scalars) {
             *slot = counter.load(Ordering::Relaxed);
         }
-        let [latency_p50_us, latency_p90_us, latency_p99_us, latency_p999_us] =
-            self.latency().summary();
-        StatsSnapshot {
-            sessions_created: self.sessions_created.load(Ordering::Relaxed),
-            sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
-            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            sessions_live,
-            commands: self.commands.load(Ordering::Relaxed),
-            hypotheses_tested: self.hypotheses_tested.load(Ordering::Relaxed),
-            discoveries: self.discoveries.load(Ordering::Relaxed),
-            rejected_by_budget: self.rejected_by_budget.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_commands: self.batch_commands.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            ndjson_requests: self.ndjson_requests.load(Ordering::Relaxed),
-            binary_frames: self.binary_frames.load(Ordering::Relaxed),
-            // Evaluation-cache counters live with each dataset's cache,
-            // the persisted gauge with the snapshot store, and uptime
-            // plus per-session risk with the registry — the service
-            // folds them in at snapshot time. The cluster counters and
-            // per-shard table belong to a router, not a shard.
-            cache_hits: 0,
-            cache_misses: 0,
-            persisted: 0,
-            forwarded: 0,
-            migrations: 0,
-            shard_errors: 0,
-            uptime_seconds: 0,
-            latency_p50_us,
-            latency_p90_us,
-            latency_p99_us,
-            latency_p999_us,
-            slow_queries: self.slow_queries.load(Ordering::Relaxed),
-            batch_size_hist,
-            shards: Vec::new(),
-            sessions: Vec::new(),
-            // `replicas_live` is a gauge over the replica map — the
-            // service folds it in at snapshot time. Replication lag is
-            // only observable from a router, which knows the acks.
-            replicas_live: 0,
-            replication_lag_max_epochs: 0,
-            promotions: self.promotions.load(Ordering::Relaxed),
-            hedged_reads: self.hedged_reads.load(Ordering::Relaxed),
-            // Deadline/breaker accounting belongs to a router's shard
-            // pools; a plain serve has no outbound calls to time out.
-            shard_timeouts: 0,
-            breaker_opens: 0,
-            breaker_shed: 0,
-            reactor_connections: self
-                .reactor_conn_opened
-                .load(Ordering::Relaxed)
-                .saturating_sub(self.reactor_conn_closed.load(Ordering::Relaxed)),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            push_frames: self.push_frames.load(Ordering::Relaxed),
-            drr_deferrals: self.drr_deferrals.load(Ordering::Relaxed),
+        snapshot.sessions_live = sessions_live;
+        snapshot.reactor_connections = snapshot
+            .reactor_connections
+            .saturating_sub(self.reactor_conn_closed.load(Ordering::Relaxed));
+        [
+            snapshot.latency_p50_us,
+            snapshot.latency_p90_us,
+            snapshot.latency_p99_us,
+            snapshot.latency_p999_us,
+        ] = self.latency().summary();
+        for (slot, counter) in snapshot
+            .batch_size_hist
+            .iter_mut()
+            .zip(&self.batch_size_hist)
+        {
+            *slot = counter.load(Ordering::Relaxed);
         }
+        snapshot
     }
 }
 
@@ -293,21 +187,22 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
-        m.session_created();
-        m.session_created();
-        m.session_closed();
-        m.session_evicted();
-        m.command();
-        m.hypothesis_tested(true);
-        m.hypothesis_tested(false);
-        m.rejected_by_budget();
-        m.error();
+        m.inc(Stat::sessions_created);
+        m.inc(Stat::sessions_created);
+        m.inc(Stat::sessions_closed);
+        m.inc(Stat::sessions_evicted);
+        m.inc(Stat::commands);
+        m.inc(Stat::hypotheses_tested);
+        m.inc(Stat::discoveries);
+        m.inc(Stat::hypotheses_tested);
+        m.inc(Stat::rejected_by_budget);
+        m.inc(Stat::errors);
         m.batch(1);
         m.batch(8);
         m.batch(64);
         m.batch(65);
         m.batch(1000);
-        m.overloaded();
+        m.inc(Stat::overloaded);
         m.wire_request(Encoding::Json);
         m.wire_request(Encoding::Binary);
         m.wire_request(Encoding::Binary);
@@ -332,14 +227,14 @@ mod tests {
     #[test]
     fn reactor_gauge_is_opened_minus_closed() {
         let m = Metrics::new();
-        m.reactor_conn_opened();
-        m.reactor_conn_opened();
-        m.reactor_conn_opened();
+        m.inc(Stat::reactor_connections);
+        m.inc(Stat::reactor_connections);
+        m.inc(Stat::reactor_connections);
         m.reactor_conn_closed();
-        m.reactor_wakeup();
-        m.push_frame();
-        m.push_frame();
-        m.drr_deferral();
+        m.inc(Stat::reactor_wakeups);
+        m.inc(Stat::push_frames);
+        m.inc(Stat::push_frames);
+        m.inc(Stat::drr_deferrals);
         let s = m.snapshot(0);
         assert_eq!(s.reactor_connections, 2);
         assert_eq!(s.reactor_wakeups, 1);
@@ -358,11 +253,11 @@ mod tests {
         m.observe_command(0, 100);
         m.observe_command(2, 300);
         m.observe_command(2, 50_000);
-        m.observe_queue_wait(5);
-        m.observe_execute(95);
-        m.observe_snapshot_flush(2_000);
-        m.observe_wire_encode(8);
-        m.slow_query();
+        m.observe(Stage::QueueWait, 5);
+        m.observe(Stage::Execute, 95);
+        m.observe(Stage::SnapshotFlush, 2_000);
+        m.observe(Stage::WireEncode, 8);
+        m.inc(Stat::slow_queries);
         assert_eq!(m.latency().count(), 3);
         assert_eq!(m.latency_of_kind(2).count(), 2);
         let s = m.snapshot(0);
@@ -388,7 +283,7 @@ mod tests {
                 let m = m.clone();
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        m.command();
+                        m.inc(Stat::commands);
                     }
                 })
             })

@@ -32,6 +32,7 @@ use aware_data::predicate::{CmpOp, Predicate};
 use aware_data::value::Value;
 use aware_mht::investing::policies::{EpsilonHybrid, Farsighted, Fixed, Hopeful, SupportScaled};
 use aware_mht::investing::InvestingPolicy;
+use aware_obs::expose::{Decode, Kind, Merge, MetricDef};
 
 /// Identifier of a live session, allocated by the service.
 pub type SessionId = u64;
@@ -1351,111 +1352,133 @@ pub struct SessionRisk {
     pub risk_spent: f64,
 }
 
-/// Server-wide counters, as returned by [`Command::Stats`].
-///
-/// `PartialEq` only (no `Eq`): [`SessionRisk`] carries `f64` gauges.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsSnapshot {
-    pub sessions_created: u64,
-    pub sessions_closed: u64,
-    pub sessions_evicted: u64,
-    pub sessions_live: u64,
-    pub commands: u64,
-    pub hypotheses_tested: u64,
-    pub discoveries: u64,
-    pub rejected_by_budget: u64,
-    pub errors: u64,
-    /// Dispatch units accepted by `call_batch` (a single `call` counts
-    /// as a batch of one).
-    pub batches: u64,
-    /// Commands carried inside those batches.
-    pub batch_commands: u64,
-    /// Work refused by backpressure: session capacity or a session's
-    /// pending-command cap.
-    pub overloaded: u64,
-    /// Wire messages received on the NDJSON surface.
-    pub ndjson_requests: u64,
-    /// Wire frames received on the binary surface.
-    pub binary_frames: u64,
-    /// Evaluation-cache probes answered from the cache, summed over
-    /// every registered dataset's shared cache.
-    pub cache_hits: u64,
-    /// Evaluation-cache probes that had to evaluate cold.
-    pub cache_misses: u64,
-    /// Sessions with a durable snapshot on disk — both live sessions
-    /// that have been snapshotted and sessions spilled out of memory.
-    /// Zero when the server runs without a `--data-dir`.
-    pub persisted: u64,
-    /// Commands a cluster router forwarded to backend shards (always 0
-    /// on a plain `aware-serve`). Rides the count-prefixed binary
-    /// scalar list — no protocol-version bump, same as `persisted`.
-    pub forwarded: u64,
-    /// Sessions a cluster router migrated between shards during
-    /// `join_shard`/`leave_shard` rebalancing.
-    pub migrations: u64,
-    /// Connection-level shard failures a cluster router observed.
-    pub shard_errors: u64,
-    /// Whole seconds since the process (registry epoch) started.
-    /// Binary field 20 on the count-prefixed scalar list.
-    pub uptime_seconds: u64,
-    /// Command latency quantiles in microseconds, reconstructed from
-    /// the server's log-linear histograms (relative error ≤ 1/16).
-    /// Queue wait + execute, merged across every command kind. A
-    /// router reports the max over itself and its shards — an honest
-    /// upper bound, since quantiles don't sum. Binary fields 21–24.
-    pub latency_p50_us: u64,
-    pub latency_p90_us: u64,
-    pub latency_p99_us: u64,
-    pub latency_p999_us: u64,
-    /// Commands that crossed the `--slow-ms` threshold and emitted a
-    /// slow-query record. Binary field 25.
-    pub slow_queries: u64,
-    /// Replica images this shard holds for sessions whose primary
-    /// lives elsewhere (a router sums its shards'). Binary field 26 —
-    /// the fifth no-version-bump scalar-list extension starts here.
-    pub replicas_live: u64,
-    /// Worst replication staleness across sessions, in epochs: 0 means
-    /// every session's replicas have acked its latest image. Router
-    /// bookkeeping; always 0 on a plain serve. Binary field 27.
-    pub replication_lag_max_epochs: u64,
-    /// Replicas promoted to primary by automatic failover. Binary
-    /// field 28.
-    pub promotions: u64,
-    /// Read-only commands the router raced against a caught-up replica
-    /// (first valid answer won). Binary field 29.
-    pub hedged_reads: u64,
-    /// Shard round trips abandoned on a blown deadline (connect, read,
-    /// or write timeout). Router bookkeeping; always 0 on a plain
-    /// serve. Binary field 30 — the sixth no-version-bump scalar-list
-    /// extension starts here.
-    pub shard_timeouts: u64,
-    /// Closed/half-open → open circuit-breaker transitions across the
-    /// router's shards. Binary field 31.
-    pub breaker_opens: u64,
-    /// Calls shed without touching the network while a shard's breaker
-    /// was open. Binary field 32.
-    pub breaker_shed: u64,
-    /// Connections currently open on the reactor front end (a gauge;
-    /// 0 under thread-per-connection). Binary field 33 — the seventh
-    /// no-version-bump scalar-list extension starts here.
-    pub reactor_connections: u64,
-    /// Readiness wakeups the event loop has serviced. Binary field 34.
-    pub reactor_wakeups: u64,
-    /// Unsolicited push frames delivered to subscribed connections.
-    /// Binary field 35.
-    pub push_frames: u64,
-    /// Times deficit-round-robin draining made a saturated session
-    /// yield its worker turn to a neighbour. Binary field 36.
-    pub drr_deferrals: u64,
-    /// Batch sizes by bucket; edges in [`BATCH_SIZE_BUCKETS`].
-    pub batch_size_hist: [u64; 5],
-    /// Per-shard health breakdown (cluster routers only; empty on a
-    /// plain serve). JSON-surface only: the binary stats payload is
-    /// the scalar list + histogram, unchanged.
-    pub shards: Vec<ShardHealth>,
-    /// Per-session risk telemetry (capped at the busiest
-    /// [`MAX_RISK_SESSIONS`] by id). JSON-surface only, like `shards`.
-    pub sessions: Vec<SessionRisk>,
+/// Declares the `stats` scalars — once. Each row is one scalar: its
+/// name, whether a JSON reply must carry it, how a router merges it
+/// across shards, how the exposition endpoint shows it, and its help
+/// text. Row order is the binary wire position, so rows are append
+/// only. The macro generates [`StatsSnapshot`]'s named fields, the
+/// [`Stat`] index, and [`SCALARS`]; every rendering (JSON, binary,
+/// [`StatsSnapshot::merge`], both `/metrics` endpoints, the atomic
+/// block in [`crate::metrics::Metrics`]) is a loop over those.
+macro_rules! scalar_table {
+    ($($(#[$doc:meta])* $name:ident: $decode:ident, $merge:ident, $kind:ident, $help:literal;)*) => {
+        /// Server-wide counters, as returned by [`Command::Stats`].
+        ///
+        /// `PartialEq` only (no `Eq`): [`SessionRisk`] carries `f64` gauges.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct StatsSnapshot {
+            $(#[doc = $help] $(#[$doc])* pub $name: u64,)*
+            /// Batch sizes by bucket; edges in [`BATCH_SIZE_BUCKETS`].
+            pub batch_size_hist: [u64; 5],
+            /// Per-shard health breakdown (cluster routers only; empty on a
+            /// plain serve). JSON-surface only: the binary stats payload is
+            /// the scalar list + histogram, unchanged.
+            pub shards: Vec<ShardHealth>,
+            /// Per-session risk telemetry (capped at the busiest
+            /// [`MAX_RISK_SESSIONS`] by id). JSON-surface only, like `shards`.
+            pub sessions: Vec<SessionRisk>,
+        }
+
+        /// Index of one scalar: its row in [`SCALARS`], its position on
+        /// the binary wire, its slot in the server's atomic block.
+        /// Variants are spelled exactly as the field they index.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stat {
+            $($name,)*
+        }
+
+        /// The declared scalars, in wire order.
+        pub const SCALARS: [MetricDef; Stat::COUNT] = [
+            $(MetricDef {
+                name: stringify!($name),
+                decode: Decode::$decode,
+                merge: Merge::$merge,
+                kind: Kind::$kind,
+                help: $help,
+            },)*
+        ];
+
+        impl Stat {
+            pub const COUNT: usize = [$(Stat::$name,)*].len();
+        }
+
+        impl StatsSnapshot {
+            /// Every scalar's value, in [`SCALARS`] order.
+            pub fn scalars(&self) -> [u64; Stat::COUNT] {
+                [$(self.$name,)*]
+            }
+
+            /// Every scalar's slot, in [`SCALARS`] order.
+            pub fn scalars_mut(&mut self) -> [&mut u64; Stat::COUNT] {
+                [$(&mut self.$name,)*]
+            }
+        }
+    };
+}
+
+scalar_table! {
+    sessions_created: Required, Sum, Counter, "Sessions created.";
+    sessions_closed: Required, Sum, Counter, "Sessions closed.";
+    sessions_evicted: Required, Sum, Counter, "Sessions evicted.";
+    sessions_live: Required, Sum, Gauge, "Live sessions.";
+    commands: Required, Sum, Counter, "Commands accepted.";
+    hypotheses_tested: Required, Sum, Counter, "Hypotheses tested.";
+    discoveries: Required, Sum, Counter, "Hypotheses rejected (discoveries).";
+    rejected_by_budget: Required, Sum, Counter, "Tests refused for exhausted wealth.";
+    errors: Required, Sum, Counter, "Error responses.";
+    /// A single `call` counts as a batch of one.
+    batches: Lenient, Sum, Counter, "Dispatch units accepted.";
+    batch_commands: Lenient, Sum, Counter, "Commands carried inside those dispatch units.";
+    /// Session capacity or a session's pending-command cap.
+    overloaded: Lenient, Sum, Counter, "Work refused by backpressure.";
+    ndjson_requests: Lenient, Sum, Counter, "Wire messages received on the NDJSON surface.";
+    binary_frames: Lenient, Sum, Counter, "Wire frames received on the binary surface.";
+    /// Summed over every registered dataset's shared cache. Hidden: a
+    /// serve exposes it per dataset, a router as the cluster total.
+    cache_hits: Lenient, Sum, Hidden, "Evaluation-cache probes answered from the cache.";
+    cache_misses: Lenient, Sum, Hidden, "Evaluation-cache probes that had to evaluate cold.";
+    /// Both live sessions that have been snapshotted and sessions
+    /// spilled out of memory. Zero without a `--data-dir`, which is
+    /// why the endpoint shows it (as `aware_persisted_sessions`) only
+    /// when a store is configured.
+    persisted: Lenient, Sum, Hidden, "Sessions with a durable snapshot on disk.";
+    /// Always 0 on a plain `aware-serve`.
+    forwarded: Lenient, Sum, Counter, "Commands a cluster router forwarded to backend shards.";
+    migrations: Lenient, Sum, Counter, "Sessions a router migrated between shards while rebalancing.";
+    shard_errors: Lenient, Sum, Counter, "Connection-level shard failures a router observed.";
+    /// Since the registry epoch on a serve, since start on a router
+    /// (summing shard uptimes would be meaningless).
+    uptime_seconds: Lenient, RouterOwned, Gauge, "Whole seconds since the process started.";
+    /// Queue wait + execute, merged across every command kind and
+    /// reconstructed from the server's log-linear histograms (relative
+    /// error ≤ 1/16). A router reports the max over itself and its
+    /// shards. Hidden: the endpoint serves the full distributions.
+    latency_p50_us: Lenient, Max, Hidden, "Command latency p50, microseconds.";
+    latency_p90_us: Lenient, Max, Hidden, "Command latency p90, microseconds.";
+    latency_p99_us: Lenient, Max, Hidden, "Command latency p99, microseconds.";
+    latency_p999_us: Lenient, Max, Hidden, "Command latency p99.9, microseconds.";
+    /// Each one also emitted a slow-query record.
+    slow_queries: Lenient, Sum, Counter, "Commands that crossed the --slow-ms threshold.";
+    replicas_live: Lenient, Sum, Gauge, "Replica images held for sessions whose primary lives elsewhere.";
+    /// 0 means every session's replicas have acked its latest image.
+    /// Only a router sees the acks; always 0 on a plain serve.
+    replication_lag_max_epochs: Lenient, RouterOwned, Gauge, "Worst replication staleness across sessions, in epochs.";
+    promotions: Lenient, Sum, Counter, "Replica images promoted to live sessions by failover.";
+    /// The router races the command against a caught-up replica; the
+    /// first valid answer wins.
+    hedged_reads: Lenient, Sum, Counter, "Read-only commands answered from a replica image.";
+    /// Connect, read, or write timeout. Counted in a router's shard
+    /// pools; always 0 on a plain serve, but a shard that is itself a
+    /// router (tiered topologies) sums through.
+    shard_timeouts: Lenient, Sum, Counter, "Shard round trips abandoned on a blown deadline.";
+    breaker_opens: Lenient, Sum, Counter, "Circuit-breaker open transitions across a router's shards.";
+    breaker_shed: Lenient, Sum, Counter, "Calls shed without touching the network while a breaker was open.";
+    /// 0 under thread-per-connection.
+    reactor_connections: Lenient, Sum, Gauge, "Connections currently open on the reactor front end.";
+    reactor_wakeups: Lenient, Sum, Counter, "Readiness wakeups the reactor event loop has serviced.";
+    push_frames: Lenient, Sum, Counter, "Server-push frames delivered to subscribed connections.";
+    drr_deferrals: Lenient, Sum, Counter, "Worker rounds where a session exhausted its DRR quantum with work left.";
 }
 
 /// Cap on the per-session risk rows a `stats` reply carries: enough
@@ -1464,67 +1487,37 @@ pub struct StatsSnapshot {
 pub const MAX_RISK_SESSIONS: usize = 128;
 
 impl StatsSnapshot {
+    /// Folds one cluster participant's snapshot into this total, each
+    /// scalar by its declared rule; batch-size buckets add.
+    pub fn merge(&mut self, other: &StatsSnapshot) {
+        let values = other.scalars();
+        for ((def, slot), value) in SCALARS.iter().zip(self.scalars_mut()).zip(values) {
+            match def.merge {
+                Merge::Sum => *slot += value,
+                Merge::Max => *slot = (*slot).max(value),
+                Merge::RouterOwned => {}
+            }
+        }
+        for (slot, n) in self.batch_size_hist.iter_mut().zip(other.batch_size_hist) {
+            *slot += n;
+        }
+    }
+
     fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("sessions_created", Json::Num(self.sessions_created as f64)),
-            ("sessions_closed", Json::Num(self.sessions_closed as f64)),
-            ("sessions_evicted", Json::Num(self.sessions_evicted as f64)),
-            ("sessions_live", Json::Num(self.sessions_live as f64)),
-            ("commands", Json::Num(self.commands as f64)),
-            (
-                "hypotheses_tested",
-                Json::Num(self.hypotheses_tested as f64),
+        let mut pairs: Vec<(&str, Json)> = SCALARS
+            .iter()
+            .zip(self.scalars())
+            .map(|(def, value)| (def.name, Json::Num(value as f64)))
+            .collect();
+        pairs.push((
+            "batch_size_hist",
+            Json::Arr(
+                self.batch_size_hist
+                    .iter()
+                    .map(|&n| Json::Num(n as f64))
+                    .collect(),
             ),
-            ("discoveries", Json::Num(self.discoveries as f64)),
-            (
-                "rejected_by_budget",
-                Json::Num(self.rejected_by_budget as f64),
-            ),
-            ("errors", Json::Num(self.errors as f64)),
-            ("batches", Json::Num(self.batches as f64)),
-            ("batch_commands", Json::Num(self.batch_commands as f64)),
-            ("overloaded", Json::Num(self.overloaded as f64)),
-            ("ndjson_requests", Json::Num(self.ndjson_requests as f64)),
-            ("binary_frames", Json::Num(self.binary_frames as f64)),
-            ("cache_hits", Json::Num(self.cache_hits as f64)),
-            ("cache_misses", Json::Num(self.cache_misses as f64)),
-            ("persisted", Json::Num(self.persisted as f64)),
-            ("forwarded", Json::Num(self.forwarded as f64)),
-            ("migrations", Json::Num(self.migrations as f64)),
-            ("shard_errors", Json::Num(self.shard_errors as f64)),
-            ("uptime_seconds", Json::Num(self.uptime_seconds as f64)),
-            ("latency_p50_us", Json::Num(self.latency_p50_us as f64)),
-            ("latency_p90_us", Json::Num(self.latency_p90_us as f64)),
-            ("latency_p99_us", Json::Num(self.latency_p99_us as f64)),
-            ("latency_p999_us", Json::Num(self.latency_p999_us as f64)),
-            ("slow_queries", Json::Num(self.slow_queries as f64)),
-            ("replicas_live", Json::Num(self.replicas_live as f64)),
-            (
-                "replication_lag_max_epochs",
-                Json::Num(self.replication_lag_max_epochs as f64),
-            ),
-            ("promotions", Json::Num(self.promotions as f64)),
-            ("hedged_reads", Json::Num(self.hedged_reads as f64)),
-            ("shard_timeouts", Json::Num(self.shard_timeouts as f64)),
-            ("breaker_opens", Json::Num(self.breaker_opens as f64)),
-            ("breaker_shed", Json::Num(self.breaker_shed as f64)),
-            (
-                "reactor_connections",
-                Json::Num(self.reactor_connections as f64),
-            ),
-            ("reactor_wakeups", Json::Num(self.reactor_wakeups as f64)),
-            ("push_frames", Json::Num(self.push_frames as f64)),
-            ("drr_deferrals", Json::Num(self.drr_deferrals as f64)),
-            (
-                "batch_size_hist",
-                Json::Arr(
-                    self.batch_size_hist
-                        .iter()
-                        .map(|&n| Json::Num(n as f64))
-                        .collect(),
-                ),
-            ),
-        ];
+        ));
         if !self.shards.is_empty() {
             pairs.push((
                 "shards",
@@ -1568,55 +1561,19 @@ impl StatsSnapshot {
     }
 
     fn from_json(v: &Json) -> Result<StatsSnapshot, ServeError> {
-        let field = |name: &str| req_u64(v, name, "stats");
-        // The v2 counters decode leniently (missing -> 0) so a snapshot
-        // from an older server still parses.
-        let lenient = |name: &str| v.get(name).and_then(Json::as_u64).unwrap_or(0);
-        let mut batch_size_hist = [0u64; 5];
+        let mut snapshot = StatsSnapshot::default();
+        for (def, slot) in SCALARS.iter().zip(snapshot.scalars_mut()) {
+            *slot = match def.decode {
+                Decode::Required => req_u64(v, def.name, "stats")?,
+                Decode::Lenient => v.get(def.name).and_then(Json::as_u64).unwrap_or(0),
+            };
+        }
         if let Some(buckets) = v.get("batch_size_hist").and_then(Json::as_arr) {
-            for (slot, bucket) in batch_size_hist.iter_mut().zip(buckets) {
+            for (slot, bucket) in snapshot.batch_size_hist.iter_mut().zip(buckets) {
                 *slot = bucket.as_u64().unwrap_or(0);
             }
         }
         Ok(StatsSnapshot {
-            sessions_created: field("sessions_created")?,
-            sessions_closed: field("sessions_closed")?,
-            sessions_evicted: field("sessions_evicted")?,
-            sessions_live: field("sessions_live")?,
-            commands: field("commands")?,
-            hypotheses_tested: field("hypotheses_tested")?,
-            discoveries: field("discoveries")?,
-            rejected_by_budget: field("rejected_by_budget")?,
-            errors: field("errors")?,
-            batches: lenient("batches"),
-            batch_commands: lenient("batch_commands"),
-            overloaded: lenient("overloaded"),
-            ndjson_requests: lenient("ndjson_requests"),
-            binary_frames: lenient("binary_frames"),
-            cache_hits: lenient("cache_hits"),
-            cache_misses: lenient("cache_misses"),
-            persisted: lenient("persisted"),
-            forwarded: lenient("forwarded"),
-            migrations: lenient("migrations"),
-            shard_errors: lenient("shard_errors"),
-            uptime_seconds: lenient("uptime_seconds"),
-            latency_p50_us: lenient("latency_p50_us"),
-            latency_p90_us: lenient("latency_p90_us"),
-            latency_p99_us: lenient("latency_p99_us"),
-            latency_p999_us: lenient("latency_p999_us"),
-            slow_queries: lenient("slow_queries"),
-            replicas_live: lenient("replicas_live"),
-            replication_lag_max_epochs: lenient("replication_lag_max_epochs"),
-            promotions: lenient("promotions"),
-            hedged_reads: lenient("hedged_reads"),
-            shard_timeouts: lenient("shard_timeouts"),
-            breaker_opens: lenient("breaker_opens"),
-            breaker_shed: lenient("breaker_shed"),
-            reactor_connections: lenient("reactor_connections"),
-            reactor_wakeups: lenient("reactor_wakeups"),
-            push_frames: lenient("push_frames"),
-            drr_deferrals: lenient("drr_deferrals"),
-            batch_size_hist,
             shards: match v.get("shards").and_then(Json::as_arr) {
                 None => Vec::new(),
                 Some(items) => items
@@ -1655,6 +1612,7 @@ impl StatsSnapshot {
                     })
                     .collect::<Result<_, ServeError>>()?,
             },
+            ..snapshot
         })
     }
 }
@@ -2420,6 +2378,75 @@ mod tests {
             let (decoded, id) = Response::decode_line(&line).unwrap();
             assert_eq!(decoded, resp, "{line}");
             assert_eq!(id, Some(42));
+        }
+    }
+
+    /// Walks the declared table: scalar *i*, alone set to a distinct
+    /// value, must survive both codecs under its own name, decode as
+    /// strictly as declared, merge by its declared rule, and appear on
+    /// the exposition under its declared family and type.
+    #[test]
+    fn every_declared_scalar_round_trips_merges_and_exposes_as_declared() {
+        assert_eq!(SCALARS[Stat::cache_hits as usize].name, "cache_hits");
+        assert_eq!(Stat::drr_deferrals as usize, Stat::COUNT - 1);
+        for (i, def) in SCALARS.iter().enumerate() {
+            let value = 1_000 + i as u64;
+            let mut stats = StatsSnapshot::default();
+            *stats.scalars_mut()[i] = value;
+            let reply = Reply::Single {
+                id: Some(1),
+                response: Response::Stats(Box::new(stats.clone())),
+            };
+
+            let line = reply.encode_line();
+            let pair = format!("\"{}\":{value},", def.name);
+            assert!(line.contains(&pair), "{line}");
+            assert_eq!(Reply::decode_line(&line).as_ref(), Ok(&reply));
+            let payload = crate::wire::encode_reply(&reply);
+            assert_eq!(crate::wire::decode_reply(&payload).as_ref(), Ok(&reply));
+
+            let without = Reply::decode_line(&line.replace(&pair, ""));
+            match def.decode {
+                Decode::Required => assert!(without.is_err(), "{} is required", def.name),
+                Decode::Lenient => {
+                    let zeroed = Reply::Single {
+                        id: Some(1),
+                        response: Response::Stats(Box::default()),
+                    };
+                    assert_eq!(without, Ok(zeroed), "{} is lenient", def.name);
+                }
+            }
+
+            for ours in [7, 5_000] {
+                let mut total = StatsSnapshot::default();
+                *total.scalars_mut()[i] = ours;
+                total.merge(&stats);
+                let expected = match def.merge {
+                    Merge::Sum => ours + value,
+                    Merge::Max => ours.max(value),
+                    Merge::RouterOwned => ours,
+                };
+                assert_eq!(total.scalars()[i], expected, "{} merge", def.name);
+            }
+
+            let mut render = aware_obs::expose::TextRender::new();
+            render.scalars(&SCALARS, &stats.scalars());
+            let body = render.finish();
+            let kind = match def.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge => "gauge",
+                Kind::Hidden => {
+                    assert!(!body.contains(&value.to_string()), "{} is hidden", def.name);
+                    continue;
+                }
+            };
+            let family = def.family().expect("a shown scalar has a family");
+            assert!(family.contains(def.name), "{family}");
+            assert!(
+                body.contains(&format!("# TYPE {family} {kind}\n")),
+                "{body}"
+            );
+            assert!(body.contains(&format!("\n{family} {value}\n")), "{body}");
         }
     }
 

@@ -19,7 +19,8 @@
 
 use crate::error::{ErrorCode, ServeError};
 use crate::frame::MAX_FRAME_BYTES;
-use crate::proto::{Encoding, Envelope, PushEvent, Reply, Response};
+use crate::metrics::Stage;
+use crate::proto::{Encoding, Envelope, PushEvent, Reply, Response, Stat};
 use crate::service::Dispatch;
 use crate::tcp::{negotiate, run_batch, write_reply_frame, TcpServer, MAX_REQUEST_BYTES};
 use crate::{frame, wire};
@@ -40,7 +41,7 @@ impl<H: Dispatch> ProtoReactorService<H> {
         if line.trim().is_empty() {
             return Outcome::none();
         }
-        self.handle.record_wire_request(Encoding::Json);
+        self.handle.metrics().wire_request(Encoding::Json);
         let reply_line = match Envelope::decode_line(line) {
             Ok(Envelope::Hello {
                 id,
@@ -84,7 +85,7 @@ impl<H: Dispatch> ProtoReactorService<H> {
                 }
                 Ok(_) => unreachable!("negotiate acks with HelloAck"),
                 Err(e) => {
-                    self.handle.record_protocol_error();
+                    self.handle.metrics().protocol_error();
                     Response::Error(e).encode_line(id)
                 }
             },
@@ -98,7 +99,7 @@ impl<H: Dispatch> ProtoReactorService<H> {
                 .call_traced(cmd, aware_obs::trace::adopt_or_new(id))
                 .encode_line(id),
             Err(e) => {
-                self.handle.record_protocol_error();
+                self.handle.metrics().protocol_error();
                 Response::Error(e).encode_line(None)
             }
         };
@@ -106,7 +107,8 @@ impl<H: Dispatch> ProtoReactorService<H> {
         let mut bytes = reply_line.into_bytes();
         bytes.push(b'\n');
         self.handle
-            .record_wire_encode(encode_start.elapsed().as_micros() as u64);
+            .metrics()
+            .observe(Stage::WireEncode, encode_start.elapsed().as_micros() as u64);
         Outcome::reply(bytes)
     }
 
@@ -114,7 +116,7 @@ impl<H: Dispatch> ProtoReactorService<H> {
     /// body (minus the framing errors, which arrive as their own
     /// [`Inbound`] variants).
     fn handle_frame(&self, state: &mut ConnState, payload: &[u8]) -> Outcome {
-        self.handle.record_wire_request(Encoding::Binary);
+        self.handle.metrics().wire_request(Encoding::Binary);
         let reply = match wire::decode_envelope(payload) {
             Ok(Envelope::Hello {
                 id,
@@ -141,7 +143,7 @@ impl<H: Dispatch> ProtoReactorService<H> {
                 }
                 Ok(_) => unreachable!("negotiate acks with HelloAck"),
                 Err(e) => {
-                    self.handle.record_protocol_error();
+                    self.handle.metrics().protocol_error();
                     Reply::Single {
                         id,
                         response: Response::Error(e),
@@ -150,7 +152,7 @@ impl<H: Dispatch> ProtoReactorService<H> {
             },
             Ok(envelope) if !state.greeted => {
                 // First frame was well-formed v2 but not a hello.
-                self.handle.record_protocol_error();
+                self.handle.metrics().protocol_error();
                 let id = match envelope {
                     Envelope::Batch { id, .. } | Envelope::Single { id, .. } => id,
                     Envelope::Hello { id, .. } => id,
@@ -175,7 +177,7 @@ impl<H: Dispatch> ProtoReactorService<H> {
                     .call_traced(cmd, aware_obs::trace::adopt_or_new(id)),
             },
             Err(e) => {
-                self.handle.record_protocol_error();
+                self.handle.metrics().protocol_error();
                 let reply = Reply::Single {
                     id: None,
                     response: Response::Error(e),
@@ -194,7 +196,8 @@ impl<H: Dispatch> ProtoReactorService<H> {
         let encode_start = std::time::Instant::now();
         let bytes = encode_reply_frame(&reply);
         self.handle
-            .record_wire_encode(encode_start.elapsed().as_micros() as u64);
+            .metrics()
+            .observe(Stage::WireEncode, encode_start.elapsed().as_micros() as u64);
         Outcome::reply(bytes)
     }
 }
@@ -215,7 +218,7 @@ impl<H: Dispatch + Send + Sync + 'static> ReactorService for ProtoReactorService
         match inbound {
             Inbound::Line(line) => self.handle_line(state, &line),
             Inbound::LineTooLong => {
-                self.handle.record_protocol_error();
+                self.handle.metrics().protocol_error();
                 let mut bytes = Response::Error(ServeError {
                     code: ErrorCode::BadRequest,
                     message: format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
@@ -230,7 +233,7 @@ impl<H: Dispatch + Send + Sync + 'static> ReactorService for ProtoReactorService
                 // The reactor's decoder already arranged to skip the
                 // oversized payload; the stream stays synchronized,
                 // the connection lives — same as the blocking front.
-                self.handle.record_protocol_error();
+                self.handle.metrics().protocol_error();
                 let reply = Reply::Single {
                     id: None,
                     response: Response::Error(ServeError {
@@ -244,7 +247,7 @@ impl<H: Dispatch + Send + Sync + 'static> ReactorService for ProtoReactorService
             }
             Inbound::FrameCorrupt(message) => {
                 // Framing is lost — answer once and hang up.
-                self.handle.record_protocol_error();
+                self.handle.metrics().protocol_error();
                 let reply = Reply::Single {
                     id: None,
                     response: Response::Error(ServeError {
@@ -272,19 +275,19 @@ impl<H: Dispatch + Send + Sync + 'static> ReactorService for ProtoReactorService
     }
 
     fn on_wakeup(&self) {
-        self.handle.record_reactor_wakeup();
+        self.handle.metrics().inc(Stat::reactor_wakeups);
     }
 
     fn on_conn_open(&self) {
-        self.handle.record_conn_open();
+        self.handle.metrics().inc(Stat::reactor_connections);
     }
 
     fn on_conn_close(&self) {
-        self.handle.record_conn_close();
+        self.handle.metrics().reactor_conn_closed();
     }
 
     fn on_push_frame(&self) {
-        self.handle.record_push_frame();
+        self.handle.metrics().inc(Stat::push_frames);
     }
 }
 

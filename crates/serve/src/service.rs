@@ -50,9 +50,10 @@
 //!   first touch.
 
 use crate::error::{ErrorCode, ServeError};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Stage};
 use crate::proto::{
-    BatchMode, Command, HypothesisReport, PolicySpec, Response, SessionId, TranscriptFormat,
+    BatchMode, Command, HypothesisReport, PolicySpec, Response, SessionId, Stat, TranscriptFormat,
+    SCALARS,
 };
 use crate::registry::{Registry, SessionEntry, SessionMeta};
 use crate::snapshot::SessionImage;
@@ -335,7 +336,7 @@ fn save_image(inner: &Inner, image: &SessionImage) -> bool {
     let result = store.save(image);
     inner
         .metrics
-        .observe_snapshot_flush(start.elapsed().as_micros() as u64);
+        .observe(Stage::SnapshotFlush, start.elapsed().as_micros() as u64);
     match result {
         Ok(()) => true,
         Err(e) => {
@@ -419,10 +420,10 @@ pub trait Dispatch {
     fn call(&self, cmd: Command) -> Response;
     /// Executes an ordered batch, responses in submission order.
     fn call_batch_mode(&self, cmds: Vec<Command>, mode: BatchMode) -> Vec<Response>;
-    /// Counts a request that failed before reaching a command.
-    fn record_protocol_error(&self);
-    /// Counts one wire message on the given surface.
-    fn record_wire_request(&self, encoding: crate::proto::Encoding);
+    /// The counter block the wire front ends record into: messages
+    /// per surface, protocol errors, reply encode time, and the
+    /// reactor's connection/wakeup/push accounting.
+    fn metrics(&self) -> &Metrics;
     /// [`Dispatch::call`] attributed to a trace id (stamped by the
     /// wire front end). The default ignores the trace — a dispatcher
     /// without tracing support still works.
@@ -434,11 +435,6 @@ pub trait Dispatch {
     fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response> {
         let _ = trace;
         self.call_batch_mode(cmds, mode)
-    }
-    /// Records the microseconds spent encoding + writing one reply to
-    /// the wire. Default: not measured.
-    fn record_wire_encode(&self, micros: u64) {
-        let _ = micros;
     }
     /// Whether this dispatcher can emit server-push events. The hello
     /// `push` capability is only granted when the front end can deliver
@@ -454,15 +450,6 @@ pub trait Dispatch {
     fn subscribe_push(&self, sink: Box<dyn Fn(&crate::proto::PushEvent) -> bool + Send + Sync>) {
         drop(sink);
     }
-    /// Reactor front-end accounting: one connection accepted. Default:
-    /// not counted.
-    fn record_conn_open(&self) {}
-    /// Reactor front-end accounting: one connection closed.
-    fn record_conn_close(&self) {}
-    /// Reactor front-end accounting: one readiness wakeup served.
-    fn record_reactor_wakeup(&self) {}
-    /// Reactor front-end accounting: one push frame delivered.
-    fn record_push_frame(&self) {}
 }
 
 /// A cloneable, thread-safe client of an in-process service — the same
@@ -482,12 +469,8 @@ impl Dispatch for ServiceHandle {
         ServiceHandle::call_batch_mode(self, cmds, mode)
     }
 
-    fn record_protocol_error(&self) {
-        ServiceHandle::record_protocol_error(self)
-    }
-
-    fn record_wire_request(&self, encoding: crate::proto::Encoding) {
-        ServiceHandle::record_wire_request(self, encoding)
+    fn metrics(&self) -> &Metrics {
+        &self.inner.metrics
     }
 
     fn call_traced(&self, cmd: Command, trace: u64) -> Response {
@@ -498,32 +481,12 @@ impl Dispatch for ServiceHandle {
         ServiceHandle::call_batch_traced(self, cmds, mode, trace)
     }
 
-    fn record_wire_encode(&self, micros: u64) {
-        self.inner.metrics.observe_wire_encode(micros);
-    }
-
     fn push_supported(&self) -> bool {
         true
     }
 
     fn subscribe_push(&self, sink: Box<dyn Fn(&crate::proto::PushEvent) -> bool + Send + Sync>) {
         self.inner.push_sinks.lock().unwrap().push(sink);
-    }
-
-    fn record_conn_open(&self) {
-        self.inner.metrics.reactor_conn_opened();
-    }
-
-    fn record_conn_close(&self) {
-        self.inner.metrics.reactor_conn_closed();
-    }
-
-    fn record_reactor_wakeup(&self) {
-        self.inner.metrics.reactor_wakeup();
-    }
-
-    fn record_push_frame(&self) {
-        self.inner.metrics.push_frame();
     }
 }
 
@@ -553,7 +516,7 @@ impl ServiceHandle {
     /// the envelope).
     pub fn call_traced(&self, cmd: Command, trace: u64) -> Response {
         self.inner.metrics.batch(1);
-        self.inner.metrics.command();
+        self.inner.metrics.inc(Stat::commands);
         if matches!(cmd, Command::Stats) {
             if self
                 .inner
@@ -584,8 +547,8 @@ impl ServiceHandle {
         };
         let cap = self.inner.config.max_pending_per_session;
         if !self.inner.pending.try_acquire(route, 1, cap) {
-            self.inner.metrics.overloaded();
-            self.inner.metrics.error();
+            self.inner.metrics.inc(Stat::overloaded);
+            self.inner.metrics.inc(Stat::errors);
             return Response::Error(ServeError {
                 code: ErrorCode::Overloaded,
                 message: format!(
@@ -609,13 +572,13 @@ impl ServiceHandle {
         };
         if self.senders[worker].send(job).is_err() {
             self.inner.pending.release(route, 1);
-            self.inner.metrics.error();
+            self.inner.metrics.inc(Stat::errors);
             return shutdown_error();
         }
         match reply_rx.recv() {
             Ok((_, response)) => response,
             Err(_) => {
-                self.inner.metrics.error();
+                self.inner.metrics.inc(Stat::errors);
                 shutdown_error()
             }
         }
@@ -662,7 +625,7 @@ impl ServiceHandle {
         let mut order: Vec<u64> = Vec::new();
         let mut units: HashMap<u64, Vec<UnitItem>> = HashMap::new();
         for (index, cmd) in cmds.into_iter().enumerate() {
-            self.inner.metrics.command();
+            self.inner.metrics.inc(Stat::commands);
             // Stats is session-free and read-only: answer inline rather
             // than serializing it behind some arbitrary worker's queue.
             if matches!(cmd, Command::Stats) {
@@ -715,9 +678,9 @@ impl ServiceHandle {
             let items = units.remove(&route).expect("unit recorded in order");
             let count = items.len();
             if !self.inner.pending.try_acquire(route, count, cap) {
-                self.inner.metrics.overloaded();
+                self.inner.metrics.inc(Stat::overloaded);
                 for item in items {
-                    self.inner.metrics.error();
+                    self.inner.metrics.inc(Stat::errors);
                     slots[item.index] = Some(Response::Error(ServeError {
                         code: ErrorCode::Overloaded,
                         message: format!(
@@ -740,7 +703,7 @@ impl ServiceHandle {
                 self.inner.pending.release(route, count);
                 if let Job::Unit { items, .. } = job {
                     for item in items {
-                        self.inner.metrics.error();
+                        self.inner.metrics.inc(Stat::errors);
                         slots[item.index] = Some(shutdown_error());
                     }
                 }
@@ -759,7 +722,7 @@ impl ServiceHandle {
             .into_iter()
             .map(|slot| {
                 slot.unwrap_or_else(|| {
-                    self.inner.metrics.error();
+                    self.inner.metrics.inc(Stat::errors);
                     shutdown_error()
                 })
             })
@@ -827,20 +790,6 @@ impl ServiceHandle {
         sweep_idle(&self.inner)
     }
 
-    /// Counts a request that failed before reaching a command (frame too
-    /// long, malformed JSON, unknown command) so the `stats` counters see
-    /// protocol-level abuse, not only session-level errors.
-    pub fn record_protocol_error(&self) {
-        self.inner.metrics.command();
-        self.inner.metrics.error();
-    }
-
-    /// Counts one wire message on the given surface (called by the TCP
-    /// front end; the in-process handle has no wire).
-    pub fn record_wire_request(&self, encoding: crate::proto::Encoding) {
-        self.inner.metrics.wire_request(encoding);
-    }
-
     /// Renders every counter, gauge, and histogram as Prometheus text
     /// exposition — the body the `--metrics-addr` endpoint serves.
     pub fn metrics_text(&self) -> String {
@@ -859,125 +808,7 @@ fn render_metrics(inner: &Inner) -> String {
 
     r.family("aware_up", "gauge", "1 while the process serves.");
     r.sample("aware_up", &[], 1);
-    r.family("aware_uptime_seconds", "gauge", "Seconds since start.");
-    r.sample("aware_uptime_seconds", &[], snapshot.uptime_seconds);
-
-    r.family("aware_sessions_live", "gauge", "Live sessions.");
-    r.sample("aware_sessions_live", &[], snapshot.sessions_live);
-    for (name, help, value) in [
-        (
-            "aware_sessions_created_total",
-            "Sessions created.",
-            snapshot.sessions_created,
-        ),
-        (
-            "aware_sessions_closed_total",
-            "Sessions closed.",
-            snapshot.sessions_closed,
-        ),
-        (
-            "aware_sessions_evicted_total",
-            "Sessions evicted.",
-            snapshot.sessions_evicted,
-        ),
-        (
-            "aware_commands_total",
-            "Commands accepted.",
-            snapshot.commands,
-        ),
-        (
-            "aware_hypotheses_tested_total",
-            "Hypotheses tested.",
-            snapshot.hypotheses_tested,
-        ),
-        (
-            "aware_discoveries_total",
-            "Hypotheses rejected (discoveries).",
-            snapshot.discoveries,
-        ),
-        (
-            "aware_rejected_by_budget_total",
-            "Tests refused for exhausted wealth.",
-            snapshot.rejected_by_budget,
-        ),
-        ("aware_errors_total", "Error responses.", snapshot.errors),
-        (
-            "aware_batches_total",
-            "Dispatch units accepted.",
-            snapshot.batches,
-        ),
-        (
-            "aware_batch_commands_total",
-            "Commands inside batches.",
-            snapshot.batch_commands,
-        ),
-        (
-            "aware_overloaded_total",
-            "Work refused by backpressure.",
-            snapshot.overloaded,
-        ),
-        (
-            "aware_ndjson_requests_total",
-            "NDJSON wire messages.",
-            snapshot.ndjson_requests,
-        ),
-        (
-            "aware_binary_frames_total",
-            "Binary wire frames.",
-            snapshot.binary_frames,
-        ),
-        (
-            "aware_slow_queries_total",
-            "Commands past --slow-ms.",
-            snapshot.slow_queries,
-        ),
-        (
-            "aware_promotions_total",
-            "Replica images promoted to live sessions.",
-            snapshot.promotions,
-        ),
-        (
-            "aware_hedged_reads_total",
-            "Read-only commands answered from a replica image.",
-            snapshot.hedged_reads,
-        ),
-        (
-            "aware_reactor_wakeups_total",
-            "Readiness wakeups served by the reactor front end.",
-            snapshot.reactor_wakeups,
-        ),
-        (
-            "aware_push_frames_total",
-            "Server-push frames delivered to subscribed connections.",
-            snapshot.push_frames,
-        ),
-        (
-            "aware_drr_deferrals_total",
-            "Worker rounds where a route exhausted its DRR quantum with work left.",
-            snapshot.drr_deferrals,
-        ),
-    ] {
-        r.family(name, "counter", help);
-        r.sample(name, &[], value);
-    }
-
-    r.family(
-        "aware_reactor_connections",
-        "gauge",
-        "Connections currently open on the reactor front end.",
-    );
-    r.sample(
-        "aware_reactor_connections",
-        &[],
-        snapshot.reactor_connections,
-    );
-
-    r.family(
-        "aware_replicas_live",
-        "gauge",
-        "Replica images held for sessions whose primary is elsewhere.",
-    );
-    r.sample("aware_replicas_live", &[], snapshot.replicas_live);
+    r.scalars(&SCALARS, &snapshot.scalars());
 
     r.family(
         "aware_batch_size",
@@ -1271,7 +1102,7 @@ fn sweep_idle(inner: &Inner) -> usize {
         // removal survives the sweep (its just-written snapshot is then
         // merely stale, and overwritten on its next spill).
         if spill_to_disk(inner, id) && inner.registry.remove_if_idle(id, cutoff) {
-            inner.metrics.session_evicted();
+            inner.metrics.inc(Stat::sessions_evicted);
             emit_push(
                 inner,
                 &crate::proto::PushEvent::SessionEvicted {
@@ -1383,7 +1214,7 @@ fn worker_loop(rx: mpsc::Receiver<Job>, inner: Arc<Inner>) {
         } else {
             // The route still has work but spent its round: yield to
             // the ring's other routes.
-            inner.metrics.drr_deferral();
+            inner.metrics.inc(Stat::drr_deferrals);
             ring.push_back(route);
         }
     }
@@ -1432,7 +1263,7 @@ fn run_unit(inner: &Inner, job: Job) {
     let queue_us = std::time::Instant::now()
         .saturating_duration_since(enqueued)
         .as_micros() as u64;
-    inner.metrics.observe_queue_wait(queue_us);
+    inner.metrics.observe(Stage::QueueWait, queue_us);
     let slow_us = inner.config.slow_ms.map(|ms| ms.saturating_mul(1000));
     // The unit runs back-to-back: nothing else dequeues on
     // this worker until the whole same-session run is done,
@@ -1482,7 +1313,7 @@ fn run_unit(inner: &Inner, job: Job) {
                 })
             });
             let exec_us = exec_start.elapsed().as_micros() as u64;
-            inner.metrics.observe_execute(exec_us);
+            inner.metrics.observe(Stage::Execute, exec_us);
             inner.metrics.observe_command(kind, queue_us + exec_us);
             if let (Some(threshold), Some(ctx)) = (slow_us, slow_ctx) {
                 if queue_us + exec_us >= threshold {
@@ -1493,7 +1324,7 @@ fn run_unit(inner: &Inner, job: Job) {
         };
         inner.pending.release(pending_key, 1);
         if matches!(response, Response::Error(_)) {
-            inner.metrics.error();
+            inner.metrics.inc(Stat::errors);
             if mode == BatchMode::FailFast {
                 aborted = true;
             }
@@ -1532,7 +1363,7 @@ impl SlowContext {
     /// grep key that follows the command across processes (a router's
     /// record for the same command carries the same id).
     fn emit(&self, inner: &Inner, trace: u64, kind: usize, queue_us: u64, exec_us: u64) {
-        inner.metrics.slow_query();
+        inner.metrics.inc(Stat::slow_queries);
         let (hits_after, misses_after) = cache_totals(inner);
         let dataset = self
             .session
@@ -1711,7 +1542,7 @@ fn create_session(
     } else {
         inner.registry.insert(id, session, meta)
     };
-    inner.metrics.session_created();
+    inner.metrics.inc(Stat::sessions_created);
     // A created session is durable the moment the client learns its id:
     // in synchronous mode the initial snapshot is on disk before this
     // response is released; otherwise the dirty flag queues it for the
@@ -1765,7 +1596,7 @@ fn ensure_capacity(inner: &Inner) -> Result<(), Response> {
             None => false,
         };
         if evicted {
-            inner.metrics.session_evicted();
+            inner.metrics.inc(Stat::sessions_evicted);
             if let Some((victim, _)) = victim_info {
                 emit_push(
                     inner,
@@ -1776,7 +1607,7 @@ fn ensure_capacity(inner: &Inner) -> Result<(), Response> {
                 );
             }
         } else if attempts >= 16 {
-            inner.metrics.overloaded();
+            inner.metrics.inc(Stat::overloaded);
             return Err(Response::Error(ServeError {
                 code: ErrorCode::Overloaded,
                 message: "session capacity exhausted and nothing evictable".into(),
@@ -1896,7 +1727,7 @@ fn read_from_replica(
     };
     match validate_image(inner, id, &bytes) {
         Ok((mut session, _meta)) => {
-            inner.metrics.hedged_read();
+            inner.metrics.inc(Stat::hedged_reads);
             Some(f(&mut session))
         }
         Err(e) => Some(Response::Error(ServeError {
@@ -1954,9 +1785,10 @@ fn add_visualization(
         match s.add_visualization(attribute, filter.to_predicate()) {
             Ok(outcome) => {
                 let hypothesis = outcome.hypothesis.map(|(hid, record)| {
-                    inner
-                        .metrics
-                        .hypothesis_tested(record.decision.is_rejection());
+                    inner.metrics.inc(Stat::hypotheses_tested);
+                    if record.decision.is_rejection() {
+                        inner.metrics.inc(Stat::discoveries);
+                    }
                     HypothesisReport::from_record(hid.0, &record)
                 });
                 Response::VizAdded {
@@ -1967,7 +1799,7 @@ fn add_visualization(
                 }
             }
             Err(e) if e.is_wealth_exhausted() => {
-                inner.metrics.rejected_by_budget();
+                inner.metrics.inc(Stat::rejected_by_budget);
                 Response::Error(ServeError::from_session(e))
             }
             Err(e) => Response::Error(ServeError::from_session(e)),
@@ -2001,7 +1833,7 @@ fn close_session(inner: &Inner, id: SessionId) -> Response {
             if let Some(store) = &inner.store {
                 store.remove(id);
             }
-            inner.metrics.session_closed();
+            inner.metrics.inc(Stat::sessions_closed);
             Response::SessionClosed {
                 session: id,
                 hypotheses: s.hypotheses().len() as u64,
@@ -2014,7 +1846,7 @@ fn close_session(inner: &Inner, id: SessionId) -> Response {
             Some(store) if store.contains(id) => match store.load(id) {
                 Ok(image) => {
                     store.remove(id);
-                    inner.metrics.session_closed();
+                    inner.metrics.inc(Stat::sessions_closed);
                     Response::SessionClosed {
                         session: id,
                         hypotheses: image.session.hypotheses.len() as u64,
@@ -2419,7 +2251,7 @@ fn promote_replica(inner: &Inner, id: SessionId) -> Response {
         }
     }
     discard_replica(inner, id);
-    inner.metrics.promotion();
+    inner.metrics.inc(Stat::promotions);
     aware_obs::logline!(
         aware_obs::log::Level::Info,
         "replica_promoted",

@@ -18,6 +18,7 @@
 
 use crate::error::{ErrorCode, ServeError};
 use crate::frame::{self, FrameRead, MAX_FRAME_BYTES};
+use crate::metrics::Stage;
 use crate::proto::{
     Batch, BatchMode, Command, Encoding, Envelope, PushEvent, Reply, Response, PROTOCOL_VERSION,
 };
@@ -264,7 +265,7 @@ fn serve_ndjson<H: Dispatch>(
         let reply_line = match read_request_line(&mut reader, MAX_REQUEST_BYTES)? {
             RequestLine::Eof => return Ok(()),
             RequestLine::TooLong => {
-                handle.record_protocol_error();
+                handle.metrics().protocol_error();
                 Response::Error(ServeError {
                     code: ErrorCode::BadRequest,
                     message: format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
@@ -275,7 +276,7 @@ fn serve_ndjson<H: Dispatch>(
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle.record_wire_request(Encoding::Json);
+                handle.metrics().wire_request(Encoding::Json);
                 match Envelope::decode_line(&line) {
                     Ok(Envelope::Hello {
                         id,
@@ -313,7 +314,7 @@ fn serve_ndjson<H: Dispatch>(
                         }
                         Ok(_) => unreachable!("negotiate acks with HelloAck"),
                         Err(e) => {
-                            handle.record_protocol_error();
+                            handle.metrics().protocol_error();
                             Response::Error(e).encode_line(id)
                         }
                     },
@@ -326,7 +327,7 @@ fn serve_ndjson<H: Dispatch>(
                         .call_traced(cmd, aware_obs::trace::adopt_or_new(id))
                         .encode_line(id),
                     Err(e) => {
-                        handle.record_protocol_error();
+                        handle.metrics().protocol_error();
                         Response::Error(e).encode_line(None)
                     }
                 }
@@ -336,7 +337,9 @@ fn serve_ndjson<H: Dispatch>(
         writer.write_all(reply_line.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
-        handle.record_wire_encode(encode_start.elapsed().as_micros() as u64);
+        handle
+            .metrics()
+            .observe(Stage::WireEncode, encode_start.elapsed().as_micros() as u64);
     }
 }
 
@@ -386,7 +389,7 @@ fn serve_binary<H: Dispatch>(
             FrameRead::TooLarge { declared } => {
                 // The length prefix tells us exactly how much to discard;
                 // the stream stays synchronized, the connection lives.
-                handle.record_protocol_error();
+                handle.metrics().protocol_error();
                 frame::skip_payload(&mut reader, declared as u64)?;
                 let reply = Reply::Single {
                     id: None,
@@ -403,7 +406,7 @@ fn serve_binary<H: Dispatch>(
             }
             FrameRead::Corrupt(message) => {
                 // Framing is lost — answer once and hang up.
-                handle.record_protocol_error();
+                handle.metrics().protocol_error();
                 let reply = Reply::Single {
                     id: None,
                     response: Response::Error(ServeError {
@@ -417,7 +420,7 @@ fn serve_binary<H: Dispatch>(
             }
             FrameRead::Frame(payload) => payload,
         };
-        handle.record_wire_request(Encoding::Binary);
+        handle.metrics().wire_request(Encoding::Binary);
         let reply = match wire::decode_envelope(&payload) {
             Ok(Envelope::Hello {
                 id,
@@ -444,7 +447,7 @@ fn serve_binary<H: Dispatch>(
                 }
                 Ok(_) => unreachable!("negotiate acks with HelloAck"),
                 Err(e) => {
-                    handle.record_protocol_error();
+                    handle.metrics().protocol_error();
                     Reply::Single {
                         id,
                         response: Response::Error(e),
@@ -453,7 +456,7 @@ fn serve_binary<H: Dispatch>(
             },
             Ok(envelope) if !greeted => {
                 // First frame was well-formed v2 but not a hello.
-                handle.record_protocol_error();
+                handle.metrics().protocol_error();
                 let id = match envelope {
                     Envelope::Batch { id, .. } | Envelope::Single { id, .. } => id,
                     Envelope::Hello { id, .. } => id,
@@ -478,7 +481,7 @@ fn serve_binary<H: Dispatch>(
                 response: handle.call_traced(cmd, aware_obs::trace::adopt_or_new(id)),
             },
             Err(e) => {
-                handle.record_protocol_error();
+                handle.metrics().protocol_error();
                 let reply = Reply::Single {
                     id: None,
                     response: Response::Error(e),
@@ -498,7 +501,9 @@ fn serve_binary<H: Dispatch>(
         let encode_start = std::time::Instant::now();
         write_reply_frame(&mut writer, &reply)?;
         writer.flush()?;
-        handle.record_wire_encode(encode_start.elapsed().as_micros() as u64);
+        handle
+            .metrics()
+            .observe(Stage::WireEncode, encode_start.elapsed().as_micros() as u64);
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::error::{ErrorCode, ServeError};
 use crate::proto::{
     Batch, BatchItem, BatchMode, Command, Encoding, Envelope, HypothesisReport, PushEvent, Reply,
-    Response, StatsSnapshot, TranscriptFormat, MAX_BATCH_ITEMS,
+    Response, Stat, StatsSnapshot, TranscriptFormat, MAX_BATCH_ITEMS,
 };
 use aware_data::predicate::CmpOp;
 use aware_data::value::Value;
@@ -29,26 +29,6 @@ use crate::proto::{FilterSpec, PolicySpec};
 
 /// Decoded-filter nesting ceiling, mirroring the JSON parser's.
 const MAX_FILTER_DEPTH: usize = 128;
-
-/// Scalar counters in a binary `Stats` reply. The wire carries this as
-/// a count prefix so the list can grow without breaking older decoders
-/// (unknown trailing counters are skipped, missing ones default to 0) —
-/// which is exactly how `persisted` (field 17) arrived without a
-/// protocol-version bump, how the cluster router's `forwarded`/
-/// `migrations`/`shard_errors` (fields 18–20) arrived without one, and
-/// now — fourth proof — how the observability scalars `uptime_seconds`
-/// and the four latency quantiles plus `slow_queries` (fields 21–26)
-/// arrive without one, fifth proof — how the replication scalars
-/// `replicas_live`/`replication_lag_max_epochs`/`promotions`/
-/// `hedged_reads` (fields 27–30) arrive without one, and now — sixth
-/// proof — how the resilience scalars `shard_timeouts`/`breaker_opens`/
-/// `breaker_shed` (fields 31–33) arrive without one, and now — seventh
-/// proof — how the reactor/push scalars `reactor_connections`/
-/// `reactor_wakeups`/`push_frames`/`drr_deferrals` (fields 34–37)
-/// arrive without one. The per-shard health breakdown and per-session
-/// risk rows are JSON-surface only: they are not scalars, and the
-/// count prefix covers only scalars.
-const STATS_SCALAR_FIELDS: usize = 37;
 
 // Envelope tags.
 const TAG_HELLO: u8 = 0x01;
@@ -631,46 +611,8 @@ impl Writer {
                 // can grow (as cache_hits/cache_misses did) without a
                 // framing break: readers take the counters they know
                 // and skip the rest.
-                self.varint(STATS_SCALAR_FIELDS as u64);
-                for n in [
-                    s.sessions_created,
-                    s.sessions_closed,
-                    s.sessions_evicted,
-                    s.sessions_live,
-                    s.commands,
-                    s.hypotheses_tested,
-                    s.discoveries,
-                    s.rejected_by_budget,
-                    s.errors,
-                    s.batches,
-                    s.batch_commands,
-                    s.overloaded,
-                    s.ndjson_requests,
-                    s.binary_frames,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.persisted,
-                    s.forwarded,
-                    s.migrations,
-                    s.shard_errors,
-                    s.uptime_seconds,
-                    s.latency_p50_us,
-                    s.latency_p90_us,
-                    s.latency_p99_us,
-                    s.latency_p999_us,
-                    s.slow_queries,
-                    s.replicas_live,
-                    s.replication_lag_max_epochs,
-                    s.promotions,
-                    s.hedged_reads,
-                    s.shard_timeouts,
-                    s.breaker_opens,
-                    s.breaker_shed,
-                    s.reactor_connections,
-                    s.reactor_wakeups,
-                    s.push_frames,
-                    s.drr_deferrals,
-                ] {
+                self.varint(Stat::COUNT as u64);
+                for n in s.scalars() {
                     self.varint(n);
                 }
                 for n in s.batch_size_hist {
@@ -1147,59 +1089,18 @@ impl<'a> Reader<'a> {
                 if count > 256 {
                     return Err(self.bad(format!("stats field count {count} exceeds cap")));
                 }
-                let mut fields = [0u64; STATS_SCALAR_FIELDS];
-                for slot_index in 0..count {
+                let mut stats = StatsSnapshot::default();
+                let mut slots = stats.scalars_mut();
+                for position in 0..count {
                     let value = self.varint("stats field")?;
-                    if let Some(slot) = fields.get_mut(slot_index) {
-                        *slot = value;
+                    if let Some(slot) = slots.get_mut(position) {
+                        **slot = value;
                     }
                 }
-                let mut batch_size_hist = [0u64; 5];
-                for slot in &mut batch_size_hist {
+                for slot in &mut stats.batch_size_hist {
                     *slot = self.varint("stats histogram")?;
                 }
-                Response::Stats(Box::new(StatsSnapshot {
-                    sessions_created: fields[0],
-                    sessions_closed: fields[1],
-                    sessions_evicted: fields[2],
-                    sessions_live: fields[3],
-                    commands: fields[4],
-                    hypotheses_tested: fields[5],
-                    discoveries: fields[6],
-                    rejected_by_budget: fields[7],
-                    errors: fields[8],
-                    batches: fields[9],
-                    batch_commands: fields[10],
-                    overloaded: fields[11],
-                    ndjson_requests: fields[12],
-                    binary_frames: fields[13],
-                    cache_hits: fields[14],
-                    cache_misses: fields[15],
-                    persisted: fields[16],
-                    forwarded: fields[17],
-                    migrations: fields[18],
-                    shard_errors: fields[19],
-                    uptime_seconds: fields[20],
-                    latency_p50_us: fields[21],
-                    latency_p90_us: fields[22],
-                    latency_p99_us: fields[23],
-                    latency_p999_us: fields[24],
-                    slow_queries: fields[25],
-                    replicas_live: fields[26],
-                    replication_lag_max_epochs: fields[27],
-                    promotions: fields[28],
-                    hedged_reads: fields[29],
-                    shard_timeouts: fields[30],
-                    breaker_opens: fields[31],
-                    breaker_shed: fields[32],
-                    reactor_connections: fields[33],
-                    reactor_wakeups: fields[34],
-                    push_frames: fields[35],
-                    drr_deferrals: fields[36],
-                    batch_size_hist,
-                    shards: Vec::new(),
-                    sessions: Vec::new(),
-                }))
+                Response::Stats(Box::new(stats))
             }
             8 => Response::Error(ServeError {
                 code: ErrorCode::parse(&self.str("error code")?),
@@ -1648,7 +1549,7 @@ mod tests {
     fn stats_field_count_prefix_tolerates_older_and_newer_peers() {
         // Hand-build a Single(Stats) reply whose scalar-counter list is
         // shorter (older peer) or longer (newer peer) than this build's
-        // STATS_SCALAR_FIELDS: both must decode, defaulting the missing
+        // `Stat::COUNT`: both must decode, defaulting the missing
         // counters and skipping the surplus.
         // 14 = a pre-persistence peer, 20 = a PR-5-era peer (cluster
         // counters but no observability scalars), 26 = a PR-6-era peer
@@ -1725,7 +1626,7 @@ mod tests {
                 assert_eq!(s.breaker_opens, 131);
                 assert_eq!(s.breaker_shed, 132);
             }
-            if count < STATS_SCALAR_FIELDS {
+            if count < Stat::COUNT {
                 assert_eq!(s.reactor_connections, 0);
                 assert_eq!(s.push_frames, 0);
                 assert_eq!(s.drr_deferrals, 0);

@@ -7,7 +7,7 @@ use aware_data::census::CensusGenerator;
 use aware_data::predicate::CmpOp;
 use aware_data::value::Value;
 use aware_obs::expose::{validate_exposition, MetricsServer};
-use aware_serve::proto::{Command, FilterSpec, PolicySpec, Response};
+use aware_serve::proto::{BatchMode, Command, FilterSpec, PolicySpec, Response, SCALARS};
 use aware_serve::service::{Service, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -161,5 +161,54 @@ fn session_risk_rows_round_trip_the_json_stats_surface() {
             }
         }
         other => panic!("{other:?}"),
+    }
+}
+
+/// The exposition may only grow. The fixture is what the last commit
+/// with a hand-written scalar block served after this exact command
+/// stream — every `# TYPE` line plus every sample that does not
+/// depend on the clock — and each of those lines must still be served
+/// unchanged.
+#[test]
+fn exposition_is_a_superset_of_the_hand_written_one() {
+    let service = Service::start(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    let handle = service.handle();
+    handle.register_table("census", CensusGenerator::new(11).generate(3_000));
+    let (a, b) = (create(&service), create(&service));
+    for _ in 0..3 {
+        assert!(handle.call(viz(a)).is_ok());
+    }
+    assert!(handle.call(Command::Gauge { session: b }).is_ok());
+    assert!(!handle.call(Command::Gauge { session: 999 }).is_ok());
+    let replies = handle.call_batch_mode(
+        vec![viz(b), Command::Gauge { session: a }, viz(b)],
+        BatchMode::Continue,
+    );
+    assert!(replies.iter().all(Response::is_ok));
+    assert!(handle.call(Command::CloseSession { session: a }).is_ok());
+    assert!(handle.call(Command::Stats).is_ok());
+
+    let body = handle.metrics_text();
+    validate_exposition(&body).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{body}"));
+    let served: std::collections::HashSet<&str> = body.lines().collect();
+    for line in include_str!("fixtures/serve-exposition-parent.txt").lines() {
+        assert!(served.contains(line), "no longer served: {line}\n{body}");
+    }
+}
+
+/// The README's Observability table is the operator's index of the
+/// endpoint: every scalar the table walk exposes must be listed there
+/// under its family name.
+#[test]
+fn readme_metrics_table_is_accurate() {
+    let readme = include_str!("../../../README.md");
+    for family in SCALARS.iter().filter_map(|def| def.family()) {
+        assert!(
+            readme.contains(&format!("| `{family}`")),
+            "README.md Observability table is missing `{family}`"
+        );
     }
 }

@@ -237,19 +237,16 @@ impl Lcg {
                 discoveries: self.next(),
             },
             _ => match self.pick(2) {
-                0 => Response::Stats(Box::new(StatsSnapshot {
-                    sessions_created: self.next(),
-                    commands: self.next(),
-                    batches: self.next(),
-                    batch_size_hist: [
-                        self.next(),
-                        self.next(),
-                        self.next(),
-                        self.next(),
-                        self.next(),
-                    ],
-                    ..Default::default()
-                })),
+                0 => {
+                    let mut stats = StatsSnapshot::default();
+                    for slot in stats.scalars_mut() {
+                        *slot = self.next();
+                    }
+                    for slot in &mut stats.batch_size_hist {
+                        *slot = self.next();
+                    }
+                    Response::Stats(Box::new(stats))
+                }
                 _ => Response::Error(ServeError {
                     code: ErrorCode::parse(
                         ["bad_request", "unknown_session", "aborted", "overloaded"][self.pick(4)],
@@ -305,6 +302,30 @@ proptest! {
             other => return Err(TestCaseError::fail(format!("{other:?}"))),
         }
     }
+}
+
+/// The `stats` reply is wire-frozen. The fixtures are the NDJSON line
+/// and AWR2 payload of a snapshot with scalar *i* = 100 + *i*, captured
+/// at the last commit that wrote every scalar out by hand in each
+/// rendering; the table-driven codecs must reproduce them byte for
+/// byte, and decode them back to the same snapshot.
+#[test]
+fn stats_reply_matches_the_golden_fixtures() {
+    let mut stats = StatsSnapshot::default();
+    for (i, slot) in stats.scalars_mut().into_iter().enumerate() {
+        *slot = 100 + i as u64;
+    }
+    stats.batch_size_hist = [1, 2, 3, 4, 5];
+    let reply = Reply::Single {
+        id: Some(7),
+        response: Response::Stats(Box::new(stats)),
+    };
+    let line = include_str!("fixtures/stats-reply.ndjson").trim_end();
+    let payload = include_bytes!("fixtures/stats-reply.awr2");
+    assert_eq!(reply.encode_line(), line);
+    assert_eq!(wire::encode_reply(&reply), payload);
+    assert_eq!(Reply::decode_line(line).as_ref(), Ok(&reply));
+    assert_eq!(wire::decode_reply(payload).as_ref(), Ok(&reply));
 }
 
 // -- live-socket negotiation ------------------------------------------------
