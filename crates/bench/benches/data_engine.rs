@@ -3,9 +3,11 @@
 
 use aware_data::bitmap::Bitmap;
 use aware_data::census::CensusGenerator;
+use aware_data::column::Column;
 use aware_data::hist::{categorical_histogram, numeric_histogram};
 use aware_data::predicate::{CmpOp, Predicate};
 use aware_data::sample::{downsample, permute_columns};
+use aware_data::table::Table;
 use aware_data::value::Value;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
@@ -152,6 +154,66 @@ fn in_membership(c: &mut Criterion) {
     group.finish();
 }
 
+/// Numeric leaves. `age` (62 distinct values, 6 rank slices) and
+/// `hours_per_week` (about 80, 7 slices) are answered from their rank
+/// bit-slices. `wide` is `age` plus a per-row fraction — every value
+/// distinct, over the index's 65 536-value rule — so the same three
+/// shapes over it run the scan kernels: the two sets of rows are the
+/// index against what it replaced, re-checkable on any commit.
+/// `index_build` is a column's first leaf: bucket bitmaps and rank
+/// slices built, then one compare.
+fn numeric_range(c: &mut Criterion) {
+    let mut group = c.benchmark_group("numeric_range");
+    for &rows in &[100_000usize, 1_000_000] {
+        let census = CensusGenerator::new(6).generate(rows);
+        let mut columns: Vec<(String, Column)> = census
+            .column_names()
+            .iter()
+            .enumerate()
+            .map(|(at, name)| (name.clone(), census.column_at(at).clone()))
+            .collect();
+        let ages = census.numeric_values("age", None).unwrap();
+        let wide = ages
+            .iter()
+            .enumerate()
+            .map(|(row, age)| age + row as f64 / rows as f64)
+            .collect();
+        columns.push(("wide".into(), Column::Float64(wide)));
+        let table = Table::new(columns).unwrap();
+        group.throughput(Throughput::Elements(rows as u64));
+        for (kernel, age, hours) in [
+            ("slices", "age", "hours_per_week"),
+            ("scan", "wide", "wide"),
+        ] {
+            let shapes = [
+                ("between", Predicate::between(age, 30.0, 45.5)),
+                ("ge", Predicate::cmp(hours, CmpOp::Ge, Value::from(40i64))),
+                ("neq", Predicate::cmp(age, CmpOp::Neq, Value::from(30i64))),
+            ];
+            for (shape, pred) in shapes {
+                let id = BenchmarkId::new(format!("{shape}_{kernel}"), rows);
+                group.bench_with_input(id, &table, |b, t| {
+                    b.iter(|| pred.eval(black_box(t)).unwrap())
+                });
+            }
+        }
+        let first_leaf = Predicate::between("age", 30.0, 45.5);
+        group.bench_with_input(BenchmarkId::new("index_build", rows), &table, |b, t| {
+            b.iter_batched(
+                // A projection starts without indexes.
+                || t.project(&["age"]).unwrap(),
+                |fresh| first_leaf.eval(black_box(&fresh)).unwrap(),
+                criterion::BatchSize::LargeInput,
+            )
+        });
+        eprintln!(
+            "numeric_range: indexes of age + hours_per_week (+ wide's bins) over {rows} rows hold {} bytes",
+            table.index_bytes()
+        );
+    }
+    group.finish();
+}
+
 fn sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling");
     let table = CensusGenerator::new(3).generate(100_000);
@@ -177,6 +239,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = filters, histograms, histogram_density, eval_cache, in_membership, sampling
+    targets = filters, histograms, histogram_density, eval_cache, in_membership, numeric_range,
+        sampling
 }
 criterion_main!(benches);

@@ -76,6 +76,15 @@ impl Bitmap {
         b
     }
 
+    /// Builds from pre-packed words whose trailing word may hold bits
+    /// beyond `len` (a complement's, an all-ones seed's): clears them.
+    pub(crate) fn from_unmasked_words(words: Vec<u64>, len: usize) -> Bitmap {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        let mut b = Bitmap { words, len };
+        b.mask_tail();
+        b
+    }
+
     /// Builds a bitmap of `len` bits with the given positions set.
     ///
     /// Panics in debug builds if an index is out of range.
@@ -198,25 +207,35 @@ impl Bitmap {
         self.mask_tail();
     }
 
-    /// Intersection, by value.
+    /// Intersection, by value: one zipped pass, no copy of `self`.
+    /// Panics if lengths differ.
     pub fn and(&self, other: &Bitmap) -> Bitmap {
-        let mut out = self.clone();
-        out.and_assign(other);
-        out
+        self.zip_with(other, |a, b| a & b)
     }
 
-    /// Union, by value.
+    /// Union, by value: one zipped pass. Panics if lengths differ.
     pub fn or(&self, other: &Bitmap) -> Bitmap {
-        let mut out = self.clone();
-        out.or_assign(other);
-        out
+        self.zip_with(other, |a, b| a | b)
     }
 
-    /// Complement, by value.
+    /// Complement, by value: one pass.
     pub fn not(&self) -> Bitmap {
-        let mut out = self.clone();
-        out.not_assign();
-        out
+        Bitmap::from_unmasked_words(self.words.iter().map(|w| !w).collect(), self.len)
+    }
+
+    /// `f` of the two bitmaps word by word. `f` must map clear tail
+    /// bits to clear tail bits.
+    fn zip_with(&self, other: &Bitmap, f: impl Fn(u64, u64) -> u64) -> Bitmap {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        Bitmap {
+            words: self
+                .words
+                .iter()
+                .zip(&other.words)
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
+            len: self.len,
+        }
     }
 
     /// Iterates over the indices of set bits in ascending order.

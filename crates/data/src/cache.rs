@@ -461,13 +461,11 @@ impl EvalCache {
 }
 
 fn combine(acc: &Bitmap, clause: &Bitmap, conjunctive: bool) -> Bitmap {
-    let mut out = acc.clone();
     if conjunctive {
-        out.and_assign(clause);
+        acc.and(clause)
     } else {
-        out.or_assign(clause);
+        acc.or(clause)
     }
-    out
 }
 
 fn compute_invariants(table: &Table, attribute: &str) -> Result<ColumnInvariants> {

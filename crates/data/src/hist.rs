@@ -17,8 +17,10 @@
 //! Because the bucket universe is a per-column invariant, so is the
 //! partition of the rows into buckets. Each column lazily gets a
 //! [`BucketIndex`] — one bitmap per bucket, each bucket's total, the
-//! numeric bounds — and a histogram under a selection is then `k` passes
-//! of `popcount(selection & bucket)` over `n/64` words instead of a walk
+//! numeric bounds and, for numeric columns of few distinct values, the
+//! rank bit-slices that answer range filters (see [`crate::rank`]) — and
+//! a histogram under a selection is then `k` passes of
+//! `popcount(selection & bucket)` over `n/64` words instead of a walk
 //! over the selected rows. The walk remains for what the index cannot
 //! answer more cheaply: sparse (or nearly full) selections, a caller's
 //! own bins or bounds, dictionaries so large that the index would
@@ -29,6 +31,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
+use crate::rank::RankSlices;
 use crate::table::Table;
 use crate::{DataError, Result};
 
@@ -84,10 +87,13 @@ impl Histogram {
 /// IDE tools (Vizdom renders ~10 bars).
 pub const DEFAULT_NUMERIC_BINS: usize = 10;
 
-/// The largest bucket count an index may have over cells of
+/// The largest one-hot bucket count an index may have over cells of
 /// `cell_bytes` bytes: one bit per row per bucket, so `k/8` bytes per
-/// row — an index is only built when that is no more than the cell it
-/// indexes (k ≤ 32 for `u32` dictionary codes, ≤ 64 for numerics).
+/// row — the bucket bitmaps are only built when that is no more than
+/// the cell they index (k ≤ 32 for `u32` dictionary codes, ≤ 64 for
+/// numerics). A dictionary over the rule has no index and its leaves
+/// scan; a numeric column's rank slices have their own rule,
+/// [`crate::rank::MAX_DISTINCT`].
 const fn max_indexed_buckets(cell_bytes: usize) -> usize {
     8 * cell_bytes
 }
@@ -131,7 +137,11 @@ impl Binning {
 /// over the full-column bounds), each bucket's total, and the numeric
 /// bounds. The bitmaps partition the rows, so a histogram under a
 /// selection is `popcount(sel & bucket)` per bucket and a categorical
-/// equality or membership filter is an OR of buckets.
+/// equality or membership filter is an OR of buckets. A numeric column
+/// of at most [`crate::rank::MAX_DISTINCT`] distinct values also holds
+/// its [`RankSlices`], which answer every comparison, `Between` and `In`
+/// leaf over it; only a numeric column without them (too many distinct
+/// values, or no index at all because a cell is not finite) is scanned.
 ///
 /// Built lazily by [`Table::bucket_index`] on first use and immutable
 /// afterwards; derived state only — it never takes part in table
@@ -141,6 +151,7 @@ pub(crate) struct BucketIndex {
     bits: Vec<Bitmap>,
     totals: Vec<u64>,
     bounds: Option<(f64, f64)>,
+    ranks: Option<RankSlices>,
 }
 
 impl BucketIndex {
@@ -183,12 +194,11 @@ impl BucketIndex {
             max = max.max(v);
         }
         let binning = Binning::new((min, max), DEFAULT_NUMERIC_BINS);
-        let ids = values.map(|v| binning.bin_of(v));
-        Ok(BucketIndex::partition(
-            DEFAULT_NUMERIC_BINS,
-            ids,
-            Some((min, max)),
-        ))
+        let ids = values.clone().map(|v| binning.bin_of(v));
+        Ok(BucketIndex {
+            ranks: RankSlices::build(values),
+            ..BucketIndex::partition(DEFAULT_NUMERIC_BINS, ids, Some((min, max)))
+        })
     }
 
     /// One pass over the rows' bucket ids, scattering each row's bit
@@ -213,7 +223,14 @@ impl BucketIndex {
             bits,
             totals,
             bounds,
+            ranks: None,
         }
+    }
+
+    /// The rank slices of a numeric column with few enough distinct
+    /// values to have them.
+    pub(crate) fn ranks(&self) -> Option<&RankSlices> {
+        self.ranks.as_ref()
     }
 
     /// The rows in `bucket`.
@@ -246,13 +263,14 @@ impl BucketIndex {
         acc
     }
 
-    /// Heap bytes held by the bitmaps and totals.
+    /// Heap bytes held by the bitmaps, totals and rank slices.
     pub(crate) fn bytes(&self) -> usize {
         self.bits
             .iter()
             .map(|b| b.len().div_ceil(64) * 8)
             .sum::<usize>()
             + self.totals.len() * 8
+            + self.ranks.as_ref().map_or(0, RankSlices::bytes)
     }
 
     /// Bucket counts under `selection`: one AND + popcount pass per

@@ -21,7 +21,8 @@
 //! * [`hist`] — histogram/group-by computation over selections, the
 //!   visualization primitive of the paper's Figure 1, and the per-column
 //!   bucket index (one bitmap per bucket) that answers it by AND +
-//!   popcount.
+//!   popcount — and, through a numeric column's rank bit-slices, answers
+//!   range filters by word-parallel compare.
 //! * [`csv`] — minimal CSV reader/writer with schema inference.
 //! * [`sample`] — seeded down-sampling, holdout splits, and independent
 //!   column permutation (the paper's "randomized Census" null workload).
@@ -55,6 +56,7 @@ pub mod error;
 pub mod hash;
 pub mod hist;
 pub mod predicate;
+mod rank;
 pub mod sample;
 pub mod table;
 pub mod value;

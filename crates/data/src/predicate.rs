@@ -31,6 +31,16 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    #[cfg(test)]
+    pub(crate) const ALL: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Neq,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
     fn symbol(&self) -> &'static str {
         match self {
             CmpOp::Eq => "=",
@@ -142,12 +152,20 @@ impl Predicate {
 
     /// Evaluates the predicate to a selection bitmap over `table`.
     ///
-    /// Equality and membership leaves over dictionary and bool columns
-    /// are an OR (or complement) of the column's bucket-index bitmaps,
-    /// no row is read. Every other leaf runs a word-packed scan: 64 rows
-    /// fold into one `u64` per inner-loop trip with no `Vec<bool>`
-    /// intermediate, and `In` scans once against a membership set.
-    /// Boolean combinators stay word-at-a-time on the packed bitmaps.
+    /// Leaves are index-first. Equality and membership over dictionary
+    /// and bool columns are an OR (or complement) of the column's
+    /// bucket-index bitmaps; every comparison, `Between` and `In` over a
+    /// numeric column is a word-parallel compare over its rank
+    /// bit-slices. No row is read either way. Only a column without an
+    /// index — a dictionary of too many labels, a numeric column of too
+    /// many distinct values or with a `NaN`/`±inf` cell — runs the
+    /// word-packed scan: 64 rows fold into one `u64` per inner-loop trip
+    /// with no `Vec<bool>` intermediate, and `In` scans once against a
+    /// membership set. Both kernels give the bits of the `f64`
+    /// comparison (`Int64` cells as `x as f64`): a `NaN` literal matches
+    /// nothing (everything under `≠`), `-0.0` equals `0.0`, `±inf`
+    /// literals order as usual. Boolean combinators stay word-at-a-time
+    /// on the packed bitmaps.
     pub fn eval(&self, table: &Table) -> Result<Bitmap> {
         let rows = table.rows();
         match self {
@@ -156,7 +174,11 @@ impl Predicate {
             Predicate::In { column, values } => eval_in(table, column, values),
             Predicate::Between { column, lo, hi } => {
                 let (lo, hi) = (*lo, *hi);
-                match table.column(column)? {
+                let at = table.column_index(column)?;
+                if let Some(ranks) = table.rank_slices(at) {
+                    return Ok(ranks.between(lo, hi));
+                }
+                match table.column_at(at) {
                     Column::Int64(v) => Ok(pack(v, |x| {
                         let x = x as f64;
                         x >= lo && x <= hi
@@ -170,15 +192,25 @@ impl Predicate {
                 }
             }
             Predicate::Not(inner) => Ok(inner.eval(table)?.not()),
+            // Seeded from the first clause's bitmap; an empty list is
+            // the combinator's identity.
             Predicate::And(parts) => {
-                let mut acc = Bitmap::ones(rows);
+                let mut parts = parts.iter();
+                let Some(first) = parts.next() else {
+                    return Ok(Bitmap::ones(rows));
+                };
+                let mut acc = first.eval(table)?;
                 for p in parts {
                     acc.and_assign(&p.eval(table)?);
                 }
                 Ok(acc)
             }
             Predicate::Or(parts) => {
-                let mut acc = Bitmap::zeros(rows);
+                let mut parts = parts.iter();
+                let Some(first) = parts.next() else {
+                    return Ok(Bitmap::zeros(rows));
+                };
+                let mut acc = first.eval(table)?;
                 for p in parts {
                     acc.or_assign(&p.eval(table)?);
                 }
@@ -241,6 +273,11 @@ fn eval_cmp(table: &Table, column: &str, op: CmpOp, value: &Value) -> Result<Bit
         expected: value.type_name(),
         actual: col.column_type().name(),
     };
+    // Only a numeric column has rank slices, and they answer every
+    // comparison over it; one without them is scanned below.
+    if let Some(ranks) = table.rank_slices(at) {
+        return Ok(ranks.cmp(op, value.as_f64().ok_or_else(mismatch)?));
+    }
     match col {
         Column::Int64(v) => {
             let rhs = value.as_f64().ok_or_else(mismatch)?;
@@ -285,8 +322,9 @@ fn eval_cmp(table: &Table, column: &str, op: CmpOp, value: &Value) -> Result<Bit
 }
 
 /// Membership kernel. Dictionary and bool columns OR the listed
-/// buckets of the column's index; numeric columns (and dictionaries too
-/// large to index) scan once against a pre-resolved value set.
+/// buckets of the column's index, numeric columns the listed values'
+/// rank equalities; a column without an index scans once against a
+/// pre-resolved value set.
 fn eval_in(table: &Table, column: &str, values: &[Value]) -> Result<Bitmap> {
     let at = table.column_index(column)?;
     let col = table.column_at(at);
@@ -295,6 +333,9 @@ fn eval_in(table: &Table, column: &str, values: &[Value]) -> Result<Bitmap> {
         expected: value.type_name(),
         actual: col.column_type().name(),
     };
+    if let Some(ranks) = table.rank_slices(at) {
+        return Ok(ranks.member_of(&numeric_set(column, col, values)?.0));
+    }
     match col {
         Column::Int64(v) => {
             let set = numeric_set(column, col, values)?;
@@ -601,16 +642,41 @@ pub(crate) mod arbitrary {
 
     pub const LABELS: [&str; 4] = ["a", "b", "c", "d"];
     pub const FLOATS: [f64; 5] = [-1.5, 0.0, 2.5, 7.25, 64.0];
-    pub const COLUMNS: [&str; 6] = ["i", "f", "b", "c", "w", "ghost"];
+    /// Literals no finite column holds: unordered, beyond every cell on
+    /// either side, and the other zero.
+    pub const EDGES: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, -1e9, 1e9];
+    pub const COLUMNS: [&str; 8] = ["i", "f", "m", "n", "b", "c", "w", "ghost"];
+    /// Distinct values of `m`: enough for 7 rank slices.
+    pub const MANY: usize = 100;
     /// Labels of the wide dictionary `w`: too many for a bucket index,
     /// so its leaves take the scan kernels.
     pub const WIDE_LABELS: usize = 40;
 
+    /// The `k`-th value of `m`'s grid, `-10.0, -9.5, … 39.5`; `0.0` is
+    /// on it.
+    fn many(k: usize) -> f64 {
+        k as f64 * 0.5 - 10.0
+    }
+
     /// A small table over one column of each type (plus adversarial
-    /// lengths: 0, tail-word, multi-word row counts all occur).
+    /// lengths: 0, tail-word, multi-word row counts all occur). `m` has
+    /// [`MANY`] distinct values and both zeros; `n` is `f` with
+    /// non-finite cells, which no index covers.
     pub fn table(g: &mut Gen, rows: usize) -> Table {
         let ints: Vec<i64> = (0..rows).map(|_| g.pick(6) as i64 - 2).collect();
         let floats: Vec<f64> = (0..rows).map(|_| FLOATS[g.pick(FLOATS.len())]).collect();
+        let many: Vec<f64> = (0..rows)
+            .map(|_| match many(g.pick(MANY)) {
+                zero if zero == 0.0 && g.pick(2) == 0 => -0.0,
+                v => v,
+            })
+            .collect();
+        let wild: Vec<f64> = (0..rows)
+            .map(|_| match g.pick(8) {
+                0 => EDGES[g.pick(3)],
+                _ => FLOATS[g.pick(FLOATS.len())],
+            })
+            .collect();
         let bools: Vec<bool> = (0..rows).map(|_| g.pick(2) == 0).collect();
         let cats: Vec<&str> = (0..rows).map(|_| LABELS[g.pick(LABELS.len())]).collect();
         // `w` starts with `LABELS`, so drawn string literals hit it too.
@@ -621,6 +687,8 @@ pub(crate) mod arbitrary {
         TableBuilder::new()
             .push("i", Column::Int64(ints))
             .push("f", Column::Float64(floats))
+            .push("m", Column::Float64(many))
+            .push("n", Column::Float64(wild))
             .push("b", Column::Bool(bools))
             .push("c", Column::categorical_from_strs(&cats))
             .push("w", Column::categorical_from_codes(wide_labels, wide))
@@ -628,11 +696,22 @@ pub(crate) mod arbitrary {
             .expect("generated table is well-formed")
     }
 
-    pub fn value(g: &mut Gen) -> Value {
+    /// A numeric literal: a cell value of `f` or `m`, a value strictly
+    /// between two of `m`'s, or an [`EDGES`] one.
+    pub fn float(g: &mut Gen) -> f64 {
         match g.pick(4) {
+            0 => FLOATS[g.pick(FLOATS.len())],
+            1 => many(g.pick(MANY)),
+            2 => many(g.pick(MANY)) + 0.25,
+            _ => EDGES[g.pick(EDGES.len())],
+        }
+    }
+
+    pub fn value(g: &mut Gen) -> Value {
+        match g.pick(5) {
             0 => Value::Int(g.pick(6) as i64 - 2),
-            1 => Value::Float(FLOATS[g.pick(FLOATS.len())]),
-            2 => Value::Bool(g.pick(2) == 0),
+            1 | 2 => Value::Float(float(g)),
+            3 => Value::Bool(g.pick(2) == 0),
             // "zz" is never a column label: exercises the unknown-label
             // arms of the categorical kernels.
             _ => Value::Str(["a", "b", "c", "d", "zz"][g.pick(5)].into()),
@@ -640,14 +719,7 @@ pub(crate) mod arbitrary {
     }
 
     pub fn predicate(g: &mut Gen, depth: usize) -> Predicate {
-        let ops = [
-            CmpOp::Eq,
-            CmpOp::Neq,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ];
+        let ops = CmpOp::ALL;
         // Leaves only at the depth floor; combinators otherwise.
         let variant = if depth == 0 { g.pick(10) } else { g.pick(16) };
         match variant {
@@ -664,15 +736,12 @@ pub(crate) mod arbitrary {
                     values: (0..k).map(|_| value(g)).collect(),
                 }
             }
-            8 => {
-                let a = FLOATS[g.pick(FLOATS.len())];
-                let b = FLOATS[g.pick(FLOATS.len())];
-                Predicate::Between {
-                    column: COLUMNS[g.pick(COLUMNS.len())].into(),
-                    lo: a.min(b),
-                    hi: a.max(b),
-                }
-            }
+            // Bounds in drawn order: `lo > hi` and `lo == hi` occur.
+            8 => Predicate::Between {
+                column: COLUMNS[g.pick(COLUMNS.len())].into(),
+                lo: float(g),
+                hi: float(g),
+            },
             9 => Predicate::True,
             10 => Predicate::Not(Box::new(predicate(g, depth - 1))),
             11..=13 => {
@@ -699,17 +768,26 @@ mod equivalence {
         /// The kernels agree with the scalar reference on every random
         /// table × random AST — bit-identical bitmaps on success,
         /// identical errors on failure — whether a leaf is the first
-        /// use of its column's bucket index (`cold`: a fresh table per
-        /// predicate) or finds every index already built (`warm`).
+        /// use of its column's index (`cold`: a fresh table per
+        /// predicate) or finds every index already built (`warm`). One
+        /// case in eight has thousands of rows, so the rank-slice
+        /// kernels run several blocks and a ragged last one.
         #[test]
         fn vectorized_eval_matches_scalar_reference(
             seed in 0u64..u64::MAX,
-            rows in 0usize..200,
+            rows in (0usize..200, 0usize..8)
+                .prop_map(|(rows, pick)| if pick == 0 { 100 * rows + 257 } else { rows }),
         ) {
             let mut g = Gen(seed);
             let warm = super::arbitrary::table(&mut g, rows);
             for at in 0..warm.num_columns() {
-                warm.bucket_index(at).expect("generated cells are finite");
+                // `n`'s is the cached error of its first non-finite cell.
+                let built = warm.bucket_index(at);
+                prop_assert!(built.is_ok() || warm.column_names()[at] == "n");
+            }
+            for (column, sliced) in [("i", true), ("f", true), ("m", true), ("c", false)] {
+                let at = warm.column_index(column).expect("generated column");
+                prop_assert_eq!(warm.rank_slices(at).is_some(), sliced, "slices of {}", column);
             }
             let names: Vec<&str> = warm.column_names().iter().map(String::as_str).collect();
             for _ in 0..4 {
@@ -905,6 +983,119 @@ mod tests {
         };
         assert_eq!(r.to_string(), "edu∈{HS,PhD}");
         assert_eq!(Predicate::True.to_string(), "⊤");
+    }
+
+    /// Every numeric leaf shape over `column` against each of
+    /// `literals`, checked against the scalar reference.
+    fn assert_numeric_leaves_match_reference(t: &Table, column: &str, literals: &[Value]) {
+        let mut preds = vec![Predicate::In {
+            column: column.into(),
+            values: literals.to_vec(),
+        }];
+        for a in literals {
+            preds.extend(CmpOp::ALL.map(|op| Predicate::cmp(column, op, a.clone())));
+            for b in literals {
+                let (lo, hi) = (a.as_f64().unwrap(), b.as_f64().unwrap());
+                preds.push(Predicate::between(column, lo, hi));
+            }
+        }
+        for pred in preds {
+            let got = pred.eval(t);
+            assert!(got.is_ok(), "{pred} is not an error: {got:?}");
+            assert_eq!(got, reference::eval(&pred, t), "{pred}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_column_keeps_the_scan_and_never_errors() {
+        let cells = [
+            1.0,
+            f64::NAN,
+            2.5,
+            f64::INFINITY,
+            -3.0,
+            f64::NEG_INFINITY,
+            2.5,
+        ];
+        let t = TableBuilder::new()
+            .push("x", Column::Float64(cells.repeat(19)))
+            .build()
+            .unwrap();
+        let literals = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2.5,
+            0.0,
+            -3.0,
+            7.0,
+        ]
+        .map(Value::Float);
+        assert_numeric_leaves_match_reference(&t, "x", &literals);
+        // A histogram caches the index's `NonFinite`; the leaves still
+        // scan past it.
+        assert!(matches!(
+            crate::hist::histogram(&t, "x", None),
+            Err(DataError::NonFinite { .. })
+        ));
+        assert_numeric_leaves_match_reference(&t, "x", &literals);
+        assert_eq!(t.index_bytes(), 0);
+    }
+
+    #[test]
+    fn the_65_537th_distinct_value_leaves_the_column_to_the_scan() {
+        let literals = [-1.0, 0.0, 100.5, 65_535.0, 65_536.0, 1e9].map(Value::Float);
+        let bins_only =
+            |rows: usize| crate::hist::DEFAULT_NUMERIC_BINS * (rows.div_ceil(64) * 8 + 8);
+        for (rows, sliced) in [(65_536usize, true), (65_537, false)] {
+            let t = TableBuilder::new()
+                .push("x", Column::Float64((0..rows).map(|i| i as f64).collect()))
+                .build()
+                .unwrap();
+            assert_numeric_leaves_match_reference(&t, "x", &literals);
+            // The column's bins are indexed either way; 16 slices and
+            // the values themselves only under the rule.
+            let ranks = if sliced { 16 * rows / 8 + rows * 8 } else { 0 };
+            assert_eq!(t.index_bytes(), bins_only(rows) + ranks, "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn int_cells_that_round_to_one_f64_share_a_rank() {
+        const BIG: i64 = 1 << 53;
+        let cells = vec![
+            BIG,
+            BIG + 1,
+            BIG + 2,
+            -BIG - 1,
+            -BIG,
+            i64::MAX,
+            i64::MIN,
+            0,
+            BIG - 1,
+        ];
+        let t = TableBuilder::new()
+            .push("x", Column::Int64(cells.repeat(15)))
+            .build()
+            .unwrap();
+        let mut literals = [BIG, BIG + 1, BIG + 2, -BIG - 1, i64::MAX, i64::MIN, 0].map(Value::Int);
+        literals[6] = Value::Float(BIG as f64);
+        assert_numeric_leaves_match_reference(&t, "x", &literals);
+        // 2⁵³ and 2⁵³ + 1 are one `f64`: one rank, so `=` selects both.
+        let sel = Predicate::eq("x", BIG + 1).eval(&t).unwrap();
+        assert_eq!(sel.count_ones(), 2 * 15);
+        assert!(t.index_bytes() > 0);
+    }
+
+    #[test]
+    fn a_failing_later_clause_fails_the_combinator() {
+        let t = demo();
+        let good = Predicate::eq("over_50k", true);
+        let bad = Predicate::eq("ghost", 1i64);
+        for parts in [vec![good.clone(), bad.clone()], vec![bad, good]] {
+            assert!(Predicate::And(parts.clone()).eval(&t).is_err());
+            assert!(Predicate::Or(parts).eval(&t).is_err());
+        }
     }
 
     #[test]

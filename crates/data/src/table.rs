@@ -3,6 +3,7 @@
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnType};
 use crate::hist::BucketIndex;
+use crate::rank::RankSlices;
 use crate::value::Value;
 use crate::{DataError, Result};
 use std::sync::{Arc, OnceLock};
@@ -81,23 +82,36 @@ impl Table {
         })
     }
 
-    /// The bucket index of the column at `column`, built on first use
-    /// (racing first users build it once and share it). `None` when the
-    /// column has too many distinct buckets for an index to be smaller
-    /// than the column; an error when a numeric column holds a
+    /// The index slot of the column at `column`, filled on first use
+    /// (racing first users build the index once and share it).
+    fn index_slot(&self, column: usize) -> &Result<Option<Arc<BucketIndex>>> {
+        self.indexes[column].get_or_init(|| {
+            #[cfg(test)]
+            self.index_builds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let built = BucketIndex::build(&self.names[column], &self.columns[column])?;
+            Ok(built.map(Arc::new))
+        })
+    }
+
+    /// The bucket index of the column at `column`, built on first use.
+    /// `None` when a dictionary has too many labels for its bucket
+    /// bitmaps to be smaller than the column (its leaves and histograms
+    /// then walk the rows); an error when a numeric column holds a
     /// non-finite cell.
     pub(crate) fn bucket_index(&self, column: usize) -> Result<Option<&BucketIndex>> {
-        self.indexes[column]
-            .get_or_init(|| {
-                #[cfg(test)]
-                self.index_builds
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let built = BucketIndex::build(&self.names[column], &self.columns[column])?;
-                Ok(built.map(Arc::new))
-            })
+        self.index_slot(column)
             .as_ref()
             .map(Option::as_deref)
             .map_err(DataError::clone)
+    }
+
+    /// The rank slices of the numeric column at `column`, built with its
+    /// bucket index on first use. `None` — never an error — when the
+    /// column has none (not numeric, too many distinct values, or a
+    /// non-finite cell): its predicate leaves scan instead.
+    pub(crate) fn rank_slices(&self, column: usize) -> Option<&RankSlices> {
+        self.index_slot(column).as_ref().ok()?.as_deref()?.ranks()
     }
 
     /// Heap bytes held by the bucket indexes built so far.
