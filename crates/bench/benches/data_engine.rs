@@ -60,10 +60,11 @@ fn scattered(rows: usize, percent: u32) -> Bitmap {
 
 /// The histogram kernels across selection density. The counting
 /// kernel reads `k·⌈n/64⌉` index words when that is no more than the
-/// `min(|sel|, n−|sel|)` rows a walk would visit, so for `education`
-/// (k = 5) the crossover sits at 7.8 % / 92.2 % density and for `age`
-/// (k = 10) at 15.6 % / 84.4 %: 5 % and 95 % are walked (95 % on `age`
-/// from the stored totals), 30 % and 70 % are popcounted.
+/// `min(|sel|, n−|sel|)` rows a walk would visit, a numeric row
+/// counting for four, so for `education` (k = 5) the crossover sits at
+/// 7.8 % / 92.2 % density and for `age` (k = 10) at 3.9 % / 96.1 %:
+/// `education` is walked at 5 % and 95 % (95 % from the stored totals),
+/// everything else is popcounted.
 fn histogram_density(c: &mut Criterion) {
     let mut group = c.benchmark_group("histogram_density");
     for &rows in &[100_000usize, 1_000_000] {

@@ -1,10 +1,12 @@
 //! End-to-end interactivity: the latency of one `add_visualization` call
 //! (heuristics + filter + histogram + χ² + α-investing + flip estimate) —
-//! the operation behind every click in the paper's Figure 1 — and the
-//! Fig-6 workflow replay.
+//! the operation behind every click in the paper's Figure 1 — the
+//! Fig-6 workflow replay, and the gauge / transcript read that follows
+//! every click (from scratch and from the session's ledger-text memo).
 
 use aware_core::session::Session;
-use aware_data::census::{CensusGenerator, RACE};
+use aware_core::{gauge, transcript};
+use aware_data::census::{CensusGenerator, ATTRIBUTES, EDUCATION, RACE};
 use aware_data::predicate::Predicate;
 use aware_mht::investing::policies::Fixed;
 use aware_sim::workflow::WorkflowGenerator;
@@ -47,6 +49,44 @@ fn fig6_workflow(c: &mut Criterion) {
     group.finish();
 }
 
+/// Re-reading the gauge / CSV transcript of an unchanged ledger of 8
+/// (a drill-down) and 48 (a long session) entries: every entry
+/// formatted again, against header + memoised body + footer.
+fn ledger_text(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ledger_text");
+    let table = CensusGenerator::new(6).generate(5_000);
+    for &entries in &[8usize, 48] {
+        let mut s = Session::new(table.clone(), 0.05, Fixed::new(1e6)).unwrap();
+        for i in 0.. {
+            if s.hypotheses().len() == entries {
+                break;
+            }
+            let filter = Predicate::eq("race", RACE[i % RACE.len()])
+                .and(Predicate::eq("education", EDUCATION[i % EDUCATION.len()]));
+            s.add_visualization(ATTRIBUTES[i % ATTRIBUTES.len()], filter)
+                .unwrap();
+        }
+        // The memo starts at a session's second read.
+        for _ in 0..2 {
+            assert_eq!(gauge::render_memo(&mut s), gauge::render(&s));
+            assert_eq!(
+                transcript::export_csv_memo(&mut s),
+                transcript::export_csv(&s)
+            );
+        }
+        group.bench_function(BenchmarkId::new("gauge_from_scratch", entries), |b| {
+            b.iter(|| gauge::render(black_box(&s)))
+        });
+        group.bench_function(BenchmarkId::new("gauge_memo", entries), |b| {
+            b.iter(|| gauge::render_memo(black_box(&mut s)))
+        });
+        group.bench_function(BenchmarkId::new("csv_memo", entries), |b| {
+            b.iter(|| transcript::export_csv_memo(black_box(&mut s)))
+        });
+    }
+    group.finish();
+}
+
 /// Shared Criterion configuration: short but stable windows so the whole
 /// suite runs in a few minutes without CLI flags.
 fn quick() -> Criterion {
@@ -59,6 +99,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = session_step, fig6_workflow
+    targets = session_step, fig6_workflow, ledger_text
 }
 criterion_main!(benches);

@@ -6,17 +6,49 @@
 //! qualitative magnitude, the `n_H1` squares, and star/status markers.
 //! Terminal color is deliberately avoided — the string renders anywhere a
 //! test log does.
+//!
+//! The gauge is re-shown after every interaction, and only its header
+//! can change between two reads of an append-only ledger. So there are
+//! two entry points over the same pieces (header, [`render_entry`] per
+//! hypothesis, footer): [`render`] formats everything from a `&Session`,
+//! [`render_memo`] takes `&mut Session` and reuses the entry lines the
+//! session has already rendered. They return the same bytes.
 
 use crate::hypothesis::{Hypothesis, HypothesisStatus};
 use crate::nh1::render_squares;
-use crate::session::Session;
+use crate::session::{LedgerText, Session};
 use aware_mht::investing::InvestingPolicy;
 use aware_stats::effect::EffectMagnitude;
 use std::fmt::Write as _;
 
-/// Renders the full risk gauge for a session.
+/// Renders the full risk gauge for a session, from scratch: every entry
+/// is formatted on every call. This is the reference the memoised
+/// [`render_memo`] is checked against.
 pub fn render<P: InvestingPolicy>(session: &Session<P>) -> String {
     let mut out = String::new();
+    header(&mut out, session);
+    for h in session.hypotheses() {
+        entry_line(&mut out, h);
+    }
+    footer(&mut out);
+    out
+}
+
+/// [`render`], byte for byte, for a caller that holds the session
+/// mutably and re-reads the gauge after every interaction: the entry
+/// lines come from the session's ledger-text memo, so a refresh formats
+/// only the entries added since the last one. The header is rendered
+/// fresh each time (wealth, policy and counts are the part that moves).
+pub fn render_memo<P: InvestingPolicy>(session: &mut Session<P>) -> String {
+    let mut out = String::new();
+    header(&mut out, session);
+    session.append_ledger_text(LedgerText::GaugeLines, &mut out);
+    footer(&mut out);
+    out
+}
+
+/// The procedure summary above the entry list.
+fn header<P: InvestingPolicy>(out: &mut String, session: &Session<P>) {
     let wealth_pct = session.wealth() * 100.0;
     let alpha_pct = session.alpha() * 100.0;
     let _ = writeln!(
@@ -28,12 +60,11 @@ pub fn render<P: InvestingPolicy>(session: &Session<P>) -> String {
         "│ policy {}   mFDR budget α = {alpha_pct:.1}%   wealth {wealth_pct:.2}%",
         session.policy_name(),
     );
-    let discoveries = session.discoveries().len();
     let _ = writeln!(
         out,
         "│ hypotheses {}   discoveries {}   can continue: {}",
         session.hypotheses().len(),
-        discoveries,
+        session.discovery_count(),
         if session.can_continue() {
             "yes"
         } else {
@@ -47,14 +78,15 @@ pub fn render<P: InvestingPolicy>(session: &Session<P>) -> String {
     if session.hypotheses().is_empty() {
         let _ = writeln!(out, "│ (no hypotheses tracked yet)");
     }
-    for h in session.hypotheses() {
-        let _ = writeln!(out, "│ {}", render_entry(h));
-    }
-    let _ = write!(
-        out,
-        "└────────────────────────────────────────────────────────"
-    );
-    out
+}
+
+fn footer(out: &mut String) {
+    out.push_str("└────────────────────────────────────────────────────────");
+}
+
+/// One line of the entry list.
+pub(crate) fn entry_line(out: &mut String, h: &Hypothesis) {
+    let _ = writeln!(out, "│ {}", render_entry(h));
 }
 
 /// Renders a single gauge list entry.

@@ -21,7 +21,7 @@ use crate::heuristics::{derive_default_hypothesis, Derived};
 use crate::hypothesis::{Hypothesis, HypothesisId, HypothesisStatus, NullSpec, TestRecord};
 use crate::nh1;
 use crate::viz::{Visualization, VizId};
-use crate::Result;
+use crate::{gauge, transcript, Result};
 use aware_data::cache::EvalCache;
 use aware_data::table::Table;
 use aware_mht::investing::{AlphaInvesting, InvestingPolicy, MachineSnapshot};
@@ -34,7 +34,9 @@ use std::sync::Arc;
 /// and nothing sized by the table: selections are a pure function of
 /// the stored predicates and are re-derived through the per-dataset
 /// [`EvalCache`] on restore, so a snapshot's size tracks the
-/// exploration, never the data.
+/// exploration, never the data. The ledger-text memo is likewise absent:
+/// it is derived from `hypotheses` and refills on the restored session's
+/// reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// The α-investing machine: parameters + full ledger.
@@ -43,6 +45,46 @@ pub struct SessionSnapshot {
     pub visualizations: Vec<Visualization>,
     /// Every hypothesis ever tracked, in order (ids are dense).
     pub hypotheses: Vec<Hypothesis>,
+}
+
+/// One product of the [`LedgerMemo`]: the rendered text of
+/// `hypotheses[..upto]`.
+#[derive(Default)]
+struct MemoBody {
+    text: String,
+    upto: usize,
+}
+
+/// Which per-entry rendering of the ledger a memoised read wants.
+#[derive(Clone, Copy)]
+pub(crate) enum LedgerText {
+    /// One `│ …` gauge list line per hypothesis ([`gauge::entry_line`]).
+    GaugeLines,
+    /// One CSV row per hypothesis ([`transcript::row`]).
+    CsvRows,
+}
+
+/// The ledger-text memo: a tested entry's text never changes while the
+/// ledger only grows, so the gauge lines and CSV rows already rendered
+/// are kept and a read renders only the entries appended since. Each
+/// product is filled lazily, on its own reads. The memo is derived
+/// state: the four non-append mutations clear it, and it is not part of
+/// [`SessionSnapshot`] — a restored session starts cold.
+#[derive(Default)]
+struct LedgerMemo {
+    /// A session's first read renders from scratch and retains nothing:
+    /// a session restored to answer one gauge and then evicted again
+    /// must not pay (time or memory) for text it never reuses.
+    read_before: bool,
+    gauge: MemoBody,
+    csv: MemoBody,
+}
+
+impl LedgerMemo {
+    fn clear(&mut self) {
+        self.gauge = MemoBody::default();
+        self.csv = MemoBody::default();
+    }
 }
 
 /// Outcome of placing a visualization: its id plus the report of the
@@ -68,6 +110,9 @@ pub struct Session<P> {
     investing: AlphaInvesting<P>,
     visualizations: Vec<Visualization>,
     hypotheses: Vec<Hypothesis>,
+    /// Rendered gauge lines / CSV rows of a prefix of `hypotheses`;
+    /// derived, never snapshotted (see [`LedgerMemo`]).
+    memo: LedgerMemo,
 }
 
 impl<P: InvestingPolicy> Session<P> {
@@ -103,6 +148,7 @@ impl<P: InvestingPolicy> Session<P> {
             investing,
             visualizations: Vec::new(),
             hypotheses: Vec::new(),
+            memo: LedgerMemo::default(),
         })
     }
 
@@ -118,6 +164,7 @@ impl<P: InvestingPolicy> Session<P> {
             investing,
             visualizations: Vec::new(),
             hypotheses: Vec::new(),
+            memo: LedgerMemo::default(),
         })
     }
 
@@ -176,6 +223,11 @@ impl<P: InvestingPolicy> Session<P> {
             .iter()
             .filter(|h| h.is_discovery())
             .collect()
+    }
+
+    /// Number of active discoveries, without collecting them.
+    pub fn discovery_count(&self) -> usize {
+        self.hypotheses.iter().filter(|h| h.is_discovery()).count()
     }
 
     /// Places a visualization of `attribute` under `filter`, applying the
@@ -271,6 +323,7 @@ impl<P: InvestingPolicy> Session<P> {
         match new {
             Some((new_id, record)) => {
                 self.hypotheses[idx].status = HypothesisStatus::Superseded { by: new_id };
+                self.memo.clear();
                 Ok((new_id, record))
             }
             None => {
@@ -296,6 +349,7 @@ impl<P: InvestingPolicy> Session<P> {
             });
         }
         self.hypotheses[idx].status = HypothesisStatus::Deleted;
+        self.memo.clear();
         Ok(())
     }
 
@@ -303,6 +357,7 @@ impl<P: InvestingPolicy> Session<P> {
     pub fn bookmark(&mut self, id: HypothesisId) -> Result<()> {
         let idx = self.hypothesis_index(id)?;
         self.hypotheses[idx].bookmarked = true;
+        self.memo.clear();
         Ok(())
     }
 
@@ -310,6 +365,7 @@ impl<P: InvestingPolicy> Session<P> {
     pub fn unbookmark(&mut self, id: HypothesisId) -> Result<()> {
         let idx = self.hypothesis_index(id)?;
         self.hypotheses[idx].bookmarked = false;
+        self.memo.clear();
         Ok(())
     }
 
@@ -444,6 +500,7 @@ impl<P: InvestingPolicy> Session<P> {
             investing,
             visualizations,
             hypotheses,
+            memo: LedgerMemo::default(),
         })
     }
 
@@ -459,7 +516,30 @@ impl<P: InvestingPolicy> Session<P> {
         }
     }
 
+    /// Appends the per-entry text of the whole ledger to `out` — the
+    /// body of the memoised gauge and transcript reads. Renders only
+    /// the entries appended since this product was last read, except on
+    /// the session's first read (see [`LedgerMemo::read_before`]).
+    pub(crate) fn append_ledger_text(&mut self, which: LedgerText, out: &mut String) {
+        let (body, render): (_, fn(&mut String, &Hypothesis)) = match which {
+            LedgerText::GaugeLines => (&mut self.memo.gauge, gauge::entry_line),
+            LedgerText::CsvRows => (&mut self.memo.csv, transcript::row),
+        };
+        if !std::mem::replace(&mut self.memo.read_before, true) {
+            for h in &self.hypotheses {
+                render(out, h);
+            }
+            return;
+        }
+        for h in &self.hypotheses[body.upto..] {
+            render(&mut body.text, h);
+        }
+        body.upto = self.hypotheses.len();
+        out.push_str(&body.text);
+    }
+
     fn supersede_hypotheses_of(&mut self, viz: VizId, by: HypothesisId) {
+        self.memo.clear();
         for h in &mut self.hypotheses {
             if h.source == Some(viz) && h.is_active() && h.id != by {
                 h.status = HypothesisStatus::Superseded { by };
@@ -613,6 +693,121 @@ mod props {
             prop_assert_eq!(&cold, &warm, "warm-cache session diverged from cold");
             // The third replay ran against a cache warmed by the second.
             prop_assert!(cache.stats().hits > 0);
+        }
+    }
+
+    /// One step of the memo-equivalence property: `(op, a, b, negate,
+    /// reads)`. `reads` is a bit mask of the memoised reads (gauge, csv,
+    /// text) the lagging session performs after the step.
+    fn memo_step() -> impl Strategy<Value = (usize, usize, usize, bool, usize)> {
+        (0..12usize, 0..64usize, 0..5usize, any::<bool>(), 0..8usize)
+    }
+
+    /// Checks the memoised reads selected by `reads` against the
+    /// from-scratch renderers.
+    fn check_memo_reads(s: &mut Session<Fixed>, reads: usize) -> std::result::Result<(), String> {
+        use crate::{gauge, transcript};
+        let mismatch = |what: &str, memo: String, scratch: String| {
+            if memo == scratch {
+                Ok(())
+            } else {
+                Err(format!(
+                    "memoised {what} diverged:\n{memo}\n-- from scratch:\n{scratch}"
+                ))
+            }
+        };
+        if reads & 1 != 0 {
+            mismatch("gauge", gauge::render_memo(s), gauge::render(s))?;
+        }
+        if reads & 2 != 0 {
+            mismatch(
+                "csv",
+                transcript::export_csv_memo(s),
+                transcript::export_csv(s),
+            )?;
+        }
+        if reads & 4 != 0 {
+            mismatch(
+                "text",
+                transcript::export_text_memo(s),
+                transcript::export_text(s),
+            )?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The ledger-text memo never shows: under random appends
+        /// (including rule-3 views that supersede), overrides, deletes,
+        /// bookmark flips, policy swaps and snapshot→restore, a memoised
+        /// gauge / CSV / text read equals the from-scratch renderer byte
+        /// for byte. Two sessions replay the same steps: one is read in
+        /// full after every step (memo always current), the other only
+        /// at random points (memo lagging by several entries, or
+        /// cleared and not yet refilled).
+        #[test]
+        fn memoised_reads_equal_from_scratch_renders(
+            steps in proptest::collection::vec(memo_step(), 1..24),
+        ) {
+            let table = Arc::new(CensusGenerator::new(11).generate(900));
+            let cache = Arc::new(aware_data::cache::EvalCache::new());
+            for lagging in [false, true] {
+                let mut s = Session::shared_with_cache(
+                    table.clone(), 0.05, Fixed::new(10.0), cache.clone()).unwrap();
+                let (mut gamma, mut since) = (10.0, 0usize);
+                for &(op, a, b, negate, reads) in &steps {
+                    let n = s.hypotheses().len();
+                    let pick = HypothesisId((a % n.max(1)) as u64);
+                    // Errors (unknown id, inactive hypothesis, exhausted
+                    // wealth) are part of the walk: a refused mutation
+                    // must leave the memo as valid as an applied one.
+                    match op {
+                        0..=3 => {
+                            let filter = match a % 3 {
+                                0 => Predicate::eq("education", EDUCATION[b % EDUCATION.len()]),
+                                1 => Predicate::eq("marital_status", MARITAL[b % MARITAL.len()]),
+                                _ => Predicate::eq("race", RACE[b % RACE.len()]),
+                            };
+                            let filter = if negate { filter.negate() } else { filter };
+                            let _ = s.add_visualization(ATTRIBUTES[a % ATTRIBUTES.len()], filter);
+                        }
+                        4 | 5 => {
+                            // The negation of an earlier view on the same
+                            // attribute: rule 3, supersedes its partner.
+                            if let Some(v) = s.visualizations().get(a % s.visualizations().len().max(1)) {
+                                let (attribute, filter) = (v.attribute.clone(), v.filter.clone().negate());
+                                let _ = s.add_visualization(attribute, filter);
+                            }
+                        }
+                        6 => {
+                            let f = Predicate::eq("sex", "Male");
+                            let _ = s.override_hypothesis(pick, NullSpec::MeanEquality {
+                                attribute: "age".into(),
+                                filter_a: f.clone(),
+                                filter_b: f.negate(),
+                            });
+                        }
+                        7 => { let _ = s.delete_hypothesis(pick); }
+                        8 => { let _ = s.bookmark(pick); }
+                        9 => { let _ = s.unbookmark(pick); }
+                        10 => {
+                            gamma = 10.0 + b as f64;
+                            since = s.tests_run();
+                            s.replace_policy(Fixed::new(gamma));
+                        }
+                        _ => {
+                            s = Session::restore(
+                                table.clone(), Some(cache.clone()), s.snapshot(),
+                                Fixed::new(gamma), since).unwrap();
+                        }
+                    }
+                    let reads = if lagging { reads } else { 7 };
+                    check_memo_reads(&mut s, reads).map_err(TestCaseError::fail)?;
+                }
+                check_memo_reads(&mut s, 7).map_err(TestCaseError::fail)?;
+            }
         }
     }
 

@@ -6,9 +6,15 @@
 //! this module makes it durable — a CSV any statistician can audit, with
 //! one row per hypothesis in test order, including the α-investing
 //! bookkeeping that justifies each decision.
+//!
+//! [`export_csv`] / [`export_text`] render from scratch; the `_memo`
+//! variants take `&mut Session` and reuse the rows (gauge lines) the
+//! session's ledger-text memo already holds. Both are the same header
+//! plus one `row` per hypothesis, so the bytes are identical.
 
-use crate::hypothesis::HypothesisStatus;
-use crate::session::Session;
+use crate::gauge;
+use crate::hypothesis::{Hypothesis, HypothesisStatus};
+use crate::session::{LedgerText, Session};
 use aware_mht::investing::InvestingPolicy;
 use std::fmt::Write as _;
 
@@ -17,54 +23,86 @@ pub const TRANSCRIPT_HEADER: &str = "hypothesis,status,null,alternative,test,sta
 p_value,bid,decision,wealth_after,support_fraction,effect_size,bookmarked,source_viz";
 
 /// Exports the session's hypothesis ledger as CSV (stable column set; see
-/// [`TRANSCRIPT_HEADER`]).
+/// [`TRANSCRIPT_HEADER`]), formatting every row on every call.
 pub fn export_csv<P: InvestingPolicy>(session: &Session<P>) -> String {
-    let mut out = String::from(TRANSCRIPT_HEADER);
-    out.push('\n');
+    let mut out = csv_header();
     for h in session.hypotheses() {
-        let (status, test, stat, df, p, bid, decision, wealth, support, effect) = match &h.status {
-            HypothesisStatus::Tested(r) => (
-                "tested".to_string(),
-                r.outcome.kind.to_string(),
-                fmt(r.outcome.statistic),
-                fmt(r.outcome.df),
-                fmt(r.outcome.p_value),
-                fmt(r.bid),
-                r.decision.to_string(),
-                fmt(r.wealth_after),
-                fmt(r.support_fraction),
-                fmt(r.outcome.effect_size),
-            ),
-            HypothesisStatus::Untestable => blank_row("untestable"),
-            HypothesisStatus::Superseded { by } => blank_row(&format!("superseded-by-H{}", by.0)),
-            HypothesisStatus::Deleted => blank_row("deleted"),
-        };
-        let _ = writeln!(
-            out,
-            "H{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            h.id.0,
-            status,
-            quote(&h.null.null_label()),
-            quote(&h.null.alternative_label()),
-            test,
-            stat,
-            df,
-            p,
-            bid,
-            decision,
-            wealth,
-            support,
-            effect,
-            h.bookmarked,
-            h.source.map(|v| format!("viz#{}", v.0)).unwrap_or_default(),
-        );
+        row(&mut out, h);
     }
     out
+}
+
+/// [`export_csv`], byte for byte, with the rows taken from the session's
+/// ledger-text memo.
+pub fn export_csv_memo<P: InvestingPolicy>(session: &mut Session<P>) -> String {
+    let mut out = csv_header();
+    session.append_ledger_text(LedgerText::CsvRows, &mut out);
+    out
+}
+
+fn csv_header() -> String {
+    let mut out = String::from(TRANSCRIPT_HEADER);
+    out.push('\n');
+    out
+}
+
+/// One CSV row (with its line terminator) of the transcript.
+pub(crate) fn row(out: &mut String, h: &Hypothesis) {
+    let (status, test, stat, df, p, bid, decision, wealth, support, effect) = match &h.status {
+        HypothesisStatus::Tested(r) => (
+            "tested".to_string(),
+            r.outcome.kind.to_string(),
+            fmt(r.outcome.statistic),
+            fmt(r.outcome.df),
+            fmt(r.outcome.p_value),
+            fmt(r.bid),
+            r.decision.to_string(),
+            fmt(r.wealth_after),
+            fmt(r.support_fraction),
+            fmt(r.outcome.effect_size),
+        ),
+        HypothesisStatus::Untestable => blank_row("untestable"),
+        HypothesisStatus::Superseded { by } => blank_row(&format!("superseded-by-H{}", by.0)),
+        HypothesisStatus::Deleted => blank_row("deleted"),
+    };
+    let _ = writeln!(
+        out,
+        "H{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        h.id.0,
+        status,
+        quote(&h.null.null_label()),
+        quote(&h.null.alternative_label()),
+        test,
+        stat,
+        df,
+        p,
+        bid,
+        decision,
+        wealth,
+        support,
+        effect,
+        h.bookmarked,
+        h.source.map(|v| format!("viz#{}", v.0)).unwrap_or_default(),
+    );
 }
 
 /// Exports a human-readable audit: session summary, visualization list,
 /// and the rendered risk gauge.
 pub fn export_text<P: InvestingPolicy>(session: &Session<P>) -> String {
+    let mut out = text_preamble(session);
+    let _ = writeln!(out, "\n{}", gauge::render(session));
+    out
+}
+
+/// [`export_text`], byte for byte, over [`gauge::render_memo`].
+pub fn export_text_memo<P: InvestingPolicy>(session: &mut Session<P>) -> String {
+    let mut out = text_preamble(session);
+    let _ = writeln!(out, "\n{}", gauge::render_memo(session));
+    out
+}
+
+/// Everything of the text transcript above the gauge.
+fn text_preamble<P: InvestingPolicy>(session: &Session<P>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "AWARE session transcript");
     let _ = writeln!(
@@ -74,13 +112,12 @@ pub fn export_text<P: InvestingPolicy>(session: &Session<P>) -> String {
         session.alpha(),
         session.wealth(),
         session.hypotheses().len(),
-        session.discoveries().len(),
+        session.discovery_count(),
     );
     let _ = writeln!(out, "\nvisualizations:");
     for v in session.visualizations() {
         let _ = writeln!(out, "  {} {}", v.id, v.label());
     }
-    let _ = writeln!(out, "\n{}", crate::gauge::render(session));
     out
 }
 
@@ -123,8 +160,11 @@ fn fmt(v: f64) -> String {
     }
 }
 
+/// RFC 4180: a field holding a separator, a quote or a line break is
+/// quoted (an unquoted `\n` in a label would split one hypothesis into
+/// two rows of the audit record).
 fn quote(s: &str) -> String {
-    if s.contains(',') || s.contains('"') {
+    if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_owned()
@@ -184,6 +224,39 @@ mod tests {
             }
             assert_eq!(count, fields, "row: {line}");
         }
+    }
+
+    #[test]
+    fn labels_with_line_breaks_stay_one_csv_row() {
+        use aware_data::value::Value;
+        let table = CensusGenerator::new(62).generate(3_000);
+        let mut s = Session::new(table, 0.05, Fixed::new(10.0)).unwrap();
+        // Unknown labels are accepted and match no row; the known label
+        // beside them keeps the view testable.
+        for odd in ["Ph\nD", "Ph\r\nD", "Ph,D", "Ph\"D"] {
+            let filter = Predicate::In {
+                column: "education".into(),
+                values: vec![Value::from("Bachelors"), Value::from(odd)],
+            };
+            s.add_visualization("sex", filter).unwrap();
+            s.add_visualization("race", Predicate::eq("education", odd))
+                .unwrap();
+        }
+        assert_eq!(s.hypotheses().len(), 8);
+        let csv = export_csv(&s);
+        // Quote-aware record split: a line break inside quotes belongs
+        // to the field, not to the record structure.
+        let mut rows = 0;
+        let mut in_quotes = false;
+        for c in csv.chars() {
+            match c {
+                '"' => in_quotes = !in_quotes,
+                '\n' if !in_quotes => rows += 1,
+                _ => {}
+            }
+        }
+        assert!(!in_quotes, "unbalanced quotes:\n{csv}");
+        assert_eq!(rows, s.hypotheses().len() + 1, "{csv}");
     }
 
     #[test]

@@ -77,9 +77,14 @@ pub fn crosstab(
     // (including the majority complement-and-subtract trick) is the
     // histogram kernel's row walk; no single column's index covers it.
     let buckets = row_labels.len() * width;
-    let flat = crate::hist::count_selected(table.rows(), buckets, selection, None, |i| {
-        row_codes.at(i) * width + col_codes.at(i)
-    });
+    let flat = crate::hist::count_selected(
+        table.rows(),
+        buckets,
+        selection,
+        None,
+        crate::hist::CODE_ROW,
+        |i| row_codes.at(i) * width + col_codes.at(i),
+    );
     let counts = if width == 0 {
         vec![Vec::new(); row_labels.len()]
     } else {

@@ -25,9 +25,10 @@
 //! answer more cheaply: sparse (or nearly full) selections, a caller's
 //! own bins or bounds, dictionaries so large that the index would
 //! outweigh the column, and the crosstab's two-column bucket space. The
-//! choice is made per call from `k`, `n` and `|selection|` alone (see
-//! [`count_selected`]); counts are exact integers either way, so every
-//! downstream p-value is bit-identical whichever kernel ran.
+//! choice is made per call from `k`, `n`, `|selection|` and what one
+//! walked row costs alone (see [`count_selected`]); counts are exact
+//! integers either way, so every downstream p-value is bit-identical
+//! whichever kernel ran.
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
@@ -290,8 +291,9 @@ impl BucketIndex {
 ///
 /// * no selection → the index's stored totals (one full-column loop
 ///   without an index);
-/// * `k·⌈n/64⌉ ≤ min(|sel|, n−|sel|)` and an index → `k` AND + popcount
-///   passes over the selection's words, no row is touched;
+/// * `k·⌈n/64⌉ ≤ row_cost·min(|sel|, n−|sel|)` and an index → `k` AND +
+///   popcount passes over the selection's words, no row is touched
+///   (`row_cost`: [`CODE_ROW`] or [`BINNED_ROW`]);
 /// * otherwise the bit walk, which visits min(|sel|, n−|sel|) rows:
 ///   set bits counted up from zero when the selection covers ≤ ½ the
 ///   rows, clear bits counted down from the totals when it covers more.
@@ -305,6 +307,7 @@ pub(crate) fn count_selected(
     buckets: usize,
     selection: Option<&Bitmap>,
     index: Option<&BucketIndex>,
+    row_cost: usize,
     bucket_of: impl Fn(usize) -> usize,
 ) -> Vec<u64> {
     debug_assert!(index.is_none_or(|ix| ix.bits.len() == buckets));
@@ -314,16 +317,30 @@ pub(crate) fn count_selected(
     };
     let ones = sel.count_ones();
     match index {
-        Some(ix) if popcount_is_cheaper(rows, buckets, ones) => ix.counts_under(sel),
+        Some(ix) if popcount_is_cheaper(rows, buckets, ones, row_cost) => ix.counts_under(sel),
         _ => walk(rows, buckets, Some((sel, ones)), totals, bucket_of),
     }
 }
 
+/// What one walked row costs, in words of AND + popcount, when its
+/// bucket is a stored code (categorical, bool, crosstab).
+pub(crate) const CODE_ROW: usize = 1;
+
+/// The same for a numeric row, whose bucket is a subtract, divide and
+/// truncate away ([`Binning::bin_of`]). Measured, ten bins, walk against
+/// popcount: with as many rows walked as words read, 22 vs 10 µs at 20k
+/// rows, 88 vs 22 µs at 100k, 1 050 vs 163 µs at 1M; with a quarter as
+/// many the two meet (12 vs 10, 25 vs 22 µs) or the walk still loses
+/// (539 vs 163 µs at 1M, where a sparse row is also a cache miss). So 4
+/// never picks the slower kernel at a size measured, and a 1M-row test
+/// of a numeric attribute has no millisecond walk left in it.
+pub(crate) const BINNED_ROW: usize = 4;
+
 /// The crossover between the two kernels, from observable inputs only:
 /// the popcount kernel reads `k·⌈n/64⌉` words, the walk visits
-/// `min(|sel|, n−|sel|)` rows.
-fn popcount_is_cheaper(rows: usize, buckets: usize, ones: usize) -> bool {
-    buckets * rows.div_ceil(64) <= ones.min(rows - ones)
+/// `min(|sel|, n−|sel|)` rows, each worth `row_cost` words.
+fn popcount_is_cheaper(rows: usize, buckets: usize, ones: usize, row_cost: usize) -> bool {
+    buckets * rows.div_ceil(64) <= row_cost * ones.min(rows - ones)
 }
 
 /// The row-walk kernel: visits min(|sel|, n−|sel|) rows given `totals`,
@@ -387,14 +404,17 @@ pub fn categorical_histogram(
     let (labels, counts) = match table.column_at(at) {
         Column::Categorical { labels, codes } => {
             let index = table.bucket_index(at)?;
-            let counts = count_selected(codes.len(), labels.len(), selection, index, |i| {
-                codes[i] as usize
-            });
+            let counts =
+                count_selected(codes.len(), labels.len(), selection, index, CODE_ROW, |i| {
+                    codes[i] as usize
+                });
             (labels.clone(), counts)
         }
         Column::Bool(values) => {
             let index = table.bucket_index(at)?;
-            let counts = count_selected(values.len(), 2, selection, index, |i| values[i] as usize);
+            let counts = count_selected(values.len(), 2, selection, index, CODE_ROW, |i| {
+                values[i] as usize
+            });
             (vec!["false".to_owned(), "true".to_owned()], counts)
         }
         other => {
@@ -506,12 +526,12 @@ pub fn numeric_histogram_with_bounds(
         Ok((bins == DEFAULT_NUMERIC_BINS && own == bounds).then_some(index))
     };
     let counts = match table.column_at(at) {
-        Column::Int64(v) => count_selected(n, bins, selection, index()?, |i| {
+        Column::Int64(v) => count_selected(n, bins, selection, index()?, BINNED_ROW, |i| {
             binning.bin_of(v[i] as f64)
         }),
-        Column::Float64(v) => {
-            count_selected(n, bins, selection, index()?, |i| binning.bin_of(v[i]))
-        }
+        Column::Float64(v) => count_selected(n, bins, selection, index()?, BINNED_ROW, |i| {
+            binning.bin_of(v[i])
+        }),
         other => return Err(not_numeric(column, other)),
     };
     Ok(Histogram {
@@ -729,12 +749,15 @@ mod differential {
 
     /// Selection sizes that matter to a `buckets`-bucket histogram over
     /// `rows` rows: empty, full, one row either way, a half, and both
-    /// sides of both crossover points of [`popcount_is_cheaper`].
+    /// sides of both crossover points of [`popcount_is_cheaper`], at
+    /// either row cost.
     fn sizes(rows: usize, buckets: usize) -> Vec<usize> {
-        let crossover = buckets * rows.div_ceil(64);
         let mut sizes = vec![0, 1, rows / 2, rows.saturating_sub(1), rows];
-        for around in [crossover, rows.saturating_sub(crossover)] {
-            sizes.extend([around.saturating_sub(1), around, around + 1]);
+        for row_cost in [CODE_ROW, BINNED_ROW] {
+            let crossover = (buckets * rows.div_ceil(64)).div_ceil(row_cost);
+            for around in [crossover, rows.saturating_sub(crossover)] {
+                sizes.extend([around.saturating_sub(1), around, around + 1]);
+            }
         }
         sizes.retain(|&s| s <= rows);
         sizes.sort_unstable();
@@ -933,16 +956,39 @@ mod differential {
     #[test]
     fn crossover_rule_picks_by_words_read_against_rows_walked() {
         // 100 000 rows = 1 563 words; 10 buckets read 15 630 words.
-        assert!(!popcount_is_cheaper(100_000, 10, 15_629));
-        assert!(popcount_is_cheaper(100_000, 10, 15_630));
-        assert!(popcount_is_cheaper(100_000, 10, 50_000));
-        assert!(popcount_is_cheaper(100_000, 10, 100_000 - 15_630));
-        assert!(!popcount_is_cheaper(100_000, 10, 100_000 - 15_629));
+        assert!(!popcount_is_cheaper(100_000, 10, 15_629, CODE_ROW));
+        assert!(popcount_is_cheaper(100_000, 10, 15_630, CODE_ROW));
+        assert!(popcount_is_cheaper(100_000, 10, 50_000, CODE_ROW));
+        assert!(popcount_is_cheaper(100_000, 10, 100_000 - 15_630, CODE_ROW));
+        assert!(!popcount_is_cheaper(
+            100_000,
+            10,
+            100_000 - 15_629,
+            CODE_ROW
+        ));
+        // A binned row is worth four words: the walk keeps a quarter of
+        // that range, at either end.
+        assert!(!popcount_is_cheaper(100_000, 10, 3_907, BINNED_ROW));
+        assert!(popcount_is_cheaper(100_000, 10, 3_908, BINNED_ROW));
+        assert!(popcount_is_cheaper(
+            100_000,
+            10,
+            100_000 - 3_908,
+            BINNED_ROW
+        ));
+        assert!(!popcount_is_cheaper(
+            100_000,
+            10,
+            100_000 - 3_907,
+            BINNED_ROW
+        ));
         // Empty and full selections walk nothing.
-        assert!(!popcount_is_cheaper(100_000, 2, 0));
-        assert!(!popcount_is_cheaper(100_000, 2, 100_000));
-        // A zero-bucket column has nothing to read either way.
-        assert!(popcount_is_cheaper(0, 0, 0));
+        for row_cost in [CODE_ROW, BINNED_ROW] {
+            assert!(!popcount_is_cheaper(100_000, 2, 0, row_cost));
+            assert!(!popcount_is_cheaper(100_000, 2, 100_000, row_cost));
+            // A zero-bucket column has nothing to read either way.
+            assert!(popcount_is_cheaper(0, 0, 0, row_cost));
+        }
     }
 
     #[test]

@@ -152,24 +152,26 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
     // Write unescaped spans in bulk; only the rare escape goes through
-    // the formatter one piece at a time.
+    // the formatter one piece at a time. Every escaped character is
+    // ASCII, so the scan is over bytes and the spans between escapes
+    // are whole UTF-8 sequences.
+    let bytes = s.as_bytes();
     let mut start = 0;
-    for (i, c) in s.char_indices() {
-        let escape: Option<&str> = match c {
-            '"' => Some("\\\""),
-            '\\' => Some("\\\\"),
-            '\n' => Some("\\n"),
-            '\r' => Some("\\r"),
-            '\t' => Some("\\t"),
-            c if (c as u32) < 0x20 => None, // \uXXXX, formatted below
-            _ => continue,
-        };
-        f.write_str(&s[start..i])?;
-        match escape {
-            Some(text) => f.write_str(text)?,
-            None => write!(f, "\\u{:04x}", c as u32)?,
+    while let Some(span) = bytes[start..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        let at = start + span;
+        f.write_str(&s[start..at])?;
+        match bytes[at] {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
         }
-        start = i + c.len_utf8();
+        start = at + 1;
     }
     f.write_str(&s[start..])?;
     f.write_str("\"")
@@ -550,6 +552,12 @@ mod tests {
         assert_eq!(v.as_str().unwrap(), "é😀");
         // Control characters are re-escaped on output.
         assert_eq!(Json::Str("\u{1}".into()).to_string(), "\"\\u0001\"");
+        // Multi-byte characters directly against every kind of escape:
+        // the spans between escapes must stay whole UTF-8.
+        let text = "a ∧ b\n■\"─\u{1}∧\\■\t─\r";
+        let wire = Json::Str(text.into()).to_string();
+        assert_eq!(wire, "\"a ∧ b\\n■\\\"─\\u0001∧\\\\■\\t─\\r\"");
+        assert_eq!(Json::parse(&wire).unwrap().as_str().unwrap(), text);
     }
 
     #[test]

@@ -304,7 +304,7 @@ fn session_risk(inner: &Inner) -> Vec<crate::proto::SessionRisk> {
                 dataset,
                 wealth: session.wealth(),
                 tests_run: session.tests_run() as u64,
-                discoveries: session.discoveries().len() as u64,
+                discoveries: session.discovery_count() as u64,
                 risk_spent,
             }
         })
@@ -404,7 +404,9 @@ enum Job {
         /// Trace id attributed to every item (slow-query records carry
         /// it, so one grep follows a command across processes).
         trace: u64,
-        reply: mpsc::Sender<(usize, Response)>,
+        /// Receives the unit's responses in one message when the unit
+        /// is done — one wake-up of the submitter per unit, not per item.
+        reply: mpsc::Sender<Vec<(usize, Response)>>,
     },
     Shutdown,
 }
@@ -575,9 +577,9 @@ impl ServiceHandle {
             self.inner.metrics.inc(Stat::errors);
             return shutdown_error();
         }
-        match reply_rx.recv() {
-            Ok((_, response)) => response,
-            Err(_) => {
+        match reply_rx.recv().ok().and_then(|mut replies| replies.pop()) {
+            Some((_, response)) => response,
+            None => {
                 self.inner.metrics.inc(Stat::errors);
                 shutdown_error()
             }
@@ -673,7 +675,7 @@ impl ServiceHandle {
         // cross-session units run in parallel.
         let (reply_tx, reply_rx) = mpsc::channel();
         let cap = self.inner.config.max_pending_per_session;
-        let mut outstanding = 0usize;
+        let mut outstanding_units = 0usize;
         for route in order {
             let items = units.remove(&route).expect("unit recorded in order");
             let count = items.len();
@@ -709,12 +711,16 @@ impl ServiceHandle {
                 }
                 continue;
             }
-            outstanding += count;
+            outstanding_units += 1;
         }
         drop(reply_tx);
-        for _ in 0..outstanding {
+        for _ in 0..outstanding_units {
             match reply_rx.recv() {
-                Ok((index, response)) => slots[index] = Some(response),
+                Ok(replies) => {
+                    for (index, response) in replies {
+                        slots[index] = Some(response);
+                    }
+                }
                 Err(_) => break, // workers died mid-batch; fill below
             }
         }
@@ -1270,6 +1276,7 @@ fn run_unit(inner: &Inner, job: Job) {
     // which is what makes a batched stream's decision order
     // identical to N sequential round trips.
     let mut aborted = false;
+    let mut replies = Vec::with_capacity(items.len());
     for item in items {
         let UnitItem {
             index,
@@ -1329,8 +1336,9 @@ fn run_unit(inner: &Inner, job: Job) {
                 aborted = true;
             }
         }
-        let _ = reply.send((index, response));
+        replies.push((index, response));
     }
+    let _ = reply.send(replies);
 }
 
 /// Context for a potential slow-query record, captured before the
@@ -1443,12 +1451,12 @@ fn execute(inner: &Inner, cmd: Command, assigned: Option<SessionId>) -> Response
         Command::SetPolicy { session, policy } => set_policy(inner, session, policy),
         Command::Gauge { session } => with_session(inner, session, |s| Response::GaugeText {
             session,
-            text: gauge::render(s),
+            text: gauge::render_memo(s),
         }),
         Command::Transcript { session, format } => with_session(inner, session, |s| {
             let text = match format {
-                TranscriptFormat::Csv => transcript::export_csv(s),
-                TranscriptFormat::Text => transcript::export_text(s),
+                TranscriptFormat::Csv => transcript::export_csv_memo(s),
+                TranscriptFormat::Text => transcript::export_text_memo(s),
             };
             Response::TranscriptText {
                 session,
@@ -1837,7 +1845,7 @@ fn close_session(inner: &Inner, id: SessionId) -> Response {
             Response::SessionClosed {
                 session: id,
                 hypotheses: s.hypotheses().len() as u64,
-                discoveries: s.discoveries().len() as u64,
+                discoveries: s.discovery_count() as u64,
             }
         }
         // A spilled session can be closed without resurrecting it: the
@@ -2624,6 +2632,72 @@ mod tests {
     }
 
     #[test]
+    fn a_unit_answers_its_submitter_with_one_message() {
+        let service = test_service(ServiceConfig::default());
+        let h = service.handle();
+        let a = create(&h);
+        let code = |r: &Response| match r {
+            Response::Error(e) => Some(e.code),
+            _ => None,
+        };
+
+        // One fail_fast unit, run directly: whatever its length and
+        // however it ends, the submitter is woken by exactly one message,
+        // holding every item's response (`aborted` for the tail) under
+        // the index it was submitted with. Reassembly by that index is
+        // what `batches_mix_sessions_and_preserve_submission_order` and
+        // `fail_fast_aborts_only_the_failing_session_stream` check.
+        let (reply, rx) = mpsc::channel();
+        let items = [
+            (5, Command::Gauge { session: a }),
+            (
+                2,
+                Command::AddVisualization {
+                    session: a,
+                    attribute: "no_such_column".into(),
+                    filter: FilterSpec::True,
+                },
+            ),
+            (9, Command::Gauge { session: a }),
+            (0, Command::Gauge { session: a }),
+        ];
+        run_unit(
+            &h.inner,
+            Job::Unit {
+                items: items
+                    .into_iter()
+                    .map(|(index, cmd)| UnitItem {
+                        index,
+                        cmd,
+                        assigned: None,
+                    })
+                    .collect(),
+                mode: BatchMode::FailFast,
+                pending_key: a,
+                enqueued: std::time::Instant::now(),
+                trace: 0,
+                reply,
+            },
+        );
+        let messages: Vec<Vec<(usize, Response)>> = rx.try_iter().collect();
+        assert_eq!(messages.len(), 1, "one reply message per unit");
+        let unit = &messages[0];
+        assert_eq!(
+            unit.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            [5, 2, 9, 0]
+        );
+        assert_eq!(
+            unit.iter().map(|(_, r)| code(r)).collect::<Vec<_>>(),
+            [
+                None,
+                Some(ErrorCode::SessionError),
+                Some(ErrorCode::Aborted),
+                Some(ErrorCode::Aborted),
+            ]
+        );
+    }
+
+    #[test]
     fn pending_cap_refuses_oversized_session_streams() {
         let service = test_service(ServiceConfig {
             max_pending_per_session: 4,
@@ -2835,6 +2909,108 @@ mod tests {
                 filter: FilterSpec::True,
             })
             .is_ok());
+        drop(h);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every memoised reply — warm, after a header-only change, after an
+    /// append, after a spill + restore, and off a replica image — equals
+    /// the from-scratch renderers on a `Session` replayed independently
+    /// of the service.
+    #[test]
+    fn memoised_replies_match_an_independent_replay() {
+        let text_of = |h: &ServiceHandle, sid| match h.call(Command::Transcript {
+            session: sid,
+            format: TranscriptFormat::Text,
+        }) {
+            Response::TranscriptText { text, .. } => text,
+            other => panic!("{other:?}"),
+        };
+        let dir = temp_data_dir("memo-replay");
+        let service = test_service(ServiceConfig {
+            max_sessions: 2,
+            data_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        });
+        let h = service.handle();
+        let sid = create(&h);
+        let mut oracle = Session::shared(
+            Arc::new(CensusGenerator::new(7).generate(4_000)),
+            0.05,
+            fixed_policy().build().unwrap(),
+        )
+        .unwrap();
+        let add =
+            |oracle: &mut crate::registry::ServedSession, attribute: &str, filter: FilterSpec| {
+                oracle
+                    .add_visualization(attribute, filter.to_predicate())
+                    .unwrap();
+                assert!(h
+                    .call(Command::AddVisualization {
+                        session: sid,
+                        attribute: attribute.into(),
+                        filter,
+                    })
+                    .is_ok());
+            };
+        let eq = |column: &str, label: &str| FilterSpec::Cmp {
+            column: column.into(),
+            op: CmpOp::Eq,
+            value: Value::from(label),
+        };
+        add(&mut oracle, "education", salary_filter());
+        add(&mut oracle, "race", eq("sex", "Female"));
+        add(&mut oracle, "marital_status", eq("education", "PhD"));
+
+        // First read (from scratch), then the memoised one.
+        assert_eq!(gauge_of(&h, sid), gauge::render(&oracle));
+        assert_eq!(gauge_of(&h, sid), gauge::render(&oracle));
+        // A policy swap moves only the header.
+        let swapped = PolicySpec::Fixed { gamma: 11.0 };
+        assert!(h
+            .call(Command::SetPolicy {
+                session: sid,
+                policy: swapped.clone(),
+            })
+            .is_ok());
+        oracle.replace_policy(swapped.build().unwrap());
+        assert_eq!(gauge_of(&h, sid), gauge::render(&oracle));
+        // An append extends the memo by one entry.
+        add(&mut oracle, "occupation", eq("race", "White"));
+        assert_eq!(gauge_of(&h, sid), gauge::render(&oracle));
+        for _ in 0..2 {
+            assert_eq!(csv_of(&h, sid), transcript::export_csv(&oracle));
+            assert_eq!(text_of(&h, sid), transcript::export_text(&oracle));
+        }
+
+        // LRU spill: two younger sessions push `sid` to disk; the next
+        // reads restore it (cold memo) and then warm it again.
+        let image = image_of_session(&h, sid);
+        let _second = create(&h);
+        let _third = create(&h);
+        assert_eq!(stats_of(&h).sessions_evicted, 1);
+        for _ in 0..2 {
+            assert_eq!(gauge_of(&h, sid), gauge::render(&oracle));
+            assert_eq!(csv_of(&h, sid), transcript::export_csv(&oracle));
+        }
+
+        // A hedged read off a replica image (`read_from_replica`).
+        let replica = test_service(ServiceConfig::default());
+        let hr = replica.handle();
+        assert!(hr
+            .call(Command::ReplicateSession {
+                session: sid,
+                epoch: 1,
+                image,
+            })
+            .is_ok());
+        assert_eq!(gauge_of(&hr, sid), gauge::render(&oracle));
+        assert_eq!(csv_of(&hr, sid), transcript::export_csv(&oracle));
+        assert_eq!(text_of(&hr, sid), transcript::export_text(&oracle));
+        assert_eq!(stats_of(&hr).hedged_reads, 3);
+        assert_eq!(hr.live_sessions(), 0);
+
         drop(h);
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
