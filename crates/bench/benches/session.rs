@@ -1,8 +1,9 @@
 //! End-to-end interactivity: the latency of one `add_visualization` call
 //! (heuristics + filter + histogram + χ² + α-investing + flip estimate) —
 //! the operation behind every click in the paper's Figure 1 — the
-//! Fig-6 workflow replay, and the gauge / transcript read that follows
-//! every click (from scratch and from the session's ledger-text memo).
+//! Fig-6 workflow replay, the gauge / transcript read that follows
+//! every click (from scratch and from the session's ledger-text memo),
+//! and the decode → restore → gauge read of a spilled session.
 
 use aware_core::session::Session;
 use aware_core::{gauge, transcript};
@@ -87,6 +88,79 @@ fn ledger_text(c: &mut Criterion) {
     group.finish();
 }
 
+/// The read side of a spilled session, piece by piece: decoding its
+/// `AWRS` image, restoring it (ledger re-validation; no selection is
+/// derived) and rendering its gauge from scratch — what every
+/// `durable_evict_20k` op pays. Sessions of 24 and 48 entries from
+/// drill-down chains up to 12 clauses deep, over 20k rows.
+fn durable_read(c: &mut Criterion) {
+    use aware_serve::proto::PolicySpec;
+    use aware_serve::snapshot::{self, SessionImage};
+    use std::sync::Arc;
+    let mut group = c.benchmark_group("durable_read");
+    let table = Arc::new(CensusGenerator::new(7).generate(20_000));
+    let cache = Arc::new(aware_data::cache::EvalCache::new());
+    let policy = PolicySpec::Fixed { gamma: 1000.0 };
+    for &entries in &[24usize, 48] {
+        let mut s =
+            Session::shared_with_cache(table.clone(), 0.05, policy.build().unwrap(), cache.clone())
+                .unwrap();
+        let mut chain = Predicate::True;
+        for i in 0.. {
+            if s.hypotheses().len() == entries {
+                break;
+            }
+            let clause = match i % 3 {
+                0 => Predicate::eq("race", RACE[i % RACE.len()]),
+                1 => Predicate::eq("education", EDUCATION[i % EDUCATION.len()]),
+                _ => Predicate::eq("sex", "Male"),
+            }
+            .negate();
+            chain = if i % 12 == 0 {
+                clause
+            } else {
+                chain.and(clause)
+            };
+            s.add_visualization(ATTRIBUTES[i % ATTRIBUTES.len()], chain.clone())
+                .unwrap();
+        }
+        let bytes = snapshot::encode(&SessionImage {
+            id: 1,
+            dataset: "census".into(),
+            fingerprint: Some(table.fingerprint()),
+            policy: policy.clone(),
+            policy_since: 0,
+            session: s.snapshot(),
+        });
+        let restore = |image: SessionImage| {
+            Session::restore(
+                table.clone(),
+                Some(cache.clone()),
+                image.session,
+                image.policy.build().unwrap(),
+                0,
+            )
+            .unwrap()
+        };
+        let restored = restore(snapshot::decode(&bytes).unwrap());
+        assert_eq!(gauge::render(&restored), gauge::render(&s));
+        group.bench_function(BenchmarkId::new("decode", entries), |b| {
+            b.iter(|| snapshot::decode(black_box(&bytes)).unwrap())
+        });
+        group.bench_function(BenchmarkId::new("restore", entries), |b| {
+            b.iter_batched(
+                || snapshot::decode(&bytes).unwrap(),
+                &restore,
+                criterion::BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(BenchmarkId::new("gauge", entries), |b| {
+            b.iter(|| gauge::render(black_box(&restored)))
+        });
+    }
+    group.finish();
+}
+
 /// Shared Criterion configuration: short but stable windows so the whole
 /// suite runs in a few minutes without CLI flags.
 fn quick() -> Criterion {
@@ -99,6 +173,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = session_step, fig6_workflow, ledger_text
+    targets = session_step, fig6_workflow, ledger_text, durable_read
 }
 criterion_main!(benches);

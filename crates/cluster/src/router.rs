@@ -33,8 +33,9 @@
 //! exactly those sessions: under the session's stripe lock, an
 //! `export_session` quiesces and removes it from its old shard and an
 //! `import_session` restores it — full snapshot validation, dataset
-//! fingerprint check, selections re-derived through the target's
-//! `EvalCache` — on the new one. Each migrated session gets a
+//! fingerprint check; selections are derived lazily through the
+//! target's `EvalCache` by the first test that needs them — on the new
+//! one. Each migrated session gets a
 //! placement override the moment it moves; the ring itself flips only
 //! after *every* remapped session has moved, so there is no window in
 //! which a client can observe a session on neither shard. A failed

@@ -9,7 +9,7 @@
 //!
 //! The gauge is re-shown after every interaction, and only its header
 //! can change between two reads of an append-only ledger. So there are
-//! two entry points over the same pieces (header, [`render_entry`] per
+//! two entry points over the same pieces (header, one entry line per
 //! hypothesis, footer): [`render`] formats everything from a `&Session`,
 //! [`render_memo`] takes `&mut Session` and reuses the entry lines the
 //! session has already rendered. They return the same bytes.
@@ -84,60 +84,49 @@ fn footer(out: &mut String) {
     out.push_str("└────────────────────────────────────────────────────────");
 }
 
-/// One line of the entry list.
+/// One line of the entry list, written straight into `out`.
 pub(crate) fn entry_line(out: &mut String, h: &Hypothesis) {
-    let _ = writeln!(out, "│ {}", render_entry(h));
+    out.push_str("│ ");
+    // Writing into a `String` cannot fail.
+    let _ = write_entry(out, h);
+    out.push('\n');
 }
 
-/// Renders a single gauge list entry.
-pub fn render_entry(h: &Hypothesis) -> String {
-    let star = if h.bookmarked { " ★" } else { "" };
+fn write_entry(out: &mut String, h: &Hypothesis) -> std::fmt::Result {
+    let mark = match &h.status {
+        HypothesisStatus::Tested(r) if r.decision.is_rejection() => "[✓]",
+        HypothesisStatus::Tested(_) => "[✗]",
+        HypothesisStatus::Untestable => "[–]",
+        HypothesisStatus::Superseded { .. } => "[⇢]",
+        HypothesisStatus::Deleted => "[␡]",
+    };
+    write!(out, "{mark} {} ", h.id)?;
+    h.null.write_label(out, false)?;
     match &h.status {
         HypothesisStatus::Tested(r) => {
-            let mark = if r.decision.is_rejection() {
-                "[✓]"
-            } else {
-                "[✗]"
-            };
-            let magnitude = EffectMagnitude::classify(r.effect_size_or_nan());
-            let flip = r
-                .flip
-                .map(|f| format!("  {}", render_squares(&f)))
-                .unwrap_or_default();
-            format!(
-                "{mark} {} {}  H1: {}  p={:.4} vs α_j={:.4}  {}={:.3} ({magnitude}){flip}{star}",
-                h.id,
-                h.null.null_label(),
-                h.null.alternative_label(),
+            out.push_str("  H1: ");
+            h.null.write_label(out, true)?;
+            let effect = r.outcome.effect_size;
+            write!(
+                out,
+                "  p={:.4} vs α_j={:.4}  {}={effect:.3} ({})",
                 r.outcome.p_value,
                 r.bid,
                 effect_name(r),
-                r.outcome.effect_size,
-            )
+                EffectMagnitude::classify(effect),
+            )?;
+            if let Some(flip) = &r.flip {
+                write!(out, "  {}", render_squares(flip))?;
+            }
         }
-        HypothesisStatus::Untestable => {
-            format!(
-                "[–] {} {}  (not testable on this data){star}",
-                h.id,
-                h.null.null_label()
-            )
-        }
-        HypothesisStatus::Superseded { by } => {
-            format!(
-                "[⇢] {} {}  (superseded by H{}){star}",
-                h.id,
-                h.null.null_label(),
-                by.0
-            )
-        }
-        HypothesisStatus::Deleted => {
-            format!(
-                "[␡] {} {}  (declared descriptive){star}",
-                h.id,
-                h.null.null_label()
-            )
-        }
+        HypothesisStatus::Untestable => out.push_str("  (not testable on this data)"),
+        HypothesisStatus::Superseded { by } => write!(out, "  (superseded by H{})", by.0)?,
+        HypothesisStatus::Deleted => out.push_str("  (declared descriptive)"),
     }
+    if h.bookmarked {
+        out.push_str(" ★");
+    }
+    Ok(())
 }
 
 fn effect_name(r: &crate::hypothesis::TestRecord) -> &'static str {
@@ -150,13 +139,6 @@ fn effect_name(r: &crate::hypothesis::TestRecord) -> &'static str {
         TestKind::KolmogorovSmirnov => "ks D",
         TestKind::OneWayAnova => "η",
         _ => "cohen's d",
-    }
-}
-
-impl crate::hypothesis::TestRecord {
-    /// Effect size, NaN-safe for magnitude classification.
-    fn effect_size_or_nan(&self) -> f64 {
-        self.outcome.effect_size
     }
 }
 

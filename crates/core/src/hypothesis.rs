@@ -6,6 +6,7 @@ use aware_data::predicate::Predicate;
 use aware_mht::Decision;
 use aware_stats::power::FlipEstimate;
 use aware_stats::tests::TestOutcome;
+use std::fmt;
 
 /// Identifier of a hypothesis within a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -105,96 +106,73 @@ pub enum ShiftMethod {
 impl NullSpec {
     /// Gauge label for the null, e.g. `sex|salary_over_50k=true = sex`.
     pub fn null_label(&self) -> String {
-        match self {
-            NullSpec::NoFilterEffect { attribute, filter } => {
-                format!("{attribute}|{filter} = {attribute}")
-            }
-            NullSpec::NoDistributionDifference {
-                attribute,
-                filter_a,
-                filter_b,
-            } => {
-                format!("{attribute}|{filter_a} = {attribute}|{filter_b}")
-            }
-            NullSpec::MeanEquality {
-                attribute,
-                filter_a,
-                filter_b,
-            } => {
-                format!("mean({attribute})|{filter_a} = mean({attribute})|{filter_b}")
-            }
-            NullSpec::StochasticEquality {
-                attribute,
-                filter_a,
-                filter_b,
-                ..
-            } => {
-                format!("dist({attribute})|{filter_a} = dist({attribute})|{filter_b}")
-            }
-            NullSpec::NoGroupMeanDifference {
-                value_attribute,
-                group_attribute,
-                filter,
-            } => {
-                if filter.is_trivial() {
-                    format!("mean({value_attribute}) equal across {group_attribute}")
-                } else {
-                    format!("mean({value_attribute}) equal across {group_attribute} | {filter}")
-                }
-            }
-            NullSpec::IndependenceWithin {
-                attribute_a,
-                attribute_b,
-                filter,
-                ..
-            } => {
-                if filter.is_trivial() {
-                    format!("{attribute_a} ⊥ {attribute_b}")
-                } else {
-                    format!("{attribute_a} ⊥ {attribute_b} | {filter}")
-                }
-            }
-        }
+        self.label(false)
     }
 
     /// Gauge label for the alternative (`=` becomes `<>`).
     pub fn alternative_label(&self) -> String {
+        self.label(true)
+    }
+
+    fn label(&self, alternative: bool) -> String {
+        let mut out = String::new();
+        let _ = self.write_label(&mut out, alternative);
+        out
+    }
+
+    /// Writes the null's gauge label — or, with `alternative`, the
+    /// alternative's — straight into `out`: [`NullSpec::null_label`] /
+    /// [`NullSpec::alternative_label`] without the intermediate string.
+    pub(crate) fn write_label(&self, out: &mut impl fmt::Write, alternative: bool) -> fmt::Result {
+        let (equal, across, independent) = if alternative {
+            ("<>", "differs", "⊥̸")
+        } else {
+            ("=", "equal", "⊥")
+        };
+        // The two labels over one sub-population print it only when set.
+        fn within(out: &mut impl fmt::Write, filter: &Predicate) -> fmt::Result {
+            if filter.is_trivial() {
+                Ok(())
+            } else {
+                write!(out, " | {filter}")
+            }
+        }
         match self {
             NullSpec::NoFilterEffect { attribute, filter } => {
-                format!("{attribute}|{filter} <> {attribute}")
+                write!(out, "{attribute}|{filter} {equal} {attribute}")
             }
             NullSpec::NoDistributionDifference {
                 attribute,
                 filter_a,
                 filter_b,
-            } => {
-                format!("{attribute}|{filter_a} <> {attribute}|{filter_b}")
-            }
+            } => write!(out, "{attribute}|{filter_a} {equal} {attribute}|{filter_b}"),
             NullSpec::MeanEquality {
                 attribute,
                 filter_a,
                 filter_b,
-            } => {
-                format!("mean({attribute})|{filter_a} <> mean({attribute})|{filter_b}")
-            }
+            } => write!(
+                out,
+                "mean({attribute})|{filter_a} {equal} mean({attribute})|{filter_b}"
+            ),
             NullSpec::StochasticEquality {
                 attribute,
                 filter_a,
                 filter_b,
                 ..
-            } => {
-                format!("dist({attribute})|{filter_a} <> dist({attribute})|{filter_b}")
-            }
+            } => write!(
+                out,
+                "dist({attribute})|{filter_a} {equal} dist({attribute})|{filter_b}"
+            ),
             NullSpec::NoGroupMeanDifference {
                 value_attribute,
                 group_attribute,
                 filter,
             } => {
-                if filter.is_trivial() {
-                    format!("mean({value_attribute}) differs across {group_attribute}")
-                } else {
-                    format!("mean({value_attribute}) differs across {group_attribute} | {filter}")
-                }
+                write!(
+                    out,
+                    "mean({value_attribute}) {across} across {group_attribute}"
+                )?;
+                within(out, filter)
             }
             NullSpec::IndependenceWithin {
                 attribute_a,
@@ -202,11 +180,8 @@ impl NullSpec {
                 filter,
                 ..
             } => {
-                if filter.is_trivial() {
-                    format!("{attribute_a} ⊥̸ {attribute_b}")
-                } else {
-                    format!("{attribute_a} ⊥̸ {attribute_b} | {filter}")
-                }
+                write!(out, "{attribute_a} {independent} {attribute_b}")?;
+                within(out, filter)
             }
         }
     }

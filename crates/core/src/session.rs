@@ -32,11 +32,11 @@ use std::sync::Arc;
 /// snapshot plus the visualization and hypothesis histories. This is
 /// *all* the state a session owns — deliberately, no selection bitmaps
 /// and nothing sized by the table: selections are a pure function of
-/// the stored predicates and are re-derived through the per-dataset
-/// [`EvalCache`] on restore, so a snapshot's size tracks the
-/// exploration, never the data. The ledger-text memo is likewise absent:
-/// it is derived from `hypotheses` and refills on the restored session's
-/// reads.
+/// the stored predicates, derived lazily through the per-dataset
+/// [`EvalCache`] by the first test that needs them, so a snapshot's
+/// size tracks the exploration, never the data. The ledger-text memo is
+/// likewise absent: it is derived from `hypotheses` and refills on the
+/// restored session's reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// The α-investing machine: parameters + full ledger.
@@ -413,12 +413,13 @@ impl<P: InvestingPolicy> Session<P> {
     /// restored session are byte-identical to the original's, and so is
     /// every future decision.
     ///
-    /// Selections are re-derived, not deserialized: each stored filter
-    /// is probed through `cache`, so restoring against a warm shared
-    /// cache is nearly free and restoring cold re-warms the cache for
-    /// every session that follows. Validation failures (non-dense ids,
-    /// a ledger the machine refuses) surface as
-    /// [`MhtError::CorruptSnapshot`].
+    /// Selections are neither deserialized nor derived here: restore
+    /// touches no table data, and the first later test that needs a
+    /// selection derives it through `cache` from the longest cached
+    /// prefix of its chain — the path a never-evicted session takes.
+    /// Validation failures (non-dense ids, a reference to a missing
+    /// visualization or hypothesis, a ledger the machine refuses)
+    /// surface as [`MhtError::CorruptSnapshot`].
     pub fn restore(
         table: Arc<Table>,
         cache: Option<Arc<EvalCache>>,
@@ -439,13 +440,26 @@ impl<P: InvestingPolicy> Session<P> {
                 return Err(corrupt("visualization ids are not dense", i));
             }
         }
+        // Every reference a transcript prints must name a real object:
+        // a hypothesis' source an existing visualization, a supersede a
+        // *later* hypothesis (live sessions only ever supersede by the
+        // hypothesis they just appended).
         let mut tested = 0usize;
         for (i, h) in hypotheses.iter().enumerate() {
             if h.id.0 as usize != i {
                 return Err(corrupt("hypothesis ids are not dense", i));
             }
-            if matches!(h.status, HypothesisStatus::Tested(_)) {
-                tested += 1;
+            if h.source.is_some_and(|v| v.0 >= visualizations.len() as u64) {
+                return Err(corrupt("hypothesis source names no visualization", i));
+            }
+            match h.status {
+                HypothesisStatus::Tested(_) => tested += 1,
+                HypothesisStatus::Superseded { by }
+                    if by.0 <= i as u64 || by.0 >= hypotheses.len() as u64 =>
+                {
+                    return Err(corrupt("superseded by no later hypothesis", i));
+                }
+                _ => {}
             }
         }
         if tested > machine.ledger.len() {
@@ -479,21 +493,6 @@ impl<P: InvestingPolicy> Session<P> {
             }
         }
         let investing = AlphaInvesting::restore(machine, policy, observe_from)?;
-        if let Some(cache) = &cache {
-            // Re-derive the selections this exploration depends on. The
-            // bitmaps were deliberately not serialized: evaluating the
-            // stored predicates through the shared cache either finds
-            // them still warm (a cache hit per filter) or re-computes
-            // and re-caches them for every session of the dataset.
-            // Errors are ignored on purpose — a filter that no longer
-            // evaluates belonged to an untestable hypothesis and was
-            // never cached in the first place.
-            for viz in &visualizations {
-                if !viz.filter.is_trivial() {
-                    let _ = cache.selection(&table, &viz.filter);
-                }
-            }
-        }
         Ok(Session {
             table,
             cache,
@@ -1139,22 +1138,30 @@ mod tests {
     }
 
     #[test]
-    fn restore_warms_the_shared_cache_from_predicates() {
+    fn restore_derives_no_selection_until_a_test_needs_one() {
+        use crate::{gauge, transcript};
         let table = Arc::new(CensusGenerator::new(56).generate(1_500));
         let cache = Arc::new(aware_data::cache::EvalCache::new());
-        let mut s =
+        let open = || {
             Session::shared_with_cache(table.clone(), 0.05, Fixed::new(10.0), cache.clone())
-                .unwrap();
-        s.add_visualization("education", Predicate::eq("salary_over_50k", true))
-            .unwrap();
-        s.add_visualization("race", Predicate::eq("sex", "Female"))
-            .unwrap();
-        let snapshot = s.snapshot();
-        drop(s);
-        // Restoring against the still-warm shared cache must *hit* it —
-        // the selections are re-derived from predicates, not decoded.
-        let hits_before = cache.stats().hits;
-        let restored = Session::restore(
+                .unwrap()
+        };
+        let step1 = Predicate::eq("salary_over_50k", true);
+        let step2 = step1.clone().and(Predicate::eq("sex", "Female"));
+        let step3 = step2
+            .clone()
+            .and(Predicate::eq("marital_status", "Married"));
+        let (mut evicted, mut twin) = (open(), open());
+        for s in [&mut evicted, &mut twin] {
+            s.add_visualization("education", step1.clone()).unwrap();
+            s.add_visualization("race", step2.clone()).unwrap();
+        }
+        let snapshot = evicted.snapshot();
+        drop(evicted);
+        // A restore and a read-only touch derive nothing: the cache
+        // counters do not move.
+        let before = cache.counters();
+        let mut restored = Session::restore(
             table.clone(),
             Some(cache.clone()),
             snapshot,
@@ -1162,11 +1169,33 @@ mod tests {
             0,
         )
         .unwrap();
-        assert!(
-            cache.stats().hits > hits_before,
-            "restore should probe the cache for every stored filter"
+        for _ in 0..2 {
+            gauge::render_memo(&mut restored);
+            transcript::export_csv_memo(&mut restored);
+            transcript::export_text_memo(&mut restored);
+        }
+        assert_eq!(
+            cache.counters(),
+            before,
+            "restore or a read probed the cache"
         );
-        assert_eq!(restored.hypotheses().len(), 2);
+        // The next test derives its selection lazily, from the chain
+        // prefix the live session left warm: one prefix hit (plus the
+        // attribute's invariants), misses only for the full chain and
+        // its new clause …
+        let lazy = restored
+            .add_visualization("education", step3.clone())
+            .unwrap();
+        let after = cache.counters();
+        assert!(after.0 >= before.0 + 2, "{before:?} -> {after:?}");
+        assert_eq!(after.1, before.1 + 2, "{before:?} -> {after:?}");
+        // … and decides bit-identically to the never-evicted twin.
+        let live = twin.add_visualization("education", step3).unwrap();
+        assert_eq!(lazy, live);
+        assert_eq!(
+            transcript::export_csv(&restored),
+            transcript::export_csv(&twin)
+        );
     }
 
     #[test]
@@ -1202,6 +1231,33 @@ mod tests {
             Session::restore(table.clone(), None, display_forged, Fixed::new(10.0), 0),
             Err(AwareError::Mht(MhtError::CorruptSnapshot { .. }))
         ));
+        // Dangling references a transcript would print as `viz#99` or
+        // `superseded-by-H99`: a source past the visualizations, and a
+        // supersede by a missing, the same, or an earlier hypothesis.
+        let mut dangling = vec![good.clone()];
+        dangling[0].hypotheses[0].source = Some(VizId(99));
+        for by in [99, 0] {
+            let mut forged = good.clone();
+            forged.hypotheses[0].status = HypothesisStatus::Superseded {
+                by: HypothesisId(by),
+            };
+            dangling.push(forged);
+        }
+        let mut earlier = good.clone();
+        earlier.hypotheses.push(Hypothesis {
+            id: HypothesisId(1),
+            status: HypothesisStatus::Superseded {
+                by: HypothesisId(0),
+            },
+            ..earlier.hypotheses[0].clone()
+        });
+        dangling.push(earlier);
+        for forged in dangling {
+            assert!(matches!(
+                Session::restore(table.clone(), None, forged, Fixed::new(10.0), 0),
+                Err(AwareError::Mht(MhtError::CorruptSnapshot { .. }))
+            ));
+        }
         assert!(Session::restore(table, None, good, Fixed::new(10.0), 0).is_ok());
     }
 

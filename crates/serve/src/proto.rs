@@ -605,7 +605,7 @@ fn value_from_json(v: &Json) -> Result<Value, ServeError> {
 
 impl FilterSpec {
     /// Converts an engine predicate back into the wire AST — the exact
-    /// inverse of [`FilterSpec::to_predicate`] (both ASTs mirror each
+    /// inverse of [`FilterSpec::into_predicate`] (both ASTs mirror each
     /// other node for node). The snapshot codec leans on this so
     /// persisted sessions reuse the hardened wire filter codec instead
     /// of growing a second predicate serializer.
@@ -638,28 +638,23 @@ impl FilterSpec {
 
     /// Converts to the engine predicate.
     pub fn to_predicate(&self) -> Predicate {
+        self.clone().into_predicate()
+    }
+
+    /// Converts to the engine predicate by move: the tree's strings and
+    /// values are reused, none is copied.
+    pub(crate) fn into_predicate(self) -> Predicate {
         match self {
             FilterSpec::True => Predicate::True,
-            FilterSpec::Cmp { column, op, value } => Predicate::Cmp {
-                column: column.clone(),
-                op: *op,
-                value: value.clone(),
-            },
-            FilterSpec::In { column, values } => Predicate::In {
-                column: column.clone(),
-                values: values.clone(),
-            },
-            FilterSpec::Between { column, lo, hi } => Predicate::Between {
-                column: column.clone(),
-                lo: *lo,
-                hi: *hi,
-            },
-            FilterSpec::Not(inner) => Predicate::Not(Box::new(inner.to_predicate())),
+            FilterSpec::Cmp { column, op, value } => Predicate::Cmp { column, op, value },
+            FilterSpec::In { column, values } => Predicate::In { column, values },
+            FilterSpec::Between { column, lo, hi } => Predicate::Between { column, lo, hi },
+            FilterSpec::Not(inner) => Predicate::Not(Box::new(inner.into_predicate())),
             FilterSpec::And(parts) => {
-                Predicate::And(parts.iter().map(FilterSpec::to_predicate).collect())
+                Predicate::And(parts.into_iter().map(FilterSpec::into_predicate).collect())
             }
             FilterSpec::Or(parts) => {
-                Predicate::Or(parts.iter().map(FilterSpec::to_predicate).collect())
+                Predicate::Or(parts.into_iter().map(FilterSpec::into_predicate).collect())
             }
         }
     }
@@ -787,9 +782,9 @@ pub enum Command {
     ExportSession { session: SessionId },
     /// Installs an exported `AWRS` image under `session` (which must
     /// equal the id inside the image). Restore runs the full snapshot
-    /// validation battery and re-derives selections through the
-    /// dataset's shared `EvalCache`; the shard's id allocator is bumped
-    /// above the imported id.
+    /// validation battery (selections are derived lazily, through the
+    /// dataset's shared `EvalCache`, by the first test that needs
+    /// them); the shard's id allocator is bumped above the imported id.
     ImportSession { session: SessionId, image: Vec<u8> },
     /// Lists registered datasets (name, rows, content fingerprint) and
     /// the shard's next free session id — the roster a router checks
@@ -2559,6 +2554,69 @@ mod tests {
         }));
         assert_eq!(f.to_predicate(), Predicate::eq("sex", "Male").negate());
         assert_eq!(FilterSpec::True.to_predicate(), Predicate::True);
+    }
+
+    /// One draw in `0..n` from a splitmix64 stream.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// A random filter tree of at most `depth` nested levels, every
+    /// node kind and value type included (the proptest shim has no
+    /// recursive strategies, so the tree is drawn from a seed).
+    fn random_filter(state: &mut u64, depth: u32) -> FilterSpec {
+        let column = ["sex", "age", "ấge😀", ""][draw(state, 4) as usize].to_string();
+        let value = match draw(state, 4) {
+            0 => Value::Int(draw(state, 1 << 40) as i64 - (1 << 39)),
+            1 => Value::Float(draw(state, 1 << 20) as f64 / 7.0 - 1e5),
+            2 => Value::Bool(draw(state, 2) == 1),
+            _ => Value::Str(["Male", "Ph,D \"x\"", "", "😀"][draw(state, 4) as usize].into()),
+        };
+        let parts = |state: &mut u64| -> Vec<FilterSpec> {
+            (0..draw(state, 4))
+                .map(|_| random_filter(state, depth - 1))
+                .collect()
+        };
+        match draw(state, if depth == 0 { 4 } else { 7 }) {
+            0 => FilterSpec::True,
+            1 => FilterSpec::Cmp {
+                column,
+                op: [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Ge][draw(state, 4) as usize],
+                value,
+            },
+            2 => FilterSpec::In {
+                column,
+                values: vec![value; draw(state, 3) as usize],
+            },
+            3 => FilterSpec::Between {
+                column,
+                lo: -(draw(state, 100) as f64) / 4.0,
+                hi: draw(state, 100) as f64 * 1.5,
+            },
+            4 => FilterSpec::Not(Box::new(random_filter(state, depth - 1))),
+            5 => FilterSpec::And(parts(state)),
+            _ => FilterSpec::Or(parts(state)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The by-move lowering the snapshot decoder uses builds the
+        /// very predicate the cloning one does, and both invert
+        /// `from_predicate`.
+        #[test]
+        fn into_predicate_equals_to_predicate(seed in 0u64..u64::MAX) {
+            let mut state = seed;
+            let spec = random_filter(&mut state, 3);
+            let cloned = spec.to_predicate();
+            proptest::prop_assert_eq!(FilterSpec::from_predicate(&cloned), spec.clone());
+            proptest::prop_assert_eq!(spec.into_predicate(), cloned);
+        }
     }
 
     #[test]

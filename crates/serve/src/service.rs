@@ -39,8 +39,9 @@
 //!   so eviction parks α-wealth instead of destroying it;
 //! * **lazy restore** — a command addressing a session that is not in
 //!   memory but has a snapshot on disk restores it transparently
-//!   (selections re-derived through the dataset's shared `EvalCache`,
-//!   never deserialized);
+//!   (selections never deserialized nor re-derived on restore: the
+//!   first test that needs one derives it through the dataset's shared
+//!   `EvalCache`);
 //! * **periodic snapshots** — a background thread writes every dirty
 //!   session each [`ServiceConfig::snapshot_every`]; a `Some(ZERO)`
 //!   interval instead makes every mutating command write its snapshot
@@ -1626,9 +1627,10 @@ fn ensure_capacity(inner: &Inner) -> Result<(), Response> {
 }
 
 /// Finds a live session, transparently restoring it from the snapshot
-/// store when it was spilled (or the server restarted). Restore
-/// re-derives every selection from the stored predicates through the
-/// dataset's shared evaluation cache — snapshots carry no bitmaps.
+/// store when it was spilled (or the server restarted). The restore
+/// derives no selection: the first later test that needs one derives it
+/// through the dataset's shared evaluation cache — snapshots carry no
+/// bitmaps.
 #[allow(clippy::result_large_err)] // cold path, the Err is the reply
 fn lookup_or_restore(inner: &Inner, id: SessionId) -> Result<Arc<SessionEntry>, Response> {
     if let Some(entry) = inner.registry.get(id) {
@@ -1641,60 +1643,7 @@ fn lookup_or_restore(inner: &Inner, id: SessionId) -> Result<Arc<SessionEntry>, 
         return Err(Response::Error(ServeError::unknown_session(id)));
     }
     let image = store.load(id).map_err(Response::Error)?;
-    let Some((table, cache, fingerprint)) = inner
-        .datasets
-        .read()
-        .unwrap()
-        .get(&image.dataset)
-        .map(|d| (d.table.clone(), d.cache.clone(), d.fingerprint))
-    else {
-        return Err(Response::Error(ServeError {
-            code: ErrorCode::UnknownDataset,
-            message: format!(
-                "session {id} was persisted over dataset '{}', which is not registered",
-                image.dataset
-            ),
-        }));
-    };
-    // The image names the table it was snapshotted over by *content*,
-    // not just by name: a registered table whose fingerprint differs is
-    // different data, and a ledger replayed against different data is a
-    // corrupt ledger (version-1 images predate fingerprints and keep
-    // the trust they always had).
-    if let Some(stamped) = image.fingerprint {
-        if stamped != fingerprint {
-            return Err(Response::Error(ServeError {
-                code: ErrorCode::CorruptSnapshot,
-                message: format!(
-                    "session {id} was snapshotted over dataset '{}' with content \
-                     fingerprint {stamped:016x}, but the registered table fingerprints \
-                     {fingerprint:016x} — refusing to replay the ledger against \
-                     different data",
-                    image.dataset
-                ),
-            }));
-        }
-    }
-    let boxed = image.policy.build().map_err(Response::Error)?;
-    let meta = SessionMeta {
-        dataset: image.dataset,
-        fingerprint,
-        policy: image.policy,
-        policy_since: image.policy_since,
-    };
-    let session = Session::restore(
-        table,
-        Some(cache),
-        image.session,
-        boxed,
-        image.policy_since as usize,
-    )
-    .map_err(|e| {
-        Response::Error(ServeError {
-            code: ErrorCode::CorruptSnapshot,
-            message: format!("session {id} failed restore validation: {e}"),
-        })
-    })?;
+    let (session, meta) = restore_image(inner, image).map_err(Response::Error)?;
     ensure_capacity(inner)?;
     Ok(inner.registry.insert(id, session, meta))
 }
@@ -1911,51 +1860,13 @@ fn export_session(inner: &Inner, id: SessionId) -> Response {
     }
 }
 
-/// Imports an exported `AWRS` image: full snapshot validation, dataset
-/// fingerprint check, selections re-derived through this shard's shared
-/// `EvalCache`, id allocator bumped above the imported id.
+/// Imports an exported `AWRS` image: full snapshot validation (see
+/// [`validate_image`]), id allocator bumped above the imported id.
 fn import_session(inner: &Inner, id: SessionId, bytes: Vec<u8>) -> Response {
-    let image = match crate::snapshot::decode(&bytes) {
-        Ok(image) => image,
+    let (session, meta) = match validate_image(inner, id, &bytes) {
+        Ok(restored) => restored,
         Err(e) => return Response::Error(e),
     };
-    if image.id != id {
-        return Response::Error(ServeError::invalid(format!(
-            "import addressed session {id} but the image contains session {}",
-            image.id
-        )));
-    }
-    let Some((table, cache, fingerprint)) = inner
-        .datasets
-        .read()
-        .unwrap()
-        .get(&image.dataset)
-        .map(|d| (d.table.clone(), d.cache.clone(), d.fingerprint))
-    else {
-        return Response::Error(ServeError {
-            code: ErrorCode::UnknownDataset,
-            message: format!(
-                "image is over dataset '{}', which is not registered on this shard",
-                image.dataset
-            ),
-        });
-    };
-    // Cross-shard handoff is exactly where name-aliasing bites: both
-    // shards say "census", only the fingerprint says whether it is the
-    // same census. A mismatch is a corrupt-snapshot refusal, never a
-    // ledger replayed against different data.
-    if let Some(stamped) = image.fingerprint {
-        if stamped != fingerprint {
-            return Response::Error(ServeError {
-                code: ErrorCode::CorruptSnapshot,
-                message: format!(
-                    "image fingerprints dataset '{}' as {stamped:016x}, but this \
-                     shard's table fingerprints {fingerprint:016x} — not the same data",
-                    image.dataset
-                ),
-            });
-        }
-    }
     if let Some(store) = &inner.store {
         if store.contains(id) {
             return Response::Error(ServeError::invalid(format!(
@@ -1967,31 +1878,6 @@ fn import_session(inner: &Inner, id: SessionId, bytes: Vec<u8>) -> Response {
         // persist here again.
         store.revive(id);
     }
-    let boxed = match image.policy.build() {
-        Ok(p) => p,
-        Err(e) => return Response::Error(e),
-    };
-    let meta = SessionMeta {
-        dataset: image.dataset,
-        fingerprint,
-        policy: image.policy,
-        policy_since: image.policy_since,
-    };
-    let session = match Session::restore(
-        table,
-        Some(cache),
-        image.session,
-        boxed,
-        image.policy_since as usize,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            return Response::Error(ServeError {
-                code: ErrorCode::CorruptSnapshot,
-                message: format!("import of session {id} failed restore validation: {e}"),
-            })
-        }
-    };
     if let Err(refusal) = ensure_capacity(inner) {
         return refusal;
     }
@@ -2045,12 +1931,11 @@ fn list_datasets(inner: &Inner) -> Response {
     }
 }
 
-/// Runs the full restore validation battery over a shipped image
-/// without installing anything: decode, id match, dataset lookup by
-/// name, content-fingerprint check, policy build, and bit-for-bit
-/// ledger re-validation via `Session::restore`. Returns the restored
-/// session and its meta so promotion can install the result;
-/// replication validates and drops.
+/// Runs the full restore validation battery over shipped image bytes
+/// without installing anything: decode, id match, then
+/// [`restore_image`]. Returns the restored session and its meta so
+/// import and promotion can install the result; replication validates
+/// and drops.
 fn validate_image(
     inner: &Inner,
     id: SessionId,
@@ -2063,6 +1948,18 @@ fn validate_image(
             image.id
         )));
     }
+    restore_image(inner, image)
+}
+
+/// The one restore preamble — a spilled session's return, an import,
+/// a replica's validation: dataset lookup by name, content-fingerprint
+/// check, policy build, and bit-for-bit ledger re-validation via
+/// `Session::restore`. Installs nothing.
+fn restore_image(
+    inner: &Inner,
+    image: SessionImage,
+) -> Result<(crate::registry::ServedSession, SessionMeta), ServeError> {
+    let id = image.id;
     let Some((table, cache, fingerprint)) = inner
         .datasets
         .read()
@@ -2073,30 +1970,31 @@ fn validate_image(
         return Err(ServeError {
             code: ErrorCode::UnknownDataset,
             message: format!(
-                "image is over dataset '{}', which is not registered on this shard",
+                "session {id} is over dataset '{}', which is not registered on this shard",
                 image.dataset
             ),
         });
     };
+    // The image names its table by *content*, not just by name: a
+    // registered table whose fingerprint differs is different data (on
+    // a cross-shard handoff both shards say "census"), and a ledger
+    // replayed against different data is a corrupt ledger. Version-1
+    // images predate fingerprints and keep the trust they always had.
     if let Some(stamped) = image.fingerprint {
         if stamped != fingerprint {
             return Err(ServeError {
                 code: ErrorCode::CorruptSnapshot,
                 message: format!(
-                    "image fingerprints dataset '{}' as {stamped:016x}, but this \
-                     shard's table fingerprints {fingerprint:016x} — not the same data",
+                    "session {id} was snapshotted over dataset '{}' with content \
+                     fingerprint {stamped:016x}, but this shard's table fingerprints \
+                     {fingerprint:016x} — refusing to replay the ledger against \
+                     different data",
                     image.dataset
                 ),
             });
         }
     }
     let boxed = image.policy.build()?;
-    let meta = SessionMeta {
-        dataset: image.dataset,
-        fingerprint,
-        policy: image.policy,
-        policy_since: image.policy_since,
-    };
     let session = Session::restore(
         table,
         Some(cache),
@@ -2108,6 +2006,12 @@ fn validate_image(
         code: ErrorCode::CorruptSnapshot,
         message: format!("session {id} failed restore validation: {e}"),
     })?;
+    let meta = SessionMeta {
+        dataset: image.dataset,
+        fingerprint,
+        policy: image.policy,
+        policy_since: image.policy_since,
+    };
     Ok((session, meta))
 }
 
@@ -3493,6 +3397,60 @@ mod tests {
                 assert!(e.message.contains("fingerprint"), "{e}");
             }
             other => panic!("mismatched table must refuse the import: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn import_refuses_dangling_references_as_corrupt_snapshot() {
+        use aware_core::hypothesis::{HypothesisId, HypothesisStatus};
+        use aware_core::viz::VizId;
+        let source = test_service(ServiceConfig::default());
+        let hs = source.handle();
+        let sid = create(&hs);
+        assert!(hs
+            .call(Command::AddVisualization {
+                session: sid,
+                attribute: "education".into(),
+                filter: salary_filter(),
+            })
+            .is_ok());
+        let image = match hs.call(Command::ExportSession { session: sid }) {
+            Response::SessionExported { image, .. } => image,
+            other => panic!("{other:?}"),
+        };
+        let genuine = crate::snapshot::decode(&image).unwrap();
+        // Checksummed, well-formed images whose transcript would print
+        // `viz#99` or `superseded-by-H99` for objects that never existed.
+        let mut ghost_viz = genuine.clone();
+        ghost_viz.session.hypotheses[0].source = Some(VizId(99));
+        let mut ghost_successor = genuine;
+        ghost_successor.session.hypotheses[0].status = HypothesisStatus::Superseded {
+            by: HypothesisId(99),
+        };
+        let target = test_service(ServiceConfig::default());
+        let ht = target.handle();
+        for forged in [ghost_viz, ghost_successor] {
+            match ht.call(Command::ImportSession {
+                session: sid,
+                image: crate::snapshot::encode(&forged),
+            }) {
+                Response::Error(e) => {
+                    assert_eq!(e.code, ErrorCode::CorruptSnapshot, "{e}");
+                    assert!(e.message.contains("failed restore validation"), "{e}");
+                }
+                other => panic!("a dangling reference must refuse the import: {other:?}"),
+            }
+            match ht.call(Command::Gauge { session: sid }) {
+                Response::Error(e) => assert_eq!(e.code, ErrorCode::UnknownSession),
+                other => panic!("a refused import installed a session: {other:?}"),
+            }
+        }
+        match ht.call(Command::ImportSession {
+            session: sid,
+            image,
+        }) {
+            Response::SessionImported { session, .. } => assert_eq!(session, sid),
+            other => panic!("{other:?}"),
         }
     }
 

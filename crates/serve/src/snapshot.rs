@@ -24,9 +24,10 @@
 //! stateful policies replay the right observation history), the
 //! α-investing machine snapshot, and the visualization/hypothesis
 //! histories. What is deliberately **not** stored: selection bitmaps or
-//! anything else sized by the table — selections are re-derived from
-//! the stored predicates through the per-dataset `EvalCache` on
-//! restore, so snapshot size tracks the exploration, never the data.
+//! anything else sized by the table — a selection is derived lazily
+//! from its stored predicate, through the per-dataset `EvalCache`, by
+//! the first test after restore that needs it, so snapshot size tracks
+//! the exploration, never the data.
 //!
 //! Version discipline: any change to the payload grammar must bump
 //! [`SNAPSHOT_VERSION`] and keep a decoder for version 1 — the golden
@@ -202,7 +203,7 @@ fn decode_payload(payload: &[u8], version: u8) -> Result<SessionImage, ServeErro
     let mut visualizations = Vec::with_capacity(viz_count.min(1024));
     for i in 0..viz_count {
         let attribute = r.str("visualization attribute")?;
-        let filter = r.filter(0)?.to_predicate();
+        let filter = r.filter(0)?.into_predicate();
         visualizations.push(Visualization {
             id: VizId(i as u64),
             attribute,
@@ -351,7 +352,7 @@ fn null_spec(w: &mut Writer, spec: &NullSpec) {
 }
 
 fn read_predicate(r: &mut Reader) -> Result<aware_data::predicate::Predicate, ServeError> {
-    Ok(r.filter(0)?.to_predicate())
+    Ok(r.filter(0)?.into_predicate())
 }
 
 fn read_null_spec(r: &mut Reader) -> Result<NullSpec, ServeError> {

@@ -473,8 +473,11 @@ fn batched_mixed_session_replay_matches_v1() {
 /// Persistence under concurrency: a capacity-squeezed service spills
 /// LRU victims to disk while multi-threaded load keeps creating
 /// sessions; touching a spilled session must restore byte-identical
-/// state, the restore must warm from the shared `EvalCache`
-/// (`cache_hits` strictly increases across the touch phase), and no
+/// state without probing the shared `EvalCache` (restore derives no
+/// selection, so a read-only touch leaves its hit and miss counters
+/// unchanged), the restored sessions must continue exactly as
+/// never-evicted twins do — deriving their selections lazily, through
+/// cache hits on the prefixes the load phase left warm — and no
 /// snapshot file may carry anything outside the bitmap-free grammar.
 #[test]
 fn lru_spill_under_load_restores_byte_identical_state() {
@@ -529,7 +532,11 @@ fn lru_spill_under_load_restores_byte_identical_state() {
         (1..=CAPACITY).contains(&live),
         "live sessions {live} escaped the {CAPACITY} cap"
     );
-    let hits_before = match handle.call(Command::Stats) {
+    let cache_counters = |handle: &ServiceHandle| match handle.call(Command::Stats) {
+        Response::Stats(s) => (s.cache_hits, s.cache_misses),
+        other => panic!("{other:?}"),
+    };
+    match handle.call(Command::Stats) {
         Response::Stats(s) => {
             assert!(
                 s.sessions_evicted >= (SPILL_SESSIONS as u64 - CAPACITY),
@@ -541,14 +548,14 @@ fn lru_spill_under_load_restores_byte_identical_state() {
                 s.persisted >= SPILL_SESSIONS as u64 - CAPACITY,
                 "every evicted session must be parked on disk: {s:?}"
             );
-            s.cache_hits
         }
         other => panic!("{other:?}"),
-    };
+    }
 
     // --- Touch phase: every session — most of them spilled by now —
-    // must come back byte-identical. Restores re-derive selections
-    // through the shared cache, which the load phase left warm.
+    // must come back byte-identical, and restoring it for a read-only
+    // touch derives no selection.
+    let before_touch = cache_counters(&handle);
     let replay_commands = AtomicU64::new(0);
     for entry in &driven {
         let (sid, recorded) = entry.as_ref().expect("driver filled every slot");
@@ -562,15 +569,38 @@ fn lru_spill_under_load_restores_byte_identical_state() {
             recorded.text == restored.text,
         );
     }
-    match handle.call(Command::Stats) {
-        Response::Stats(s) => assert!(
-            s.cache_hits > hits_before,
-            "restores must warm from the shared EvalCache: {} -> {}",
-            hits_before,
-            s.cache_hits
-        ),
-        other => panic!("{other:?}"),
+    assert_eq!(
+        cache_counters(&handle),
+        before_touch,
+        "a restore or a read-only touch probed the shared EvalCache"
+    );
+
+    // --- Continue phase: every session takes its next steps (each
+    // re-restored from disk as the others evict it) and must decide
+    // exactly as a never-evicted twin on an uncapped service, its
+    // lazily derived selections hitting the prefixes left warm.
+    let twins = Service::start(ServiceConfig::default());
+    let twin_handle = twins.handle();
+    twin_handle.register_shared("census", shared_table());
+    let next = SPILL_STEPS..SPILL_STEPS + 6;
+    for (i, entry) in driven.iter().enumerate() {
+        let (sid, _) = entry.as_ref().expect("driver filled every slot");
+        let script = session_script(i);
+        let resumed = drive(&handle, *sid, &script[next.clone()], &replay_commands);
+        let twin = create_session(&twin_handle);
+        let live = drive(&twin_handle, twin, &script[..next.end], &replay_commands);
+        assert!(
+            resumed == live,
+            "session {sid}: continued differently after spill/restore"
+        );
     }
+    let after_continue = cache_counters(&handle);
+    assert!(
+        after_continue.0 > before_touch.0,
+        "lazy derivation must hit the warm prefixes: {before_touch:?} -> {after_continue:?}"
+    );
+    drop(twin_handle);
+    twins.shutdown();
 
     // --- Format audit: every snapshot file on disk must be exactly the
     // bitmap-free grammar — decode must succeed and re-encoding must

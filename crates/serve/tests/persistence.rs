@@ -526,6 +526,198 @@ fn golden_fixture_of_a_real_exploration_restores() {
     assert_eq!(session.hypotheses().len(), image.session.hypotheses.len());
 }
 
+// ---------------------------------------------------------------------------
+// Render bytes pinned against the parent commit
+// ---------------------------------------------------------------------------
+
+/// The gauge, CSV and text transcripts of `session`, from scratch and
+/// through the ledger-text memo (first read, then a memoised re-read),
+/// must equal the files under `tests/fixtures/` byte for byte. Those
+/// files were rendered by the parent commit of the in-place label
+/// writer (PR 25) and are never regenerated: the oracle and every
+/// other suite compare this renderer with itself, these compare it with
+/// a previous build.
+fn assert_renders_pinned(name: &str, mut session: Session<BoxedPolicy>) {
+    use aware_core::{gauge, transcript};
+    let pinned = |ext: &str| {
+        let path = fixture_path(&format!("{name}.{ext}"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing parent-captured render fixture {} ({e}) — restore it from git",
+                path.display()
+            )
+        })
+    };
+    let (gauge_txt, csv, text) = (pinned("gauge.txt"), pinned("csv"), pinned("text.txt"));
+    assert_eq!(gauge::render(&session), gauge_txt, "{name}: gauge");
+    assert_eq!(transcript::export_csv(&session), csv, "{name}: csv");
+    assert_eq!(transcript::export_text(&session), text, "{name}: text");
+    for read in ["first", "memoised"] {
+        assert_eq!(
+            gauge::render_memo(&mut session),
+            gauge_txt,
+            "{name}: {read} gauge"
+        );
+        assert_eq!(
+            transcript::export_csv_memo(&mut session),
+            csv,
+            "{name}: {read} csv"
+        );
+        assert_eq!(
+            transcript::export_text_memo(&mut session),
+            text,
+            "{name}: {read} text"
+        );
+    }
+}
+
+/// A fresh exploration touching every label and status the renderers
+/// know: all six null-spec kinds (both label forms of the two that
+/// print a filter only when it is non-trivial), all four statuses,
+/// bookmarks, both `n_H1` flip directions, and a label the CSV must
+/// quote.
+fn render_tour(table: Arc<Table>) -> Session<BoxedPolicy> {
+    let policy = PolicySpec::Fixed { gamma: 10.0 }.build().unwrap();
+    let mut s = Session::shared(table, 0.05, policy).unwrap();
+    let salary = Predicate::eq("salary_over_50k", true);
+    s.add_visualization("sex", Predicate::True).unwrap();
+    s.add_visualization("education", salary.clone()).unwrap();
+    s.add_visualization("education", salary.clone().negate())
+        .unwrap(); // rule 3: supersedes H0
+    let (female, _) = s
+        .add_visualization("race", Predicate::eq("sex", "Female"))
+        .unwrap()
+        .hypothesis
+        .unwrap();
+    s.delete_hypothesis(female).unwrap();
+    s.bookmark(female).unwrap();
+    s.add_visualization("sex", Predicate::eq("education", "Kindergarten"))
+        .unwrap(); // untestable
+    let (phd, _) = s
+        .add_visualization("marital_status", Predicate::eq("education", "PhD"))
+        .unwrap()
+        .hypothesis
+        .unwrap();
+    s.bookmark(phd).unwrap();
+    s.add_visualization("race", Predicate::eq("survey_wave", "Wave-2"))
+        .unwrap();
+    let quoted = Predicate::In {
+        column: "education".into(),
+        values: vec![Value::from("Bachelor"), Value::from("Ph,D \"hons\"")],
+    };
+    s.add_visualization("sex", quoted).unwrap();
+    let (age, _) = s
+        .add_visualization("age", salary.clone())
+        .unwrap()
+        .hypothesis
+        .unwrap();
+    s.override_hypothesis(
+        age,
+        NullSpec::MeanEquality {
+            attribute: "age".into(),
+            filter_a: salary.clone(),
+            filter_b: salary.clone().negate(),
+        },
+    )
+    .unwrap();
+    let male = Predicate::eq("sex", "Male");
+    for (filter, use_g_test) in [(Predicate::True, false), (male.clone(), true)] {
+        s.add_hypothesis(NullSpec::IndependenceWithin {
+            attribute_a: "education".into(),
+            attribute_b: "native_region".into(),
+            filter,
+            use_g_test,
+        })
+        .unwrap();
+    }
+    for filter in [Predicate::True, male.clone()] {
+        s.add_hypothesis(NullSpec::NoGroupMeanDifference {
+            value_attribute: "hours_per_week".into(),
+            group_attribute: "occupation".into(),
+            filter,
+        })
+        .unwrap();
+    }
+    let (shift, _) = s
+        .add_hypothesis(NullSpec::StochasticEquality {
+            attribute: "hours_per_week".into(),
+            filter_a: male.clone(),
+            filter_b: male.clone().negate(),
+            method: ShiftMethod::MannWhitney,
+        })
+        .unwrap();
+    s.bookmark(shift).unwrap();
+    s.add_hypothesis(NullSpec::StochasticEquality {
+        attribute: "age".into(),
+        filter_a: Predicate::eq("survey_wave", "Wave-1"),
+        filter_b: Predicate::eq("survey_wave", "Wave-3"),
+        method: ShiftMethod::KolmogorovSmirnov,
+    })
+    .unwrap();
+    s
+}
+
+#[test]
+fn gauge_and_transcript_bytes_match_the_parent_commit() {
+    // The restored real exploration (PR 4's census fixture) …
+    let bytes = std::fs::read(fixture_path("census-session-v1.awrs")).unwrap();
+    let image = snapshot::decode(&bytes).unwrap();
+    let census = Session::restore(
+        Arc::new(CensusGenerator::new(2017).generate(1_000)),
+        Some(Arc::new(EvalCache::new())),
+        image.session,
+        image.policy.build().unwrap(),
+        image.policy_since as usize,
+    )
+    .unwrap();
+    assert_renders_pinned("census-session-v1", census);
+
+    // … and the tour, whose coverage is checked rather than assumed.
+    let table = Arc::new(CensusGenerator::new(2017).generate(6_000));
+    let tour = render_tour(table.clone());
+    let hs = tour.hypotheses();
+    let kinds: std::collections::HashSet<_> =
+        hs.iter().map(|h| std::mem::discriminant(&h.null)).collect();
+    assert_eq!(kinds.len(), 6, "every null-spec kind");
+    let statuses: [fn(&HypothesisStatus) -> bool; 4] = [
+        |s| matches!(s, HypothesisStatus::Tested(_)),
+        |s| matches!(s, HypothesisStatus::Untestable),
+        |s| matches!(s, HypothesisStatus::Superseded { .. }),
+        |s| matches!(s, HypothesisStatus::Deleted),
+    ];
+    for status in statuses {
+        assert!(hs.iter().any(|h| status(&h.status)));
+    }
+    for direction in [FlipDirection::ToRejection, FlipDirection::ToAcceptance] {
+        assert!(hs
+            .iter()
+            .filter_map(|h| h.record()?.flip)
+            .any(|f| f.direction == direction));
+    }
+    assert!(hs.iter().any(|h| h.bookmarked && h.is_discovery()));
+    assert!(hs.iter().any(|h| h.bookmarked && !h.is_active()));
+    // Through the snapshot codec and a restore, the bytes still hold.
+    let image = SessionImage {
+        id: 25,
+        dataset: "census".into(),
+        fingerprint: None,
+        policy: PolicySpec::Fixed { gamma: 10.0 },
+        policy_since: 0,
+        session: tour.snapshot(),
+    };
+    let decoded = snapshot::decode(&snapshot::encode(&image)).unwrap();
+    let restored = Session::restore(
+        table,
+        None,
+        decoded.session,
+        decoded.policy.build().unwrap(),
+        0,
+    )
+    .unwrap();
+    assert_renders_pinned("render-tour", tour);
+    assert_renders_pinned("render-tour", restored);
+}
+
 #[test]
 fn corrupt_files_decode_to_corrupt_snapshot_errors() {
     let bytes = snapshot::encode(&fixture_image());
