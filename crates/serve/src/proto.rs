@@ -774,8 +774,8 @@ pub enum Command {
         alpha: f64,
         policy: PolicySpec,
     },
-    /// Quiesces a session on its pinned worker, removes it from the
-    /// shard (memory *and* snapshot store), and returns its complete
+    /// Quiesces a session (after every earlier command of it), removes
+    /// it from the shard (memory *and* snapshot store), returns its complete
     /// `AWRS` snapshot image — the shard-handoff half of a migration.
     /// After a successful export the session answers `unknown_session`
     /// here; the wealth ledger lives in the returned bytes.

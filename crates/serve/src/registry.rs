@@ -226,6 +226,13 @@ impl Registry {
         self.shard(id).read().unwrap().get(&id).cloned()
     }
 
+    /// True while `entry` is the one registered under its id — false
+    /// once an eviction, close or export has unlinked it.
+    pub fn holds(&self, entry: &Arc<SessionEntry>) -> bool {
+        let shard = self.shard(entry.id).read().unwrap();
+        shard.get(&entry.id).is_some_and(|e| Arc::ptr_eq(e, entry))
+    }
+
     /// Every live entry (the periodic snapshotter walks these).
     pub fn entries(&self) -> Vec<Arc<SessionEntry>> {
         let mut out = Vec::new();

@@ -5,19 +5,17 @@
 //! α-investing is a *sequential* guarantee: within one session, bids and
 //! decisions must happen in a single total order, and a decision once
 //! announced is final. Across sessions there is no coupling at all. The
-//! dispatcher encodes exactly that:
-//!
-//! * every session-addressed command is routed to the worker
-//!   `session_id % workers`, and each worker drains its queue FIFO —
-//!   so one session's commands execute in arrival order, one at a time,
-//!   no matter how many client threads address it;
-//! * distinct sessions land on distinct workers (or interleave on one
-//!   worker's queue), so the pool scales across sessions while never
-//!   reordering within one.
-//!
-//! The registry's per-entry mutex is a second line of defense (the
-//! eviction sweeper is the only other toucher), not the ordering
-//! mechanism.
+//! dispatcher encodes exactly that. A command takes a slot in its
+//! session's pending count, then [`execute_unit`] runs it either
+//! **inline** on the caller's thread — when the session held no slot,
+//! its stripe is free, one of `workers` inline permits is free and
+//! shutdown has not begun — or **queued** on the worker
+//! `session_id % workers`, which drains per-session FIFO queues by
+//! deficit round-robin. Either way the unit holds its session's stripe
+//! mutex while it executes (a worker waits for it, an inline caller
+//! only `try_lock`s), so no two commands of one session ever run at
+//! once — two restores of a spilled session cannot install two
+//! ledgers — and they execute in the order they took their slots.
 //!
 //! ## Eviction
 //!
@@ -65,7 +63,7 @@ use aware_data::cache::EvalCache;
 use aware_data::table::Table;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -140,10 +138,20 @@ impl Default for ServiceConfig {
 /// not be able to push session `0` into `overloaded`.
 const SESSION_FREE_ROUTE: u64 = u64::MAX;
 
+/// Route exclusion stripes (a constant, not a knob: a collision only
+/// sends an idle route's command to its worker).
+const ROUTE_STRIPES: usize = 256;
+
+/// Fibonacci hash of a route, shared by the pending shards and stripes.
+fn spread(key: u64) -> usize {
+    (key.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize
+}
+
 /// Pending-command accounting per session stream, sharded like the
-/// registry. Counts are held only while commands sit on worker queues;
-/// an entry disappears as soon as its stream drains to zero, so the map
-/// stays proportional to *actively loaded* sessions, not live ones.
+/// registry. A count covers a command from admission until it executed
+/// (queued or inline); an entry disappears as soon as its stream drains
+/// to zero, so the map stays proportional to *actively loaded*
+/// sessions, not live ones.
 struct PendingTable {
     shards: Vec<Mutex<HashMap<u64, usize>>>,
 }
@@ -158,23 +166,22 @@ impl PendingTable {
     }
 
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, usize>> {
-        let h = key.wrapping_mul(0x9E3779B97F4A7C15) >> 32;
-        &self.shards[(h as usize) % self.shards.len()]
+        &self.shards[spread(key) % self.shards.len()]
     }
 
-    /// Reserves `n` pending slots for `key`, refusing (without partial
-    /// effect) if that would exceed `cap`.
-    fn try_acquire(&self, key: u64, n: usize, cap: usize) -> bool {
+    /// Reserves `n` pending slots for `key`: `Some(idle)`, `idle` when
+    /// the stream held none before, or `None` (no effect) past `cap`.
+    fn try_acquire(&self, key: u64, n: usize, cap: usize) -> Option<bool> {
         let mut shard = self.shard(key).lock().unwrap();
         let count = shard.entry(key).or_insert(0);
         if *count + n > cap {
             if *count == 0 {
                 shard.remove(&key);
             }
-            return false;
+            return None;
         }
         *count += n;
-        true
+        Some(*count == n)
     }
 
     /// Releases `n` slots for `key` (after execution or a failed send).
@@ -219,6 +226,11 @@ struct Inner {
     datasets: RwLock<HashMap<String, Dataset>>,
     next_session: AtomicU64,
     pending: PendingTable,
+    /// Per-route exclusion, held by a unit while it executes.
+    stripes: [Mutex<()>; ROUTE_STRIPES],
+    /// Inline executions in flight: at most `workers`, 0 before the
+    /// shutdown flush.
+    inline: AtomicUsize,
     store: Option<SnapshotStore>,
     /// Warm replica images held for sessions homed elsewhere, by id.
     replicas: Mutex<HashMap<SessionId, ReplicaHeld>>,
@@ -226,11 +238,11 @@ struct Inner {
     /// the roster. A restarted router can learn the cluster from any
     /// shard that heard a gossip round.
     gossip: Mutex<(u64, Vec<crate::proto::MemberInfo>)>,
-    /// Set by shutdown before the workers drain. Session commands
-    /// discover shutdown through their dead worker channels; the
-    /// inline `stats` path checks this flag so a drained shard stops
-    /// advertising healthy stats — which is what lets a cluster
-    /// router's health probe see an in-process shard death.
+    /// Set by shutdown before the workers drain. Queued commands
+    /// discover shutdown through their dead worker channels; inline
+    /// admission and the inline `stats` path check this flag, so a
+    /// drained shard stops advertising healthy stats — which is what
+    /// lets a cluster router's health probe see an in-process shard death.
     shutting_down: std::sync::atomic::AtomicBool,
     /// Server-push sinks registered by push-capable front ends (the
     /// reactor). Each sink delivers one event toward one subscribed
@@ -258,6 +270,10 @@ impl Inner {
     /// True when every mutating command must hit disk before replying.
     fn sync_snapshots(&self) -> bool {
         self.store.is_some() && self.config.snapshot_every == Some(Duration::ZERO)
+    }
+
+    fn stripe(&self, route: u64) -> &Mutex<()> {
+        &self.stripes[spread(route) % ROUTE_STRIPES]
     }
 }
 
@@ -352,34 +368,27 @@ fn save_image(inner: &Inner, image: &SessionImage) -> bool {
     }
 }
 
-/// Snapshots `id` to disk if a store is configured and the session is
-/// live. Returns `false` only when a configured store *failed* the
-/// write — the caller must then keep the session in memory rather than
-/// drop unspilled α-wealth.
-fn spill_to_disk(inner: &Inner, id: SessionId) -> bool {
-    let Some(store) = &inner.store else {
-        return true;
+/// Snapshots `id` if a store is configured and it is live, then runs
+/// `unlink` (an eviction's removal), all under the session mutex: no
+/// command mutates between image and removal, and no concurrent spill
+/// finds the session clean before these bytes land. `false` when the
+/// store *failed* the write (keep the session: never drop unspilled
+/// α-wealth) or `unlink` refused.
+fn spill_to_disk(inner: &Inner, id: SessionId, unlink: impl FnOnce() -> bool) -> bool {
+    let (Some(store), Some(entry)) = (&inner.store, inner.registry.peek(id)) else {
+        return unlink();
     };
-    let Some(entry) = inner.registry.peek(id) else {
-        return true;
-    };
+    let session = entry.session.lock().unwrap();
     // A clean session that is already on disk has a current snapshot —
     // evicting it must not pay encode + write + two fsyncs for bytes
     // the store already holds.
-    if !entry.is_dirty() && store.contains(id) {
-        return true;
-    }
-    let image = {
-        let session = entry.session.lock().unwrap();
+    if entry.is_dirty() || !store.contains(id) {
+        if !save_image(inner, &image_of(&entry, &session)) {
+            return false;
+        }
         entry.clear_dirty();
-        image_of(&entry, &session)
-    };
-    if save_image(inner, &image) {
-        true
-    } else {
-        entry.mark_dirty();
-        false
     }
+    unlink()
 }
 
 /// One command of a dispatch unit, tagged with its position in the
@@ -400,7 +409,7 @@ enum Job {
         /// The pending-table key to release, one slot per item executed.
         pending_key: u64,
         /// When the unit was queued — the worker measures queue wait
-        /// (enqueue → pickup) from this.
+        /// (enqueue → execution start) from this.
         enqueued: std::time::Instant,
         /// Trace id attributed to every item (slow-query records carry
         /// it, so one grep follows a command across processes).
@@ -500,6 +509,13 @@ fn shutdown_error() -> Response {
     })
 }
 
+fn overloaded(route: u64, cap: usize) -> Response {
+    Response::Error(ServeError {
+        code: ErrorCode::Overloaded,
+        message: format!("session stream {route} has reached its pending-command cap ({cap})"),
+    })
+}
+
 impl ServiceHandle {
     /// Executes one command to completion and returns its response —
     /// semantically a one-element [`ServiceHandle::call_batch`]
@@ -508,8 +524,9 @@ impl ServiceHandle {
     /// vector, no route map — the dominant v1 traffic shape should not
     /// pay for machinery a single command cannot use.
     ///
-    /// Blocks until the session's worker has processed every earlier
-    /// command addressed to that session (FIFO per session).
+    /// Runs on the calling thread when nothing of the session is queued
+    /// or running, else queues on the session's worker and blocks until
+    /// every earlier command of that session has executed (FIFO).
     pub fn call(&self, cmd: Command) -> Response {
         self.call_traced(cmd, aware_obs::trace::next_trace_id())
     }
@@ -549,24 +566,24 @@ impl ServiceHandle {
             None => (None, SESSION_FREE_ROUTE),
         };
         let cap = self.inner.config.max_pending_per_session;
-        if !self.inner.pending.try_acquire(route, 1, cap) {
+        let Some(idle) = self.inner.pending.try_acquire(route, 1, cap) else {
             self.inner.metrics.inc(Stat::overloaded);
             self.inner.metrics.inc(Stat::errors);
-            return Response::Error(ServeError {
-                code: ErrorCode::Overloaded,
-                message: format!(
-                    "session stream {route} has reached its pending-command cap ({cap})"
-                ),
-            });
-        }
+            return overloaded(route, cap);
+        };
+        let item = UnitItem {
+            index: 0,
+            cmd,
+            assigned,
+        };
+        let items = match self.run_inline(idle, vec![item], BatchMode::Continue, route, trace) {
+            Ok(mut replies) => return replies.pop().expect("one reply per item").1,
+            Err(items) => items,
+        };
         let worker = (route % self.senders.len() as u64) as usize;
         let (reply_tx, reply_rx) = mpsc::channel();
         let job = Job::Unit {
-            items: vec![UnitItem {
-                index: 0,
-                cmd,
-                assigned,
-            }],
+            items,
             mode: BatchMode::Continue,
             pending_key: route,
             enqueued: std::time::Instant::now(),
@@ -587,16 +604,47 @@ impl ServiceHandle {
         }
     }
 
+    /// Executes a unit on the calling thread when its route was `idle`
+    /// at `try_acquire`, it fits one DRR quantum (a larger unit is the
+    /// flood DRR exists for), its stripe and one of `workers` permits
+    /// are free and shutdown has not begun; else hands the items back.
+    fn run_inline(
+        &self,
+        idle: bool,
+        items: Vec<UnitItem>,
+        mode: BatchMode,
+        route: u64,
+        trace: u64,
+    ) -> Result<Vec<(usize, Response)>, Vec<UnitItem>> {
+        let inner = &self.inner;
+        if !idle || items.len() as u64 > DRR_QUANTUM {
+            return Err(items);
+        }
+        let Ok(_stripe) = inner.stripe(route).try_lock() else {
+            return Err(items);
+        };
+        // SeqCst: shutdown either sees this permit or we see its flag.
+        if inner.inline.fetch_add(1, Ordering::SeqCst) >= self.senders.len()
+            || inner.shutting_down.load(Ordering::SeqCst)
+        {
+            inner.inline.fetch_sub(1, Ordering::SeqCst);
+            return Err(items);
+        }
+        let replies = execute_unit(inner, items, mode, route, 0, trace);
+        inner.inline.fetch_sub(1, Ordering::SeqCst);
+        Ok(replies)
+    }
+
     /// Executes an ordered batch of commands and returns their
     /// responses in submission order, errors reported per item.
     ///
-    /// Same-session commands execute as one pinned unit on the
-    /// session's worker — back-to-back, in batch order, never
-    /// interleaved with commands from other clients — so the
-    /// α-investing decision sequence a batch observes is exactly the
-    /// sequence a v1 client would have produced with N round trips.
-    /// Commands for distinct sessions fan out to their workers in
-    /// parallel; the call blocks until every response is back.
+    /// Same-session commands execute as one unit — back-to-back, in
+    /// batch order, never interleaved with commands from other clients
+    /// — so the α-investing decision sequence a batch observes is
+    /// exactly the sequence a v1 client would have produced with N
+    /// round trips. A one-session batch may run inline (see
+    /// [`ServiceHandle::call`]); otherwise units fan out to their
+    /// workers in parallel and the call blocks until all are back.
     pub fn call_batch(&self, cmds: Vec<Command>) -> Vec<Response> {
         self.call_batch_mode(cmds, BatchMode::Continue)
     }
@@ -677,22 +725,26 @@ impl ServiceHandle {
         let (reply_tx, reply_rx) = mpsc::channel();
         let cap = self.inner.config.max_pending_per_session;
         let mut outstanding_units = 0usize;
+        let single_route = order.len() == 1;
         for route in order {
             let items = units.remove(&route).expect("unit recorded in order");
             let count = items.len();
-            if !self.inner.pending.try_acquire(route, count, cap) {
+            let Some(idle) = self.inner.pending.try_acquire(route, count, cap) else {
                 self.inner.metrics.inc(Stat::overloaded);
                 for item in items {
                     self.inner.metrics.inc(Stat::errors);
-                    slots[item.index] = Some(Response::Error(ServeError {
-                        code: ErrorCode::Overloaded,
-                        message: format!(
-                            "session stream {route} has reached its pending-command cap ({cap})"
-                        ),
-                    }));
+                    slots[item.index] = Some(overloaded(route, cap));
                 }
                 continue;
-            }
+            };
+            outstanding_units += 1;
+            let items = match self.run_inline(idle && single_route, items, mode, route, trace) {
+                Ok(replies) => {
+                    let _ = reply_tx.send(replies); // collected with the workers'
+                    continue;
+                }
+                Err(items) => items,
+            };
             let worker = (route % self.senders.len() as u64) as usize;
             let job = Job::Unit {
                 items,
@@ -703,6 +755,7 @@ impl ServiceHandle {
                 reply: reply_tx.clone(),
             };
             if let Err(mpsc::SendError(job)) = self.senders[worker].send(job) {
+                outstanding_units -= 1;
                 self.inner.pending.release(route, count);
                 if let Job::Unit { items, .. } = job {
                     for item in items {
@@ -710,9 +763,7 @@ impl ServiceHandle {
                         slots[item.index] = Some(shutdown_error());
                     }
                 }
-                continue;
             }
-            outstanding_units += 1;
         }
         drop(reply_tx);
         for _ in 0..outstanding_units {
@@ -982,6 +1033,8 @@ impl Service {
             datasets: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(first_free_id),
             pending: PendingTable::new(config.shards),
+            stripes: std::array::from_fn(|_| Mutex::new(())),
+            inline: AtomicUsize::new(0),
             store,
             replicas: Mutex::new(replicas),
             gossip: Mutex::new((0, Vec::new())),
@@ -1064,15 +1117,23 @@ impl Service {
         for join in self.workers.drain(..) {
             let _ = join.join();
         }
+        // Inline callers admitted before the flag finish their unit
+        // first, so an acked inline mutation never misses the flush.
+        let inner = &self.handle.inner;
+        while inner.inline.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(Duration::from_micros(100));
+        }
         // Workers are quiet now: flush every dirty session so a graceful
         // restart loses nothing even in periodic-snapshot mode.
-        let inner = &self.handle.inner;
-        if inner.store.is_some() {
-            for entry in inner.registry.entries() {
-                if entry.is_dirty() {
-                    spill_to_disk(inner, entry.id);
-                }
-            }
+        flush_dirty(inner);
+    }
+}
+
+/// Writes every dirty session's snapshot (a no-op without a store).
+fn flush_dirty(inner: &Inner) {
+    for entry in inner.registry.entries() {
+        if entry.is_dirty() {
+            spill_to_disk(inner, entry.id, || true);
         }
     }
 }
@@ -1108,7 +1169,7 @@ fn sweep_idle(inner: &Inner) -> usize {
         // write lock: a session touched between the scan and the
         // removal survives the sweep (its just-written snapshot is then
         // merely stale, and overwritten on its next spill).
-        if spill_to_disk(inner, id) && inner.registry.remove_if_idle(id, cutoff) {
+        if spill_to_disk(inner, id, || inner.registry.remove_if_idle(id, cutoff)) {
             inner.metrics.inc(Stat::sessions_evicted);
             emit_push(
                 inner,
@@ -1127,13 +1188,7 @@ fn snapshotter_loop(inner: Weak<Inner>, interval: Duration) {
     loop {
         std::thread::sleep(interval);
         match inner.upgrade() {
-            Some(inner) => {
-                for entry in inner.registry.entries() {
-                    if entry.is_dirty() {
-                        spill_to_disk(&inner, entry.id);
-                    }
-                }
-            }
+            Some(inner) => flush_dirty(&inner),
             None => return, // service is gone
         }
     }
@@ -1248,10 +1303,8 @@ fn enqueue_route(
     queue.jobs.push_back(job);
 }
 
-/// Executes one dispatch unit to completion — the unit runs
-/// back-to-back, never interleaved with other units, which is what
-/// makes a batched stream's decision order identical to N sequential
-/// round trips.
+/// A worker's half of a queued unit: wait for the route's stripe (at
+/// most one inline unit's execution), run it, answer the submitter.
 fn run_unit(inner: &Inner, job: Job) {
     let Job::Unit {
         items,
@@ -1264,18 +1317,34 @@ fn run_unit(inner: &Inner, job: Job) {
     else {
         return;
     };
-    // Queue wait: one span per unit (the unit sat on the
-    // queue as a whole). Each command's end-to-end latency
-    // is that wait plus its own execute time.
-    let queue_us = std::time::Instant::now()
-        .saturating_duration_since(enqueued)
-        .as_micros() as u64;
+    let replies = {
+        let _stripe = inner
+            .stripe(pending_key)
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let queue_us = enqueued.elapsed().as_micros() as u64;
+        execute_unit(inner, items, mode, pending_key, queue_us, trace)
+    };
+    let _ = reply.send(replies);
+}
+
+/// Executes one dispatch unit to completion on whatever thread calls it
+/// (a worker, or the submitter inline) — back-to-back, under its route's
+/// stripe held by the caller, so a batched stream decides exactly as N
+/// sequential round trips. Releases one pending slot of `route` per item.
+fn execute_unit(
+    inner: &Inner,
+    items: Vec<UnitItem>,
+    mode: BatchMode,
+    route: u64,
+    queue_us: u64,
+    trace: u64,
+) -> Vec<(usize, Response)> {
+    // Queue wait: one span per unit (the unit waited as a whole; 0 when
+    // inline). Each command's end-to-end latency is that wait plus its
+    // own execute time.
     inner.metrics.observe(Stage::QueueWait, queue_us);
     let slow_us = inner.config.slow_ms.map(|ms| ms.saturating_mul(1000));
-    // The unit runs back-to-back: nothing else dequeues on
-    // this worker until the whole same-session run is done,
-    // which is what makes a batched stream's decision order
-    // identical to N sequential round trips.
     let mut aborted = false;
     let mut replies = Vec::with_capacity(items.len());
     for item in items {
@@ -1303,8 +1372,8 @@ fn run_unit(inner: &Inner, job: Job) {
             // Panic isolation: a handler panic (poisoned
             // session mutex, engine bug) must cost one error
             // response — at worst one bricked session —
-            // never this worker and the 1/W of all sessions
-            // pinned to it. The command moves into the
+            // never the running thread (a worker serves 1/W of
+            // all sessions). The command moves into the
             // closure — no per-command clone on the hot path.
             let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 execute(inner, cmd, assigned)
@@ -1330,7 +1399,7 @@ fn run_unit(inner: &Inner, job: Job) {
             }
             response
         };
-        inner.pending.release(pending_key, 1);
+        inner.pending.release(route, 1);
         if matches!(response, Response::Error(_)) {
             inner.metrics.inc(Stat::errors);
             if mode == BatchMode::FailFast {
@@ -1339,7 +1408,7 @@ fn run_unit(inner: &Inner, job: Job) {
         }
         replies.push((index, response));
     }
-    let _ = reply.send(replies);
+    replies
 }
 
 /// Context for a potential slow-query record, captured before the
@@ -1599,8 +1668,9 @@ fn ensure_capacity(inner: &Inner) -> Result<(), Response> {
                 // possibly mutated) after the scan is not removed; its
                 // just-written snapshot is then merely stale and will
                 // be overwritten by its next spill.
-                spill_to_disk(inner, victim)
-                    && inner.registry.remove_if_unused_since(victim, observed_seq)
+                spill_to_disk(inner, victim, || {
+                    inner.registry.remove_if_unused_since(victim, observed_seq)
+                })
             }
             None => false,
         };
@@ -1706,13 +1776,20 @@ fn with_session_mut(
     id: SessionId,
     f: impl FnOnce(&mut crate::registry::ServedSession, &SessionEntry) -> Response,
 ) -> Response {
-    let entry = match lookup_or_restore(inner, id) {
-        Ok(entry) => entry,
-        Err(refusal) => return refusal,
-    };
-    let (response, image) = {
+    let mut f = Some(f);
+    let (entry, response, image) = loop {
+        let entry = match lookup_or_restore(inner, id) {
+            Ok(entry) => entry,
+            Err(refusal) => return refusal,
+        };
         let mut session = entry.session.lock().unwrap();
-        let response = f(&mut session, &entry);
+        // An eviction spills and unlinks under this mutex: an entry it
+        // unlinked since the lookup is a stale copy, so look up again
+        // (restoring the image it just wrote) instead of mutating it.
+        if !inner.registry.holds(&entry) {
+            continue;
+        }
+        let response = f.take().expect("runs once")(&mut session, &entry);
         entry.mark_dirty();
         let image = if inner.sync_snapshots() {
             entry.clear_dirty();
@@ -1720,7 +1797,8 @@ fn with_session_mut(
         } else {
             None
         };
-        (response, image)
+        drop(session);
+        break (entry, response, image);
     };
     if let Some(image) = image {
         if !save_image(inner, &image) {
@@ -1825,8 +1903,8 @@ fn close_session(inner: &Inner, id: SessionId) -> Response {
     }
 }
 
-/// Exports a session for migration: quiesce (this runs on the session's
-/// pinned worker, after every earlier command), snapshot, remove from
+/// Exports a session for migration: quiesce (this runs under the
+/// session's stripe, after every earlier command), snapshot, remove from
 /// memory *and* disk, and hand the complete `AWRS` image to the caller.
 /// After the response leaves, the wealth ledger exists only in those
 /// bytes — which is the point: a migrated session must never be
@@ -2184,7 +2262,7 @@ fn drop_replica(inner: &Inner, id: SessionId) -> Response {
 }
 
 /// The non-destructive half of `export_session`: snapshot the session
-/// (quiesced on its pinned worker) and return the image, leaving the
+/// (quiesced under its stripe) and return the image, leaving the
 /// session serving. The router's replication cadence lives on this.
 fn snapshot_session(inner: &Inner, id: SessionId) -> Response {
     let entry = match lookup_or_restore(inner, id) {
@@ -2545,13 +2623,13 @@ mod tests {
             _ => None,
         };
 
-        // One fail_fast unit, run directly: whatever its length and
-        // however it ends, the submitter is woken by exactly one message,
+        // One fail_fast unit, run directly by the executor both paths
+        // share: whatever its length and however it ends, it answers
+        // with one vector — the submitter's one wake-up when queued —
         // holding every item's response (`aborted` for the tail) under
         // the index it was submitted with. Reassembly by that index is
         // what `batches_mix_sessions_and_preserve_submission_order` and
         // `fail_fast_aborts_only_the_failing_session_stream` check.
-        let (reply, rx) = mpsc::channel();
         let items = [
             (5, Command::Gauge { session: a }),
             (
@@ -2565,27 +2643,21 @@ mod tests {
             (9, Command::Gauge { session: a }),
             (0, Command::Gauge { session: a }),
         ];
-        run_unit(
+        let unit = execute_unit(
             &h.inner,
-            Job::Unit {
-                items: items
-                    .into_iter()
-                    .map(|(index, cmd)| UnitItem {
-                        index,
-                        cmd,
-                        assigned: None,
-                    })
-                    .collect(),
-                mode: BatchMode::FailFast,
-                pending_key: a,
-                enqueued: std::time::Instant::now(),
-                trace: 0,
-                reply,
-            },
+            items
+                .into_iter()
+                .map(|(index, cmd)| UnitItem {
+                    index,
+                    cmd,
+                    assigned: None,
+                })
+                .collect(),
+            BatchMode::FailFast,
+            a,
+            0,
+            0,
         );
-        let messages: Vec<Vec<(usize, Response)>> = rx.try_iter().collect();
-        assert_eq!(messages.len(), 1, "one reply message per unit");
-        let unit = &messages[0];
         assert_eq!(
             unit.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             [5, 2, 9, 0]
@@ -2598,6 +2670,55 @@ mod tests {
                 Some(ErrorCode::Aborted),
                 Some(ErrorCode::Aborted),
             ]
+        );
+    }
+
+    #[test]
+    fn a_held_route_stripe_holds_back_that_routes_call() {
+        let service = test_service(ServiceConfig::default());
+        let h = service.handle();
+        let sid = create(&h);
+        // The stripe is busy, so the call cannot run inline; it queues,
+        // and its worker waits on the stripe too.
+        let stripe = h.inner.stripe(sid).lock().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let caller = h.clone();
+        let join = std::thread::spawn(move || {
+            done_tx
+                .send(caller.call(Command::Gauge { session: sid }))
+                .unwrap();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "a command ran while its route's stripe was held"
+        );
+        drop(stripe);
+        let response = done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(response, Response::GaugeText { session, .. } if session == sid));
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn an_idle_route_call_runs_inline_with_zero_queue_wait() {
+        let service = test_service(ServiceConfig::default());
+        let h = service.handle();
+        let sid = create(&h);
+        let queue_wait = |h: &ServiceHandle| {
+            h.inner.metrics.stages()[Stage::QueueWait as usize]
+                .1
+                .clone()
+        };
+        let before = queue_wait(&h);
+        for _ in 0..20 {
+            assert!(h.call(Command::Gauge { session: sid }).is_ok());
+        }
+        let after = queue_wait(&h);
+        // Twenty hand-offs to a worker would each wait microseconds;
+        // twenty inline executions record exactly 0 µs apiece.
+        assert_eq!(after.count() - before.count(), 20);
+        assert_eq!(
+            after.sum, before.sum,
+            "an idle-route call waited in a queue"
         );
     }
 
@@ -3541,6 +3662,59 @@ mod tests {
             Response::Error(e) => assert_eq!(e.code, ErrorCode::Shutdown),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn shutdown_flushes_only_after_inline_callers_finish() {
+        let dir = temp_data_dir("inline-drain");
+        let config = || ServiceConfig {
+            data_dir: Some(dir.clone()),
+            snapshot_every: Some(Duration::from_secs(3_600)),
+            ..ServiceConfig::default()
+        };
+        let service = test_service(config());
+        let h = service.handle();
+        let sid = create(&h);
+        // On disk and clean: a flush that ran early would skip it.
+        flush_dirty(&h.inner);
+        let entry = h.inner.registry.peek(sid).unwrap();
+        let held = entry.session.lock().unwrap();
+        let caller = h.clone();
+        let caller = std::thread::spawn(move || {
+            caller.call(Command::AddVisualization {
+                session: sid,
+                attribute: "education".into(),
+                filter: salary_filter(),
+            })
+        });
+        // Admitted inline, now parked on the session mutex mid-command.
+        while h.inner.inline.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            service.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "shutdown finished while an admitted inline caller was mid-command"
+        );
+        drop(held);
+        assert!(matches!(
+            caller.join().unwrap(),
+            Response::VizAdded {
+                hypothesis: Some(_),
+                ..
+            }
+        ));
+        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        stopper.join().unwrap();
+        // The acked decision reached the shutdown flush.
+        let service = test_service(config());
+        assert_eq!(csv_of(&service.handle(), sid).lines().count(), 2);
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -630,6 +630,255 @@ fn lru_spill_under_load_restores_byte_identical_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn temp_data_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("aware-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A session whose wealth outlasts thousands of tests.
+fn create_long_session(handle: &ServiceHandle) -> SessionId {
+    match handle.call(Command::CreateSession {
+        dataset: "census".into(),
+        alpha: 0.05,
+        policy: PolicySpec::Fixed { gamma: 100_000.0 },
+    }) {
+        Response::SessionCreated { session, .. } => session,
+        other => panic!("create_session failed: {other:?}"),
+    }
+}
+
+/// A testable view distinct per `n`: an age band sliding by one year.
+fn age_band(session: SessionId, n: usize) -> Command {
+    let lo = 18.0 + (n % 40) as f64;
+    Command::AddVisualization {
+        session,
+        attribute: ["education", "race", "sex", "marital_status"][n % 4].into(),
+        filter: FilterSpec::Between {
+            column: "age".into(),
+            lo,
+            hi: lo + 5.0 + (n / 40 % 7) as f64,
+        },
+    }
+}
+
+fn transcript_of(handle: &ServiceHandle, sid: SessionId, format: TranscriptFormat) -> String {
+    match handle.call(Command::Transcript {
+        session: sid,
+        format,
+    }) {
+        Response::TranscriptText { text, .. } => text,
+        other => panic!("transcript of {sid}: {other:?}"),
+    }
+}
+
+/// Asserts that `sid`'s ledger, read back through `export_session`,
+/// holds every decision in `acked` exactly once and nothing else, and
+/// that its wealth chains from the opening wealth.
+fn assert_ledger_holds(
+    handle: &ServiceHandle,
+    sid: SessionId,
+    acked: &[aware_serve::proto::HypothesisReport],
+) {
+    let image = match handle.call(Command::ExportSession { session: sid }) {
+        Response::SessionExported { image, .. } => aware_serve::snapshot::decode(&image).unwrap(),
+        other => panic!("export of {sid}: {other:?}"),
+    };
+    let ledger = image.session.machine.ledger;
+    let key = |p: f64, bid: f64, after: f64| (p.to_bits(), bid.to_bits(), after.to_bits());
+    let mut on_ledger: Vec<_> = ledger
+        .iter()
+        .map(|e| key(e.p_value, e.bid, e.wealth_after))
+        .collect();
+    let mut from_acks: Vec<_> = acked
+        .iter()
+        .map(|r| key(r.p_value, r.bid, r.wealth_after))
+        .collect();
+    on_ledger.sort_unstable();
+    from_acks.sort_unstable();
+    assert_eq!(
+        on_ledger,
+        from_acks,
+        "session {sid}: ledger of {} entries vs {} acked decisions",
+        ledger.len(),
+        acked.len()
+    );
+    let mut ids: Vec<u64> = acked.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(
+        ids.len(),
+        acked.len(),
+        "session {sid}: a hypothesis id was acked twice"
+    );
+    if let Some(first) = ledger.first() {
+        assert!((first.wealth_before - 0.0475).abs() < 1e-12, "{first:?}");
+    }
+    for pair in ledger.windows(2) {
+        assert_eq!(
+            pair[0].wealth_after.to_bits(),
+            pair[1].wealth_before.to_bits(),
+            "session {sid}: wealth chain broken at entry {}",
+            pair[1].index
+        );
+    }
+}
+
+/// Per-route exclusion under spill churn: 8 threads hammer 4 durable
+/// sessions through a 2-session registry, so inline and queued calls
+/// for one session race each other and every other command restores a
+/// spilled session while another evicts one. Two commands of one
+/// session running at once could restore two copies of its ledger;
+/// acked decisions would then be lost or doubled.
+#[test]
+fn route_exclusion_keeps_one_ledger_per_session_under_spill_churn() {
+    const ROUTE_SESSIONS: usize = 4;
+    const ROUTE_THREADS: usize = 8;
+    const ROUNDS: usize = 12;
+    let dir = temp_data_dir("route-exclusion");
+    let start = || {
+        let service = Service::start(ServiceConfig {
+            workers: 4,
+            shards: 8,
+            max_sessions: 2,
+            data_dir: Some(dir.clone()),
+            ..Default::default()
+        });
+        service.handle().register_shared("census", shared_table());
+        service
+    };
+    let service = start();
+    let handle = service.handle();
+    let sids: Vec<SessionId> = (0..ROUTE_SESSIONS)
+        .map(|_| create_long_session(&handle))
+        .collect();
+    let acked = std::sync::Mutex::new(vec![Vec::new(); ROUTE_SESSIONS]);
+    std::thread::scope(|scope| {
+        for t in 0..ROUTE_THREADS {
+            let (handle, sids, acked) = (&handle, &sids, &acked);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    for (s, &sid) in sids.iter().enumerate() {
+                        match handle.call(age_band(sid, t * ROUNDS + round)) {
+                            Response::VizAdded {
+                                hypothesis: Some(report),
+                                ..
+                            } => acked.lock().unwrap()[s].push(report),
+                            Response::VizAdded { .. } => {}
+                            other => panic!("session {sid}: {other:?}"),
+                        }
+                        match handle.call(Command::Gauge { session: sid }) {
+                            Response::GaugeText { session, .. } => assert_eq!(session, sid),
+                            other => panic!("session {sid}: {other:?}"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let acked = acked.into_inner().unwrap();
+    let transcripts = |handle: &ServiceHandle| -> Vec<(String, String)> {
+        sids.iter()
+            .map(|&sid| {
+                (
+                    transcript_of(handle, sid, TranscriptFormat::Csv),
+                    transcript_of(handle, sid, TranscriptFormat::Text),
+                )
+            })
+            .collect()
+    };
+    let before = transcripts(&handle);
+    match handle.call(Command::Stats) {
+        Response::Stats(s) => assert!(s.sessions_evicted > 0, "no spill churn: {s:?}"),
+        other => panic!("{other:?}"),
+    }
+    drop(handle);
+    service.shutdown();
+
+    let service = start();
+    let handle = service.handle();
+    assert!(
+        transcripts(&handle) == before,
+        "a restart over the same data dir changed a transcript"
+    );
+    for (s, &sid) in sids.iter().enumerate() {
+        assert!(!acked[s].is_empty(), "session {sid} acked no decision");
+        assert_ledger_holds(&handle, sid, &acked[s]);
+    }
+    drop(handle);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shutdown drains inline callers: with a periodic snapshot interval
+/// far longer than the test, only the shutdown flush persists anything,
+/// so every decision acked while shutdown ran — inline or queued — must
+/// be in the ledger after a restart, and callers arriving after it get
+/// `shutdown`.
+#[test]
+fn shutdown_flushes_every_decision_acked_while_it_ran() {
+    const CALLERS: usize = 4;
+    let dir = temp_data_dir("shutdown-drain");
+    let start = || {
+        let service = Service::start(ServiceConfig {
+            workers: 2,
+            data_dir: Some(dir.clone()),
+            snapshot_every: Some(std::time::Duration::from_secs(3_600)),
+            ..Default::default()
+        });
+        service.handle().register_shared("census", shared_table());
+        service
+    };
+    let service = start();
+    let handle = service.handle();
+    let sids: Vec<SessionId> = (0..CALLERS).map(|_| create_long_session(&handle)).collect();
+    let acks = AtomicU64::new(0);
+    let acked: Vec<Vec<aware_serve::proto::HypothesisReport>> = std::thread::scope(|scope| {
+        let callers: Vec<_> = sids
+            .iter()
+            .map(|&sid| {
+                let (handle, acks) = (handle.clone(), &acks);
+                scope.spawn(move || {
+                    let mut acked = Vec::new();
+                    for n in 0.. {
+                        match handle.call(age_band(sid, n)) {
+                            Response::VizAdded { hypothesis, .. } => {
+                                acked.extend(hypothesis);
+                                acks.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Response::Error(e) => {
+                                assert_eq!(e.code, aware_serve::ErrorCode::Shutdown, "{e}");
+                                break;
+                            }
+                            other => panic!("{other:?}"),
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        while acks.load(Ordering::SeqCst) < 200 {
+            std::thread::yield_now();
+        }
+        service.shutdown();
+        callers.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    match handle.call(age_band(sids[0], 0)) {
+        Response::Error(e) => assert_eq!(e.code, aware_serve::ErrorCode::Shutdown),
+        other => panic!("a late caller was served: {other:?}"),
+    }
+    drop(handle);
+
+    let service = start();
+    let handle = service.handle();
+    for (sid, acked) in sids.iter().zip(&acked) {
+        assert_ledger_holds(&handle, *sid, acked);
+    }
+    drop(handle);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Session-free sanity floor for the constants above — keeps the
 /// acceptance numbers from silently eroding in refactors.
 #[test]
