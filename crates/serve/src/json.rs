@@ -49,8 +49,10 @@ impl Json {
 
     /// Numeric member interpreted as a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
+        // `u64::MAX as f64` rounds up to 2^64, which is out of range: the
+        // bound is strict, or 2^64 would saturate to `u64::MAX`.
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -571,6 +573,17 @@ mod tests {
         assert!(v.get("missing").is_none());
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_64() {
+        let two_to_the_64 = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(two_to_the_64.as_f64(), Some(2f64.powi(64)));
+        assert_eq!(two_to_the_64.as_u64(), None);
+        // The largest f64 below 2^64 is 2^64 - 2^11, and it is exact.
+        let below = Json::parse("18446744073709549568").unwrap();
+        assert_eq!(below.as_f64(), Some(2f64.powi(64) - 2048.0));
+        assert_eq!(below.as_u64(), Some(u64::MAX - 2047));
     }
 
     #[test]

@@ -24,9 +24,22 @@
 //! Filters travel as a small predicate AST (`FilterSpec`) mirroring
 //! `aware_data::predicate::Predicate`, and policies as a tagged
 //! `PolicySpec` naming one of the paper's five investing rules.
+//!
+//! ## One message table
+//!
+//! Every command and response is declared once, as a row of the
+//! `message_table!` invocation in this module: binary tag, wire name
+//! (or, for a response, the JSON key that identifies it), fields. The
+//! [`Command`] and [`Response`] enums, [`COMMAND_KINDS`], and both
+//! surfaces' per-message codecs are generated from the rows; each field
+//! type's codec is written once, behind the crate-private `Field` trait.
+//! A new message is one row. The envelopes, the recursive filter codec
+//! and the stats scalar list stay hand-written and serve as field
+//! codecs.
 
 use crate::error::{ErrorCode, ServeError};
 use crate::json::Json;
+use crate::wire::{Reader, Writer};
 use aware_core::hypothesis::TestRecord;
 use aware_data::predicate::{CmpOp, Predicate};
 use aware_data::value::Value;
@@ -217,13 +230,7 @@ impl Envelope {
                         batch
                             .items
                             .iter()
-                            .map(|item| {
-                                let mut json = item.cmd.to_json();
-                                if let (Some(id), Json::Obj(pairs)) = (item.id, &mut json) {
-                                    pairs.insert(0, ("id".to_string(), Json::Num(id as f64)));
-                                }
-                                json
-                            })
+                            .map(|item| id_first(item.cmd.to_json(), item.id))
                             .collect(),
                     ),
                 ));
@@ -267,10 +274,7 @@ impl Envelope {
             });
         }
         if v.get("cmd").and_then(Json::as_str) == Some("hello") {
-            let version = v
-                .get("version")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ServeError::invalid("hello missing integer field 'version'"))?;
+            let version = req(v, "version", "hello")?;
             let encoding = match v.get("encoding") {
                 None => Encoding::Json,
                 Some(e) => e.as_str().and_then(Encoding::parse).ok_or_else(|| {
@@ -279,11 +283,11 @@ impl Envelope {
             };
             return Ok(Envelope::Hello {
                 id,
-                version: version.min(u32::MAX as u64) as u32,
+                version: protocol_version(version),
                 encoding,
                 // Lenient: absent (or non-bool) means not requested, so
                 // old clients keep decoding unchanged.
-                push: v.get("push").and_then(Json::as_bool).unwrap_or(false),
+                push: lenient(v, "push", false),
             });
         }
         Ok(Envelope::Single {
@@ -294,11 +298,7 @@ impl Envelope {
 
     /// Parses one request line into an envelope.
     pub fn decode_line(line: &str) -> Result<Envelope, ServeError> {
-        let v = Json::parse(line.trim()).map_err(|e| ServeError {
-            code: ErrorCode::BadRequest,
-            message: e.to_string(),
-        })?;
-        Envelope::from_json(&v)
+        Envelope::from_json(&parse_line(line)?)
     }
 }
 
@@ -340,13 +340,7 @@ impl Reply {
                     Json::Arr(
                         items
                             .iter()
-                            .map(|(item_id, response)| {
-                                let mut json = response.to_json();
-                                if let (Some(id), Json::Obj(pairs)) = (item_id, &mut json) {
-                                    pairs.insert(0, ("id".to_string(), Json::Num(*id as f64)));
-                                }
-                                json
-                            })
+                            .map(|(id, response)| id_first(response.to_json(), *id))
                             .collect(),
                     ),
                 ));
@@ -362,11 +356,11 @@ impl Reply {
         if let Some(hello) = v.get("hello") {
             return Ok(Reply::HelloAck {
                 id,
-                version: req_u64(hello, "version", "hello")? as u32,
+                version: protocol_version(req(hello, "version", "hello")?),
                 encoding: Encoding::parse(req_str(hello, "encoding", "hello")?)
                     .ok_or_else(|| ServeError::invalid("unknown hello encoding"))?,
-                max_frame: req_u64(hello, "max_frame", "hello")?,
-                push: hello.get("push").and_then(Json::as_bool).unwrap_or(false),
+                max_frame: req(hello, "max_frame", "hello")?,
+                push: lenient(hello, "push", false),
             });
         }
         if let Some(items) = v.get("responses") {
@@ -391,12 +385,15 @@ impl Reply {
 
     /// Parses one response line into a reply envelope.
     pub fn decode_line(line: &str) -> Result<Reply, ServeError> {
-        let v = Json::parse(line.trim()).map_err(|e| ServeError {
-            code: ErrorCode::BadRequest,
-            message: e.to_string(),
-        })?;
-        Reply::from_json(&v)
+        Reply::from_json(&parse_line(line)?)
     }
+}
+
+/// A decoded protocol version. One past `u32::MAX` reads as `u32::MAX`,
+/// which no server speaks, so negotiation refuses it instead of
+/// wrapping it onto a version that exists.
+pub(crate) fn protocol_version(n: u64) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 /// Which transcript rendering the client wants.
@@ -459,7 +456,9 @@ impl PolicySpec {
             }
         })
     }
+}
 
+impl Field for PolicySpec {
     fn to_json(&self) -> Json {
         match *self {
             PolicySpec::Fixed { gamma } => Json::obj(vec![
@@ -499,9 +498,10 @@ impl PolicySpec {
         }
     }
 
-    fn from_json(v: &Json) -> Result<PolicySpec, ServeError> {
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        let v = v.ok_or_else(|| absent(key))?;
         let kind = req_str(v, "kind", "policy")?;
-        let num = |field: &str| req_num(v, field, "policy");
+        let num = |field: &str| req(v, field, "policy");
         Ok(match kind {
             "fixed" => PolicySpec::Fixed {
                 gamma: num("gamma")?,
@@ -533,6 +533,14 @@ impl PolicySpec {
                 )))
             }
         })
+    }
+
+    fn write(&self, w: &mut Writer) {
+        w.policy(self);
+    }
+
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        r.policy()
     }
 }
 
@@ -658,7 +666,9 @@ impl FilterSpec {
             }
         }
     }
+}
 
+impl Field for FilterSpec {
     fn to_json(&self) -> Json {
         match self {
             FilterSpec::True => Json::obj(vec![("op", Json::Str("true".into()))]),
@@ -702,11 +712,12 @@ impl FilterSpec {
         }
     }
 
-    fn from_json(v: &Json) -> Result<FilterSpec, ServeError> {
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        let v = v.ok_or_else(|| absent(key))?;
         let op = req_str(v, "op", "filter")?;
         if let Some(cmp) = cmp_op_parse(op) {
             return Ok(FilterSpec::Cmp {
-                column: req_str(v, "column", "filter")?.to_string(),
+                column: req(v, "column", "filter")?,
                 op: cmp,
                 value: value_from_json(
                     v.get("value")
@@ -717,7 +728,7 @@ impl FilterSpec {
         Ok(match op {
             "true" => FilterSpec::True,
             "in" => FilterSpec::In {
-                column: req_str(v, "column", "filter")?.to_string(),
+                column: req(v, "column", "filter")?,
                 values: v
                     .get("values")
                     .and_then(Json::as_arr)
@@ -727,21 +738,23 @@ impl FilterSpec {
                     .collect::<Result<_, _>>()?,
             },
             "between" => FilterSpec::Between {
-                column: req_str(v, "column", "filter")?.to_string(),
-                lo: req_num(v, "lo", "filter")?,
-                hi: req_num(v, "hi", "filter")?,
+                column: req(v, "column", "filter")?,
+                lo: req(v, "lo", "filter")?,
+                hi: req(v, "hi", "filter")?,
             },
-            "not" => FilterSpec::Not(Box::new(FilterSpec::from_json(
-                v.get("arg")
-                    .ok_or_else(|| ServeError::invalid("filter 'not' needs 'arg'"))?,
-            )?)),
+            "not" => {
+                let arg = v
+                    .get("arg")
+                    .ok_or_else(|| ServeError::invalid("filter 'not' needs 'arg'"))?;
+                FilterSpec::Not(Box::new(Self::from_json(Some(arg), "arg", "filter")?))
+            }
             "and" | "or" => {
                 let parts = v
                     .get("args")
                     .and_then(Json::as_arr)
                     .ok_or_else(|| ServeError::invalid("filter and/or needs an 'args' array"))?
                     .iter()
-                    .map(FilterSpec::from_json)
+                    .map(|part| Self::from_json(Some(part), "args", "filter"))
                     .collect::<Result<Vec<_>, _>>()?;
                 if op == "and" {
                     FilterSpec::And(parts)
@@ -752,112 +765,387 @@ impl FilterSpec {
             other => return Err(ServeError::invalid(format!("unknown filter op '{other}'"))),
         })
     }
+
+    fn write(&self, w: &mut Writer) {
+        w.filter(self);
+    }
+
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        r.filter(0)
+    }
 }
 
-/// A request to the service.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// Opens a session over a registered dataset.
-    CreateSession {
-        dataset: String,
-        alpha: f64,
-        policy: PolicySpec,
-    },
-    /// Opens a session under a caller-chosen id — the cluster router's
-    /// create path: the router allocates cluster-wide ids so the
-    /// consistent-hash ring can place the session before any shard has
-    /// seen it. Refused (`invalid_argument`) when the id is already
-    /// live or persisted on the shard.
-    CreateSessionAs {
-        session: SessionId,
-        dataset: String,
-        alpha: f64,
-        policy: PolicySpec,
-    },
-    /// Quiesces a session (after every earlier command of it), removes
-    /// it from the shard (memory *and* snapshot store), returns its complete
-    /// `AWRS` snapshot image — the shard-handoff half of a migration.
-    /// After a successful export the session answers `unknown_session`
-    /// here; the wealth ledger lives in the returned bytes.
-    ExportSession { session: SessionId },
-    /// Installs an exported `AWRS` image under `session` (which must
-    /// equal the id inside the image). Restore runs the full snapshot
-    /// validation battery (selections are derived lazily, through the
-    /// dataset's shared `EvalCache`, by the first test that needs
-    /// them); the shard's id allocator is bumped above the imported id.
-    ImportSession { session: SessionId, image: Vec<u8> },
-    /// Lists registered datasets (name, rows, content fingerprint) and
-    /// the shard's next free session id — the roster a router checks
-    /// before admitting a shard to the ring.
-    ListDatasets,
-    /// Admits a shard to a cluster router's ring, migrating exactly the
-    /// remapped sessions onto it. A plain `aware-serve` shard answers
-    /// `invalid_argument` — only routers rebalance.
-    JoinShard { addr: String },
-    /// Removes a shard from a cluster router's ring, migrating its
-    /// sessions to the surviving shards first.
-    LeaveShard { addr: String },
-    /// Ships an `AWRS` snapshot image to a warm replica. The receiving
-    /// shard runs the image through the full restore validator (decode,
-    /// dataset fingerprint, ledger re-validation) and **refuses** any
-    /// image that fails it — a diverged replica is discarded, never
-    /// adopted. `epoch` is the monotonic replication epoch: a replica
-    /// refuses any epoch older than the one it already holds, and
-    /// re-applying the current epoch is an idempotent ack.
-    ReplicateSession {
-        session: SessionId,
-        epoch: u64,
-        image: Vec<u8>,
-    },
-    /// Installs the replica image this shard holds for `session` as the
-    /// live session — the failover half of replication. The image is
-    /// re-read from its durable home and re-validated at promotion
-    /// time; a tampered or diverged image answers `corrupt_snapshot`
-    /// and the replica is discarded (never adopted as a ledger).
-    PromoteReplica { session: SessionId },
-    /// Discards the replica image this shard holds for `session`
-    /// (topology moved the replica elsewhere, or the session closed).
-    /// Idempotent: dropping an absent replica is still an ack.
-    DropReplica { session: SessionId },
-    /// Returns the session's complete `AWRS` snapshot image *without*
-    /// removing the session — the non-destructive half of
-    /// `export_session`, used by the router's replication cadence.
-    SnapshotSession { session: SessionId },
-    /// Lists every session this shard knows about — live or persisted
-    /// primaries plus held replica images with their epochs. A
-    /// restarting router scans shards with this to rebuild placement
-    /// instead of starting blind.
-    ListSessions,
-    /// Membership gossip: the sender's roster view (ring generation +
-    /// per-shard health). The receiver merges the higher generation and
-    /// answers with its own view, so peers converge on the ring.
-    Gossip {
-        from: String,
-        generation: u64,
-        members: Vec<MemberInfo>,
-    },
-    /// Places a visualization; may derive and test a hypothesis.
-    AddVisualization {
-        session: SessionId,
-        attribute: String,
-        filter: FilterSpec,
-    },
-    /// Swaps the session's bidding policy for subsequent tests.
-    SetPolicy {
-        session: SessionId,
-        policy: PolicySpec,
-    },
-    /// Renders the session's risk gauge.
-    Gauge { session: SessionId },
-    /// Exports the session transcript.
-    Transcript {
-        session: SessionId,
-        format: TranscriptFormat,
-    },
-    /// Closes (removes) a session.
-    CloseSession { session: SessionId },
-    /// Server-wide metrics counters.
-    Stats,
+// -- the message table ------------------------------------------------------
+
+/// One field type's codec on both surfaces: the four functions the
+/// message table calls for every field it declares.
+pub(crate) trait Field: Sized {
+    /// The field's JSON value.
+    fn to_json(&self) -> Json;
+    /// Decodes member `key` of a `ctx` object; `v` is `None` when the
+    /// member is absent.
+    fn from_json(v: Option<&Json>, key: &str, ctx: &str) -> Result<Self, ServeError>;
+    /// Appends the field's `AWR2` bytes.
+    fn write(&self, w: &mut Writer);
+    /// Reads the field's `AWR2` bytes; `what` names it in errors.
+    fn read(r: &mut Reader, what: &str) -> Result<Self, ServeError>;
+}
+
+/// What a table field decodes to when its JSON member is absent or
+/// unreadable.
+enum Fallback<T> {
+    /// Nothing: the field's codec reports the problem.
+    Required,
+    /// An absent member decodes as this value.
+    Missing(T),
+    /// An absent or unreadable member decodes as this value.
+    Lenient(T),
+}
+
+use Fallback::{Lenient, Missing, Required};
+
+fn json_field<T: Field>(
+    v: &Json,
+    key: &str,
+    ctx: &str,
+    fallback: Fallback<T>,
+) -> Result<T, ServeError> {
+    let member = v.get(key);
+    match fallback {
+        Missing(value) if member.is_none() => Ok(value),
+        Lenient(value) => Ok(T::from_json(member, key, ctx).unwrap_or(value)),
+        _ => T::from_json(member, key, ctx),
+    }
+}
+
+/// Declares every command and response once. A row gives the binary
+/// tag, the wire name (commands) or the JSON key whose presence
+/// identifies the response, the variant and its fields. A field may
+/// rename its JSON key (`as "gauge"`, also its name in binary decode
+/// errors) and give its JSON decode a [`Fallback`]. A response row
+/// marked `+"key"` carries that key as a constant `true` after its
+/// first field, and is identified by it.
+///
+/// Command rows are in [`Command::kind_index`] order. Response rows are
+/// in the order [`Response::from_json`] tries their keys; the error
+/// row has none, since `"ok":false` identifies it. Tags are explicit,
+/// so rows can move without changing a byte.
+///
+/// The macro generates both enums, [`COMMAND_KINDS`],
+/// [`Command::kind_index`], and the `to_json` / `from_json` of both enums
+/// and the `AWR2` encoders and decoders of both, each a loop over the
+/// rows calling [`Field`].
+macro_rules! message_table {
+    (
+        commands {$(
+            $(#[$cdoc:meta])*
+            $ctag:literal $cname:literal $C:ident
+                $({ $($cf:ident: $cty:ty $(= $cfall:expr)?),+ $(,)? })?,
+        )+}
+        responses {$(
+            $(#[$rdoc:meta])*
+            $rtag:literal $($rkey:literal)? $(+ $rmark:literal)? $R:ident
+                $({ $($rf:ident: $rty:ty $(as $rjson:literal)? $(= $rfall:expr)?),+ $(,)? })?
+                $(($rt:ident: $rtty:ty))?,
+        )+}
+    ) => {
+        /// A request to the service.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Command {
+            $($(#[$cdoc])* $C $({ $($cf: $cty),+ })?,)+
+        }
+
+        /// A reply from the service.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Response {
+            $($(#[$rdoc])* $R $({ $($rf: $rty),+ })? $(($rtty))?,)+
+        }
+
+        /// The command rows, numbered in order.
+        #[derive(Clone, Copy)]
+        enum CommandKind {
+            $($C,)+
+        }
+
+        impl CommandKind {
+            const COUNT: usize = [$(CommandKind::$C,)+].len();
+        }
+
+        /// Wire names of every command, in [`Command::kind_index`] order.
+        /// Metrics key their per-kind latency histograms by this index, and
+        /// the exposition endpoint labels the resulting summaries with these
+        /// names.
+        pub const COMMAND_KINDS: [&str; CommandKind::COUNT] = [$($cname,)+];
+
+        impl Command {
+            /// Index into [`COMMAND_KINDS`] — the key the per-command-kind
+            /// latency histograms are bucketed by.
+            pub fn kind_index(&self) -> usize {
+                match self {
+                    $(Command::$C { .. } => CommandKind::$C as usize,)+
+                }
+            }
+
+            /// Encodes as a request object (without an `id`).
+            pub fn to_json(&self) -> Json {
+                match self {
+                    $(Command::$C $({ $($cf),+ })? => Json::obj(vec![
+                        ("cmd", Json::Str($cname.into())),
+                        $($((stringify!($cf), Field::to_json($cf)),)+)?
+                    ]),)+
+                }
+            }
+
+            /// Decodes a parsed request object.
+            pub fn from_json(v: &Json) -> Result<Command, ServeError> {
+                Ok(match req_str(v, "cmd", "request")? {
+                    $($cname => Command::$C $({$(
+                        $cf: json_field(v, stringify!($cf), "request", message_table!(@fallback $($cfall)?))?,
+                    )+})?,)+
+                    other => {
+                        return Err(ServeError {
+                            code: ErrorCode::UnknownCommand,
+                            message: format!("unknown command '{other}'"),
+                        })
+                    }
+                })
+            }
+        }
+
+        impl Response {
+            /// Encodes as a response object (without an `id`).
+            pub fn to_json(&self) -> Json {
+                match self {
+                    $(Response::$R $({ $($rf),+ })? $(($rt))? => {
+                        #[allow(unused_mut)]
+                        let mut pairs = vec![
+                            ("ok", Json::Bool(self.is_ok())),
+                            $($((message_table!(@key $rf $($rjson)?), Field::to_json($rf)),)+)?
+                            $((stringify!($rt), Field::to_json($rt)),)?
+                        ];
+                        // A marker key follows the row's first field.
+                        $(pairs.insert(2, ($rmark, Json::Bool(true)));)?
+                        Json::obj(pairs)
+                    })+
+                }
+            }
+
+            /// Decodes a parsed response object (the per-item payload of a batch
+            /// reply, or one v1 response line minus its id).
+            pub fn from_json(v: &Json) -> Result<Response, ServeError> {
+                let ok = v
+                    .get("ok")
+                    .and_then(Json::as_bool)
+                    .ok_or_else(|| ServeError::invalid("response missing 'ok'"))?;
+                if !ok {
+                    return Ok(Response::Error(Field::from_json(v.get("error"), "error", "response")?));
+                }
+                $(if message_table!(@has v $($rkey)? $($rmark)?) {
+                    return Ok(Response::$R $({$(
+                        $rf: json_field(
+                            v,
+                            message_table!(@key $rf $($rjson)?),
+                            "response",
+                            message_table!(@fallback $($rfall)?),
+                        )?,
+                    )+})? $((json_field(v, stringify!($rt), "response", Required)?))?);
+                })+
+                Err(ServeError::invalid("unrecognized response shape"))
+            }
+        }
+
+        impl Writer {
+            pub(crate) fn command(&mut self, cmd: &Command) {
+                match cmd {
+                    $(Command::$C $({ $($cf),+ })? => {
+                        self.u8($ctag);
+                        $($(Field::write($cf, self);)+)?
+                    })+
+                }
+            }
+
+            pub(crate) fn response(&mut self, response: &Response) {
+                match response {
+                    $(Response::$R $({ $($rf),+ })? $(($rt))? => {
+                        self.u8($rtag);
+                        $($(Field::write($rf, self);)+)?
+                        $(Field::write($rt, self);)?
+                    })+
+                }
+            }
+        }
+
+        impl Reader<'_> {
+            pub(crate) fn command(&mut self) -> Result<Command, ServeError> {
+                Ok(match self.u8("command tag")? {
+                    $($ctag => Command::$C $({ $($cf: Field::read(self, stringify!($cf))?),+ })?,)+
+                    other => {
+                        return Err(ServeError {
+                            code: ErrorCode::UnknownCommand,
+                            message: format!("unknown command tag {other}"),
+                        })
+                    }
+                })
+            }
+
+            pub(crate) fn response(&mut self) -> Result<Response, ServeError> {
+                Ok(match self.u8("response tag")? {
+                    $($rtag => Response::$R
+                        $({ $($rf: Field::read(self, message_table!(@key $rf $($rjson)?))?),+ })?
+                        $((Field::read(self, stringify!($rt))?))?,)+
+                    other => return Err(self.bad(format!("unknown response tag {other}"))),
+                })
+            }
+        }
+    };
+    (@key $f:ident) => { stringify!($f) };
+    (@key $f:ident $key:literal) => { $key };
+    (@fallback) => { Required };
+    (@fallback $fallback:expr) => { $fallback };
+    (@has $v:ident) => { false };
+    (@has $v:ident $key:literal) => { $v.get($key).is_some() };
+}
+
+message_table! {
+    commands {
+        /// Opens a session over a registered dataset.
+        1 "create_session" CreateSession { dataset: String, alpha: f64, policy: PolicySpec },
+        /// Opens a session under a caller-chosen id — the cluster router's
+        /// create path: the router allocates cluster-wide ids so the
+        /// consistent-hash ring can place the session before any shard has
+        /// seen it. Refused (`invalid_argument`) when the id is already
+        /// live or persisted on the shard.
+        8 "create_session_as" CreateSessionAs {
+            session: SessionId,
+            dataset: String,
+            alpha: f64,
+            policy: PolicySpec,
+        },
+        /// Places a visualization; may derive and test a hypothesis.
+        2 "add_visualization" AddVisualization {
+            session: SessionId,
+            attribute: String,
+            filter: FilterSpec = Missing(FilterSpec::True),
+        },
+        /// Swaps the session's bidding policy for subsequent tests.
+        3 "set_policy" SetPolicy { session: SessionId, policy: PolicySpec },
+        /// Renders the session's risk gauge.
+        4 "gauge" Gauge { session: SessionId },
+        /// Exports the session transcript.
+        5 "transcript" Transcript {
+            session: SessionId,
+            format: TranscriptFormat = Missing(TranscriptFormat::Csv),
+        },
+        /// Closes (removes) a session.
+        6 "close_session" CloseSession { session: SessionId },
+        /// Quiesces a session (after every earlier command of it), removes
+        /// it from the shard (memory *and* snapshot store), returns its complete
+        /// `AWRS` snapshot image — the shard-handoff half of a migration.
+        /// After a successful export the session answers `unknown_session`
+        /// here; the wealth ledger lives in the returned bytes.
+        9 "export_session" ExportSession { session: SessionId },
+        /// Installs an exported `AWRS` image under `session` (which must
+        /// equal the id inside the image). Restore runs the full snapshot
+        /// validation battery (selections are derived lazily, through the
+        /// dataset's shared `EvalCache`, by the first test that needs
+        /// them); the shard's id allocator is bumped above the imported id.
+        10 "import_session" ImportSession { session: SessionId, image: Vec<u8> },
+        /// Lists registered datasets (name, rows, content fingerprint) and
+        /// the shard's next free session id — the roster a router checks
+        /// before admitting a shard to the ring.
+        11 "list_datasets" ListDatasets,
+        /// Admits a shard to a cluster router's ring, migrating exactly the
+        /// remapped sessions onto it. A plain `aware-serve` shard answers
+        /// `invalid_argument` — only routers rebalance.
+        12 "join_shard" JoinShard { addr: String },
+        /// Removes a shard from a cluster router's ring, migrating its
+        /// sessions to the surviving shards first.
+        13 "leave_shard" LeaveShard { addr: String },
+        /// Server-wide metrics counters.
+        7 "stats" Stats,
+        /// Ships an `AWRS` snapshot image to a warm replica. The receiving
+        /// shard runs the image through the full restore validator (decode,
+        /// dataset fingerprint, ledger re-validation) and **refuses** any
+        /// image that fails it — a diverged replica is discarded, never
+        /// adopted. `epoch` is the monotonic replication epoch: a replica
+        /// refuses any epoch older than the one it already holds, and
+        /// re-applying the current epoch is an idempotent ack.
+        14 "replicate_session" ReplicateSession { session: SessionId, epoch: u64, image: Vec<u8> },
+        /// Installs the replica image this shard holds for `session` as the
+        /// live session — the failover half of replication. The image is
+        /// re-read from its durable home and re-validated at promotion
+        /// time; a tampered or diverged image answers `corrupt_snapshot`
+        /// and the replica is discarded (never adopted as a ledger).
+        15 "promote_replica" PromoteReplica { session: SessionId },
+        /// Discards the replica image this shard holds for `session`
+        /// (topology moved the replica elsewhere, or the session closed).
+        /// Idempotent: dropping an absent replica is still an ack.
+        16 "drop_replica" DropReplica { session: SessionId },
+        /// Returns the session's complete `AWRS` snapshot image *without*
+        /// removing the session — the non-destructive half of
+        /// `export_session`, used by the router's replication cadence.
+        17 "snapshot_session" SnapshotSession { session: SessionId },
+        /// Lists every session this shard knows about — live or persisted
+        /// primaries plus held replica images with their epochs. A
+        /// restarting router scans shards with this to rebuild placement
+        /// instead of starting blind.
+        18 "list_sessions" ListSessions,
+        /// Membership gossip: the sender's roster view (ring generation +
+        /// per-shard health). The receiver merges the higher generation and
+        /// answers with its own view, so peers converge on the ring.
+        19 "gossip" Gossip { from: String, generation: u64, members: Vec<MemberInfo> },
+    }
+    responses {
+        /// An unsolicited server-push notification, delivered as an id-0
+        /// envelope to connections that negotiated the push capability.
+        /// Never sent in answer to a command.
+        18 "push" Push(push: PushEvent),
+        7 "stats" Stats(stats: Box<StatsSnapshot>),
+        /// The complete `AWRS` snapshot image of a just-exported (and now
+        /// removed) session.
+        9 "image" SessionExported { session: SessionId, image: Vec<u8> },
+        /// A successfully imported session, reporting the wealth its
+        /// restored ledger carries.
+        10 +"imported" SessionImported { session: SessionId, wealth: f64 },
+        /// Ack of a `replicate_session`: the shard durably holds the image
+        /// for this epoch and the image survived the full restore
+        /// validator.
+        13 +"replicated" SessionReplicated { session: SessionId, epoch: u64 },
+        /// A replica image installed as the live session by
+        /// `promote_replica`, reporting the epoch of the promoted image
+        /// and the wealth its re-validated ledger carries.
+        14 +"promoted" ReplicaPromoted { session: SessionId, epoch: u64, wealth: f64 },
+        /// Ack of a `drop_replica` (idempotent).
+        15 +"dropped" ReplicaDropped { session: SessionId },
+        /// Every session the shard knows about (`list_sessions`).
+        16 "sessions" Sessions { sessions: Vec<SessionEntry> },
+        /// The receiver's membership view after merging a `gossip`.
+        17 "members" GossipView { generation: u64, members: Vec<MemberInfo> },
+        /// The dataset roster plus the shard's next free session id.
+        11 "datasets" Datasets { datasets: Vec<DatasetInfo>, next_session: u64 },
+        /// Outcome of a `join_shard`/`leave_shard` rebalance.
+        12 "joined" Rebalanced { addr: String, joined: bool, migrated: u64 },
+        4 "gauge" GaugeText {
+            session: SessionId,
+            text: String as "gauge" = Lenient(String::new()),
+        },
+        5 "transcript" TranscriptText {
+            session: SessionId,
+            format: TranscriptFormat = Lenient(TranscriptFormat::Csv),
+            text: String as "transcript" = Lenient(String::new()),
+        },
+        2 "viz" VizAdded {
+            session: SessionId,
+            viz: u64,
+            wealth: f64,
+            hypothesis: Option<HypothesisReport>,
+        },
+        6 "hypotheses" SessionClosed { session: SessionId, hypotheses: u64, discoveries: u64 },
+        // Every row above that carries `wealth` or `policy` is told apart first.
+        1 "wealth" SessionCreated { session: SessionId, wealth: f64, policy: String },
+        3 "policy" PolicySet { session: SessionId, policy: String = Lenient(String::new()) },
+        8 Error(error: ServeError),
+    }
 }
 
 impl Command {
@@ -892,232 +1180,52 @@ impl Command {
         COMMAND_KINDS[self.kind_index()]
     }
 
-    /// Index into [`COMMAND_KINDS`] — the key the per-command-kind
-    /// latency histograms are bucketed by.
-    pub fn kind_index(&self) -> usize {
-        match self {
-            Command::CreateSession { .. } => 0,
-            Command::CreateSessionAs { .. } => 1,
-            Command::AddVisualization { .. } => 2,
-            Command::SetPolicy { .. } => 3,
-            Command::Gauge { .. } => 4,
-            Command::Transcript { .. } => 5,
-            Command::CloseSession { .. } => 6,
-            Command::ExportSession { .. } => 7,
-            Command::ImportSession { .. } => 8,
-            Command::ListDatasets => 9,
-            Command::JoinShard { .. } => 10,
-            Command::LeaveShard { .. } => 11,
-            Command::Stats => 12,
-            Command::ReplicateSession { .. } => 13,
-            Command::PromoteReplica { .. } => 14,
-            Command::DropReplica { .. } => 15,
-            Command::SnapshotSession { .. } => 16,
-            Command::ListSessions => 17,
-            Command::Gossip { .. } => 18,
-        }
-    }
-
-    /// Encodes as a request object (without an `id`).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![("cmd", Json::Str(self.name().into()))];
-        match self {
-            Command::CreateSession {
-                dataset,
-                alpha,
-                policy,
-            } => {
-                pairs.push(("dataset", Json::Str(dataset.clone())));
-                pairs.push(("alpha", Json::Num(*alpha)));
-                pairs.push(("policy", policy.to_json()));
-            }
-            Command::CreateSessionAs {
-                session,
-                dataset,
-                alpha,
-                policy,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("dataset", Json::Str(dataset.clone())));
-                pairs.push(("alpha", Json::Num(*alpha)));
-                pairs.push(("policy", policy.to_json()));
-            }
-            Command::ExportSession { session } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-            }
-            Command::ImportSession { session, image } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("image", Json::Str(hex_encode(image))));
-            }
-            Command::ListDatasets | Command::ListSessions => {}
-            Command::JoinShard { addr } | Command::LeaveShard { addr } => {
-                pairs.push(("addr", Json::Str(addr.clone())));
-            }
-            Command::ReplicateSession {
-                session,
-                epoch,
-                image,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("epoch", Json::Num(*epoch as f64)));
-                pairs.push(("image", Json::Str(hex_encode(image))));
-            }
-            Command::PromoteReplica { session }
-            | Command::DropReplica { session }
-            | Command::SnapshotSession { session } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-            }
-            Command::Gossip {
-                from,
-                generation,
-                members,
-            } => {
-                pairs.push(("from", Json::Str(from.clone())));
-                pairs.push(("generation", Json::Num(*generation as f64)));
-                pairs.push(("members", members_to_json(members)));
-            }
-            Command::AddVisualization {
-                session,
-                attribute,
-                filter,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("attribute", Json::Str(attribute.clone())));
-                pairs.push(("filter", filter.to_json()));
-            }
-            Command::SetPolicy { session, policy } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("policy", policy.to_json()));
-            }
-            Command::Gauge { session } | Command::CloseSession { session } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-            }
-            Command::Transcript { session, format } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("format", Json::Str(format.as_str().into())));
-            }
-            Command::Stats => {}
-        }
-        Json::obj(pairs)
-    }
-
     /// Encodes as one request line (with optional client id).
     pub fn encode_line(&self, id: Option<u64>) -> String {
-        let mut json = self.to_json();
-        if let (Some(id), Json::Obj(pairs)) = (id, &mut json) {
-            pairs.insert(0, ("id".to_string(), Json::Num(id as f64)));
-        }
-        json.to_string()
-    }
-
-    /// Decodes a parsed request object.
-    pub fn from_json(v: &Json) -> Result<Command, ServeError> {
-        let cmd = req_str(v, "cmd", "request")?;
-        let session = || req_u64(v, "session", "request");
-        Ok(match cmd {
-            "create_session" => Command::CreateSession {
-                dataset: req_str(v, "dataset", "request")?.to_string(),
-                alpha: req_num(v, "alpha", "request")?,
-                policy: PolicySpec::from_json(
-                    v.get("policy")
-                        .ok_or_else(|| ServeError::invalid("missing 'policy'"))?,
-                )?,
-            },
-            "create_session_as" => Command::CreateSessionAs {
-                session: session()?,
-                dataset: req_str(v, "dataset", "request")?.to_string(),
-                alpha: req_num(v, "alpha", "request")?,
-                policy: PolicySpec::from_json(
-                    v.get("policy")
-                        .ok_or_else(|| ServeError::invalid("missing 'policy'"))?,
-                )?,
-            },
-            "export_session" => Command::ExportSession {
-                session: session()?,
-            },
-            "import_session" => Command::ImportSession {
-                session: session()?,
-                image: hex_decode(req_str(v, "image", "request")?)?,
-            },
-            "list_datasets" => Command::ListDatasets,
-            "join_shard" => Command::JoinShard {
-                addr: req_str(v, "addr", "request")?.to_string(),
-            },
-            "leave_shard" => Command::LeaveShard {
-                addr: req_str(v, "addr", "request")?.to_string(),
-            },
-            "replicate_session" => Command::ReplicateSession {
-                session: session()?,
-                epoch: req_u64(v, "epoch", "request")?,
-                image: hex_decode(req_str(v, "image", "request")?)?,
-            },
-            "promote_replica" => Command::PromoteReplica {
-                session: session()?,
-            },
-            "drop_replica" => Command::DropReplica {
-                session: session()?,
-            },
-            "snapshot_session" => Command::SnapshotSession {
-                session: session()?,
-            },
-            "list_sessions" => Command::ListSessions,
-            "gossip" => Command::Gossip {
-                from: req_str(v, "from", "request")?.to_string(),
-                generation: req_u64(v, "generation", "request")?,
-                members: members_from_json(v.get("members"))?,
-            },
-            "add_visualization" => Command::AddVisualization {
-                session: session()?,
-                attribute: req_str(v, "attribute", "request")?.to_string(),
-                filter: match v.get("filter") {
-                    None => FilterSpec::True,
-                    Some(f) => FilterSpec::from_json(f)?,
-                },
-            },
-            "set_policy" => Command::SetPolicy {
-                session: session()?,
-                policy: PolicySpec::from_json(
-                    v.get("policy")
-                        .ok_or_else(|| ServeError::invalid("missing 'policy'"))?,
-                )?,
-            },
-            "gauge" => Command::Gauge {
-                session: session()?,
-            },
-            "transcript" => Command::Transcript {
-                session: session()?,
-                format: match v.get("format").and_then(Json::as_str) {
-                    None | Some("csv") => TranscriptFormat::Csv,
-                    Some("text") => TranscriptFormat::Text,
-                    Some(other) => {
-                        return Err(ServeError::invalid(format!(
-                            "unknown transcript format '{other}' (expected csv | text)"
-                        )))
-                    }
-                },
-            },
-            "close_session" => Command::CloseSession {
-                session: session()?,
-            },
-            "stats" => Command::Stats,
-            other => {
-                return Err(ServeError {
-                    code: ErrorCode::UnknownCommand,
-                    message: format!("unknown command '{other}'"),
-                })
-            }
-        })
+        id_first(self.to_json(), id).to_string()
     }
 
     /// Parses one request line; returns the command and the echoed id.
     pub fn decode_line(line: &str) -> Result<(Command, Option<u64>), ServeError> {
-        let v = Json::parse(line.trim()).map_err(|e| ServeError {
-            code: ErrorCode::BadRequest,
-            message: e.to_string(),
-        })?;
+        let v = parse_line(line)?;
         let id = v.get("id").and_then(Json::as_u64);
         Ok((Command::from_json(&v)?, id))
     }
+}
+
+impl Response {
+    /// True for non-error responses.
+    pub fn is_ok(&self) -> bool {
+        !matches!(self, Response::Error(_))
+    }
+
+    /// Encodes as one response line (echoing the request id, if any).
+    pub fn encode_line(&self, id: Option<u64>) -> String {
+        id_first(self.to_json(), id).to_string()
+    }
+
+    /// Decodes one response line (used by clients and tests); returns the
+    /// response and the echoed id.
+    pub fn decode_line(line: &str) -> Result<(Response, Option<u64>), ServeError> {
+        let v = parse_line(line)?;
+        let id = v.get("id").and_then(Json::as_u64);
+        Ok((Response::from_json(&v)?, id))
+    }
+}
+
+/// `json` with `"id"` first when there is one.
+fn id_first(mut json: Json, id: Option<u64>) -> Json {
+    if let (Some(id), Json::Obj(pairs)) = (id, &mut json) {
+        pairs.insert(0, ("id".to_string(), Json::Num(id as f64)));
+    }
+    json
+}
+
+fn parse_line(line: &str) -> Result<Json, ServeError> {
+    Json::parse(line.trim()).map_err(|e| ServeError {
+        code: ErrorCode::BadRequest,
+        message: e.to_string(),
+    })
 }
 
 /// The tested-hypothesis payload inside a [`Response::VizAdded`].
@@ -1149,52 +1257,12 @@ impl HypothesisReport {
             wealth_after: record.wealth_after,
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Num(self.id as f64)),
-            ("test", Json::Str(self.test.clone())),
-            ("statistic", Json::Num(self.statistic)),
-            ("p_value", Json::Num(self.p_value)),
-            ("bid", Json::Num(self.bid)),
-            ("rejected", Json::Bool(self.rejected)),
-            ("effect_size", Json::Num(self.effect_size)),
-            ("support_fraction", Json::Num(self.support_fraction)),
-            ("wealth_after", Json::Num(self.wealth_after)),
-        ])
-    }
 }
 
 /// Upper edges of the batch-size histogram buckets reported in
 /// [`StatsSnapshot::batch_size_hist`]: sizes 1, 2–8, 9–64, 65–256, and
 /// everything larger. The edges match the serve bench's batch sizes.
 pub const BATCH_SIZE_BUCKETS: [u64; 4] = [1, 8, 64, 256];
-
-/// Wire names of every command, in [`Command::kind_index`] order.
-/// Metrics key their per-kind latency histograms by this index, and
-/// the exposition endpoint labels the resulting summaries with these
-/// names.
-pub const COMMAND_KINDS: [&str; 19] = [
-    "create_session",
-    "create_session_as",
-    "add_visualization",
-    "set_policy",
-    "gauge",
-    "transcript",
-    "close_session",
-    "export_session",
-    "import_session",
-    "list_datasets",
-    "join_shard",
-    "leave_shard",
-    "stats",
-    "replicate_session",
-    "promote_replica",
-    "drop_replica",
-    "snapshot_session",
-    "list_sessions",
-    "gossip",
-];
 
 /// Health of one cluster member as carried by `gossip` — SWIM-style
 /// three-state so one missed probe (suspect) doesn't flap the ring.
@@ -1261,40 +1329,6 @@ pub struct SessionEntry {
     /// Replication epoch of the held image (0 for primaries — the
     /// epoch is the router's bookkeeping, not the shard's).
     pub epoch: u64,
-}
-
-fn members_to_json(members: &[MemberInfo]) -> Json {
-    Json::Arr(
-        members
-            .iter()
-            .map(|m| {
-                Json::obj(vec![
-                    ("addr", Json::Str(m.addr.clone())),
-                    ("status", Json::Num(f64::from(m.status.as_u8()))),
-                    ("incarnation", Json::Num(m.incarnation as f64)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn members_from_json(v: Option<&Json>) -> Result<Vec<MemberInfo>, ServeError> {
-    match v.and_then(Json::as_arr) {
-        None => Ok(Vec::new()),
-        Some(items) => items
-            .iter()
-            .map(|m| {
-                Ok(MemberInfo {
-                    addr: req_str(m, "addr", "member")?.to_string(),
-                    status: MemberStatus::from_u8(
-                        u8::try_from(req_u64(m, "status", "member")?)
-                            .map_err(|_| ServeError::invalid("member status out of range"))?,
-                    )?,
-                    incarnation: m.get("incarnation").and_then(Json::as_u64).unwrap_or(0),
-                })
-            })
-            .collect(),
-    }
 }
 
 /// One registered dataset as reported by [`Command::ListDatasets`].
@@ -1497,7 +1531,342 @@ impl StatsSnapshot {
             *slot += n;
         }
     }
+}
 
+/// What a push-subscribed connection can be told without asking.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PushEvent {
+    /// A session was evicted from memory (`reason` is `"idle"` or
+    /// `"lru"`). With persistence the session spilled to disk and a
+    /// later command restores it lazily; without, its budget is gone —
+    /// either way the dashboard should know its gauge is stale.
+    SessionEvicted { session: SessionId, reason: String },
+    /// A dataset was re-registered: its shared evaluation cache was
+    /// rebuilt, so any client-side caching keyed on the old dataset
+    /// fingerprint is invalid.
+    CacheReset { dataset: String },
+}
+
+// -- field codecs -----------------------------------------------------------
+
+impl Field for u64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn from_json(v: Option<&Json>, key: &str, ctx: &str) -> Result<Self, ServeError> {
+        v.and_then(Json::as_u64)
+            .ok_or_else(|| missing("integer", key, ctx))
+    }
+    fn write(&self, w: &mut Writer) {
+        w.varint(*self);
+    }
+    fn read(r: &mut Reader, what: &str) -> Result<Self, ServeError> {
+        r.varint(what)
+    }
+}
+
+impl Field for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn from_json(v: Option<&Json>, key: &str, ctx: &str) -> Result<Self, ServeError> {
+        v.and_then(Json::as_f64)
+            .ok_or_else(|| missing("numeric", key, ctx))
+    }
+    fn write(&self, w: &mut Writer) {
+        w.f64(*self);
+    }
+    fn read(r: &mut Reader, what: &str) -> Result<Self, ServeError> {
+        r.f64(what)
+    }
+}
+
+impl Field for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(v: Option<&Json>, key: &str, ctx: &str) -> Result<Self, ServeError> {
+        json_str(v, key, ctx).map(str::to_string)
+    }
+    fn write(&self, w: &mut Writer) {
+        w.str(self);
+    }
+    fn read(r: &mut Reader, what: &str) -> Result<Self, ServeError> {
+        r.str(what)
+    }
+}
+
+impl Field for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        v.and_then(Json::as_bool)
+            .ok_or_else(|| ServeError::invalid(format!("bad '{key}'")))
+    }
+    fn write(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+    fn read(r: &mut Reader, what: &str) -> Result<Self, ServeError> {
+        Ok(r.u8(what)? != 0)
+    }
+}
+
+/// Snapshot images: raw on `AWR2`, lowercase hex on JSON.
+impl Field for Vec<u8> {
+    fn to_json(&self) -> Json {
+        Json::Str(hex_encode(self))
+    }
+    fn from_json(v: Option<&Json>, key: &str, ctx: &str) -> Result<Self, ServeError> {
+        hex_decode(json_str(v, key, ctx)?)
+    }
+    fn write(&self, w: &mut Writer) {
+        w.bytes(self);
+    }
+    fn read(r: &mut Reader, what: &str) -> Result<Self, ServeError> {
+        r.byte_string(what)
+    }
+}
+
+impl Field for TranscriptFormat {
+    fn to_json(&self) -> Json {
+        Json::Str(self.as_str().into())
+    }
+    fn from_json(v: Option<&Json>, key: &str, ctx: &str) -> Result<Self, ServeError> {
+        match v.ok_or_else(|| missing("string", key, ctx))?.as_str() {
+            None | Some("csv") => Ok(TranscriptFormat::Csv),
+            Some("text") => Ok(TranscriptFormat::Text),
+            Some(other) => Err(ServeError::invalid(format!(
+                "unknown transcript format '{other}' (expected csv | text)"
+            ))),
+        }
+    }
+    fn write(&self, w: &mut Writer) {
+        w.u8(matches!(self, TranscriptFormat::Text) as u8);
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        match r.u8("transcript format")? {
+            0 => Ok(TranscriptFormat::Csv),
+            1 => Ok(TranscriptFormat::Text),
+            other => Err(r.bad(format!("unknown transcript format {other}"))),
+        }
+    }
+}
+
+impl Field for Option<HypothesisReport> {
+    fn to_json(&self) -> Json {
+        let Some(h) = self else {
+            return Json::Null;
+        };
+        Json::obj(vec![
+            ("id", Json::Num(h.id as f64)),
+            ("test", Json::Str(h.test.clone())),
+            ("statistic", Json::Num(h.statistic)),
+            ("p_value", Json::Num(h.p_value)),
+            ("bid", Json::Num(h.bid)),
+            ("rejected", Json::Bool(h.rejected)),
+            ("effect_size", Json::Num(h.effect_size)),
+            ("support_fraction", Json::Num(h.support_fraction)),
+            ("wealth_after", Json::Num(h.wealth_after)),
+        ])
+    }
+    fn from_json(v: Option<&Json>, _: &str, _: &str) -> Result<Self, ServeError> {
+        let h = match v {
+            None | Some(Json::Null) => return Ok(None),
+            Some(h) => h,
+        };
+        let ctx = "hypothesis";
+        Ok(Some(HypothesisReport {
+            id: req(h, "id", ctx)?,
+            test: req(h, "test", ctx)?,
+            statistic: req(h, "statistic", ctx)?,
+            p_value: req(h, "p_value", ctx)?,
+            bid: req(h, "bid", ctx)?,
+            rejected: req(h, "rejected", ctx)?,
+            effect_size: req(h, "effect_size", ctx)?,
+            support_fraction: req(h, "support_fraction", ctx)?,
+            wealth_after: req(h, "wealth_after", ctx)?,
+        }))
+    }
+    fn write(&self, w: &mut Writer) {
+        let Some(h) = self else {
+            return w.u8(0);
+        };
+        w.u8(1);
+        w.varint(h.id);
+        w.str(&h.test);
+        w.f64(h.statistic);
+        w.f64(h.p_value);
+        w.f64(h.bid);
+        w.u8(h.rejected as u8);
+        w.f64(h.effect_size);
+        w.f64(h.support_fraction);
+        w.f64(h.wealth_after);
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        match r.u8("hypothesis flag")? {
+            0 => Ok(None),
+            1 => Ok(Some(HypothesisReport {
+                id: r.varint("hypothesis id")?,
+                test: r.str("test")?,
+                statistic: r.f64("statistic")?,
+                p_value: r.f64("p_value")?,
+                bid: r.f64("bid")?,
+                rejected: r.u8("rejected")? != 0,
+                effect_size: r.f64("effect_size")?,
+                support_fraction: r.f64("support_fraction")?,
+                wealth_after: r.f64("wealth_after")?,
+            })),
+            other => Err(r.bad(format!("bad hypothesis flag {other}"))),
+        }
+    }
+}
+
+impl Field for Vec<MemberInfo> {
+    fn to_json(&self) -> Json {
+        Json::Arr(
+            self.iter()
+                .map(|m| {
+                    Json::obj(vec![
+                        ("addr", Json::Str(m.addr.clone())),
+                        ("status", Json::Num(f64::from(m.status.as_u8()))),
+                        ("incarnation", Json::Num(m.incarnation as f64)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+    /// An absent or non-array roster is empty.
+    fn from_json(v: Option<&Json>, _: &str, _: &str) -> Result<Self, ServeError> {
+        let Some(items) = v.and_then(Json::as_arr) else {
+            return Ok(Vec::new());
+        };
+        items
+            .iter()
+            .map(|m| {
+                Ok(MemberInfo {
+                    addr: req(m, "addr", "member")?,
+                    status: MemberStatus::from_u8(
+                        u8::try_from(req::<u64>(m, "status", "member")?)
+                            .map_err(|_| ServeError::invalid("member status out of range"))?,
+                    )?,
+                    incarnation: lenient(m, "incarnation", 0),
+                })
+            })
+            .collect()
+    }
+    fn write(&self, w: &mut Writer) {
+        write_list(w, self, |w, m| {
+            w.str(&m.addr);
+            w.u8(m.status.as_u8());
+            w.varint(m.incarnation);
+        });
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        read_list(r, "member count", 4096, |r| {
+            Ok(MemberInfo {
+                addr: r.str("member addr")?,
+                status: MemberStatus::from_u8(r.u8("member status")?)?,
+                incarnation: r.varint("member incarnation")?,
+            })
+        })
+    }
+}
+
+impl Field for Vec<DatasetInfo> {
+    fn to_json(&self) -> Json {
+        Json::Arr(
+            self.iter()
+                .map(|d| {
+                    Json::obj(vec![
+                        ("name", Json::Str(d.name.clone())),
+                        ("rows", Json::Num(d.rows as f64)),
+                        // u64 fingerprints exceed f64's exact integer
+                        // range; hex keeps the bits.
+                        ("fingerprint", Json::Str(format!("{:016x}", d.fingerprint))),
+                    ])
+                })
+                .collect(),
+        )
+    }
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        json_array(v, key)?
+            .iter()
+            .map(|d| {
+                Ok(DatasetInfo {
+                    name: req(d, "name", "dataset")?,
+                    rows: req(d, "rows", "dataset")?,
+                    fingerprint: u64::from_str_radix(req_str(d, "fingerprint", "dataset")?, 16)
+                        .map_err(|_| ServeError::invalid("bad dataset fingerprint"))?,
+                })
+            })
+            .collect()
+    }
+    fn write(&self, w: &mut Writer) {
+        write_list(w, self, |w, d| {
+            w.str(&d.name);
+            w.varint(d.rows);
+            // Fixed 8 bytes, not varint: fingerprints are uniformly
+            // distributed, varints would only pad.
+            w.raw_u64(d.fingerprint);
+        });
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        read_list(r, "dataset count", usize::MAX, |r| {
+            Ok(DatasetInfo {
+                name: r.str("dataset name")?,
+                rows: r.varint("dataset rows")?,
+                fingerprint: r.u64_le("dataset fingerprint")?,
+            })
+        })
+    }
+}
+
+impl Field for Vec<SessionEntry> {
+    fn to_json(&self) -> Json {
+        Json::Arr(
+            self.iter()
+                .map(|s| {
+                    Json::obj(vec![
+                        ("session", Json::Num(s.session as f64)),
+                        ("replica", Json::Bool(s.replica)),
+                        ("epoch", Json::Num(s.epoch as f64)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        json_array(v, key)?
+            .iter()
+            .map(|s| {
+                Ok(SessionEntry {
+                    session: req(s, "session", "session entry")?,
+                    replica: lenient(s, "replica", false),
+                    epoch: lenient(s, "epoch", 0),
+                })
+            })
+            .collect()
+    }
+    fn write(&self, w: &mut Writer) {
+        write_list(w, self, |w, s| {
+            w.varint(s.session);
+            w.u8(s.replica as u8);
+            w.varint(s.epoch);
+        });
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        read_list(r, "session count", usize::MAX, |r| {
+            Ok(SessionEntry {
+                session: r.varint("session")?,
+                replica: r.u8("replica flag")? != 0,
+                epoch: r.varint("epoch")?,
+            })
+        })
+    }
+}
+
+impl Field for Box<StatsSnapshot> {
     fn to_json(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = SCALARS
             .iter()
@@ -1554,13 +1923,13 @@ impl StatsSnapshot {
         }
         Json::obj(pairs)
     }
-
-    fn from_json(v: &Json) -> Result<StatsSnapshot, ServeError> {
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        let v = v.ok_or_else(|| absent(key))?;
         let mut snapshot = StatsSnapshot::default();
         for (def, slot) in SCALARS.iter().zip(snapshot.scalars_mut()) {
             *slot = match def.decode {
-                Decode::Required => req_u64(v, def.name, "stats")?,
-                Decode::Lenient => v.get(def.name).and_then(Json::as_u64).unwrap_or(0),
+                Decode::Required => req(v, def.name, "stats")?,
+                Decode::Lenient => lenient(v, def.name, 0),
             };
         }
         if let Some(buckets) = v.get("batch_size_hist").and_then(Json::as_arr) {
@@ -1568,521 +1937,172 @@ impl StatsSnapshot {
                 *slot = bucket.as_u64().unwrap_or(0);
             }
         }
-        Ok(StatsSnapshot {
-            shards: match v.get("shards").and_then(Json::as_arr) {
-                None => Vec::new(),
-                Some(items) => items
-                    .iter()
-                    .map(|s| {
-                        Ok(ShardHealth {
-                            addr: req_str(s, "addr", "shard health")?.to_string(),
-                            healthy: s.get("healthy").and_then(Json::as_bool).unwrap_or(false),
-                            sessions_live: s
-                                .get("sessions_live")
-                                .and_then(Json::as_u64)
-                                .unwrap_or(0),
-                            forwarded: s.get("forwarded").and_then(Json::as_u64).unwrap_or(0),
-                            errors: s.get("errors").and_then(Json::as_u64).unwrap_or(0),
-                        })
-                    })
-                    .collect::<Result<_, ServeError>>()?,
-            },
-            sessions: match v.get("sessions").and_then(Json::as_arr) {
-                None => Vec::new(),
-                Some(items) => items
-                    .iter()
-                    .map(|s| {
-                        Ok(SessionRisk {
-                            session: req_u64(s, "session", "session risk")?,
-                            dataset: s
-                                .get("dataset")
-                                .and_then(Json::as_str)
-                                .unwrap_or_default()
-                                .to_string(),
-                            wealth: s.get("wealth").and_then(Json::as_f64).unwrap_or(0.0),
-                            tests_run: s.get("tests_run").and_then(Json::as_u64).unwrap_or(0),
-                            discoveries: s.get("discoveries").and_then(Json::as_u64).unwrap_or(0),
-                            risk_spent: s.get("risk_spent").and_then(Json::as_f64).unwrap_or(0.0),
-                        })
-                    })
-                    .collect::<Result<_, ServeError>>()?,
-            },
-            ..snapshot
+        let rows = |key: &str| v.get(key).and_then(Json::as_arr).unwrap_or_default();
+        snapshot.shards = rows("shards")
+            .iter()
+            .map(|s| {
+                Ok(ShardHealth {
+                    addr: req(s, "addr", "shard health")?,
+                    healthy: lenient(s, "healthy", false),
+                    sessions_live: lenient(s, "sessions_live", 0),
+                    forwarded: lenient(s, "forwarded", 0),
+                    errors: lenient(s, "errors", 0),
+                })
+            })
+            .collect::<Result<_, ServeError>>()?;
+        snapshot.sessions = rows("sessions")
+            .iter()
+            .map(|s| {
+                Ok(SessionRisk {
+                    session: req(s, "session", "session risk")?,
+                    dataset: lenient(s, "dataset", String::new()),
+                    wealth: lenient(s, "wealth", 0.0),
+                    tests_run: lenient(s, "tests_run", 0),
+                    discoveries: lenient(s, "discoveries", 0),
+                    risk_spent: lenient(s, "risk_spent", 0.0),
+                })
+            })
+            .collect::<Result<_, ServeError>>()?;
+        Ok(Box::new(snapshot))
+    }
+    fn write(&self, w: &mut Writer) {
+        // The scalar-counter list is count-prefixed so the set can grow
+        // (as cache_hits/cache_misses did) without a framing break:
+        // readers take the counters they know and skip the rest.
+        w.varint(Stat::COUNT as u64);
+        for n in self.scalars() {
+            w.varint(n);
+        }
+        for n in self.batch_size_hist {
+            w.varint(n);
+        }
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        // Decode the counters this build knows, default the missing
+        // (older peer), skip the surplus (newer peer).
+        let count = r.varint("stats field count")? as usize;
+        if count > 256 {
+            return Err(r.bad(format!("stats field count {count} exceeds cap")));
+        }
+        let mut stats = StatsSnapshot::default();
+        let mut slots = stats.scalars_mut();
+        for position in 0..count {
+            let value = r.varint("stats field")?;
+            if let Some(slot) = slots.get_mut(position) {
+                **slot = value;
+            }
+        }
+        for slot in &mut stats.batch_size_hist {
+            *slot = r.varint("stats histogram")?;
+        }
+        Ok(Box::new(stats))
+    }
+}
+
+impl Field for PushEvent {
+    fn to_json(&self) -> Json {
+        match self {
+            PushEvent::SessionEvicted { session, reason } => Json::obj(vec![
+                ("event", Json::Str("session_evicted".into())),
+                ("session", Json::Num(*session as f64)),
+                ("reason", Json::Str(reason.clone())),
+            ]),
+            PushEvent::CacheReset { dataset } => Json::obj(vec![
+                ("event", Json::Str("cache_reset".into())),
+                ("dataset", Json::Str(dataset.clone())),
+            ]),
+        }
+    }
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        let push = v.ok_or_else(|| absent(key))?;
+        match push.get("event").and_then(Json::as_str) {
+            Some("session_evicted") => Ok(PushEvent::SessionEvicted {
+                session: req(push, "session", "push")?,
+                reason: req(push, "reason", "push")?,
+            }),
+            Some("cache_reset") => Ok(PushEvent::CacheReset {
+                dataset: req(push, "dataset", "push")?,
+            }),
+            _ => Err(ServeError::invalid("unknown push event")),
+        }
+    }
+    fn write(&self, w: &mut Writer) {
+        match self {
+            PushEvent::SessionEvicted { session, reason } => {
+                w.u8(1);
+                w.varint(*session);
+                w.str(reason);
+            }
+            PushEvent::CacheReset { dataset } => {
+                w.u8(2);
+                w.str(dataset);
+            }
+        }
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        match r.u8("push event kind")? {
+            1 => Ok(PushEvent::SessionEvicted {
+                session: r.varint("session")?,
+                reason: r.str("eviction reason")?,
+            }),
+            2 => Ok(PushEvent::CacheReset {
+                dataset: r.str("dataset")?,
+            }),
+            other => Err(r.bad(format!("unknown push event kind {other}"))),
+        }
+    }
+}
+
+impl Field for ServeError {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("code", Json::Str(self.code.as_str().into())),
+            ("message", Json::Str(self.message.clone())),
+        ])
+    }
+    fn from_json(v: Option<&Json>, key: &str, _: &str) -> Result<Self, ServeError> {
+        let err = v.ok_or_else(|| absent(key))?;
+        Ok(ServeError {
+            code: ErrorCode::parse(req_str(err, "code", "error")?),
+            message: req(err, "message", "error")?,
+        })
+    }
+    fn write(&self, w: &mut Writer) {
+        w.str(self.code.as_str());
+        w.str(&self.message);
+    }
+    fn read(r: &mut Reader, _: &str) -> Result<Self, ServeError> {
+        Ok(ServeError {
+            code: ErrorCode::parse(&r.str("error code")?),
+            message: r.str("error message")?,
         })
     }
 }
 
-/// A reply from the service.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    SessionCreated {
-        session: SessionId,
-        wealth: f64,
-        policy: String,
-    },
-    VizAdded {
-        session: SessionId,
-        viz: u64,
-        wealth: f64,
-        hypothesis: Option<HypothesisReport>,
-    },
-    PolicySet {
-        session: SessionId,
-        policy: String,
-    },
-    GaugeText {
-        session: SessionId,
-        text: String,
-    },
-    TranscriptText {
-        session: SessionId,
-        format: TranscriptFormat,
-        text: String,
-    },
-    SessionClosed {
-        session: SessionId,
-        hypotheses: u64,
-        discoveries: u64,
-    },
-    /// The complete `AWRS` snapshot image of a just-exported (and now
-    /// removed) session.
-    SessionExported {
-        session: SessionId,
-        image: Vec<u8>,
-    },
-    /// A successfully imported session, reporting the wealth its
-    /// restored ledger carries.
-    SessionImported {
-        session: SessionId,
-        wealth: f64,
-    },
-    /// The dataset roster plus the shard's next free session id.
-    Datasets {
-        datasets: Vec<DatasetInfo>,
-        next_session: u64,
-    },
-    /// Outcome of a `join_shard`/`leave_shard` rebalance.
-    Rebalanced {
-        addr: String,
-        joined: bool,
-        migrated: u64,
-    },
-    /// Ack of a `replicate_session`: the shard durably holds the image
-    /// for this epoch and the image survived the full restore
-    /// validator.
-    SessionReplicated {
-        session: SessionId,
-        epoch: u64,
-    },
-    /// A replica image installed as the live session by
-    /// `promote_replica`, reporting the epoch of the promoted image
-    /// and the wealth its re-validated ledger carries.
-    ReplicaPromoted {
-        session: SessionId,
-        epoch: u64,
-        wealth: f64,
-    },
-    /// Ack of a `drop_replica` (idempotent).
-    ReplicaDropped {
-        session: SessionId,
-    },
-    /// Every session the shard knows about (`list_sessions`).
-    Sessions {
-        sessions: Vec<SessionEntry>,
-    },
-    /// The receiver's membership view after merging a `gossip`.
-    GossipView {
-        generation: u64,
-        members: Vec<MemberInfo>,
-    },
-    Stats(Box<StatsSnapshot>),
-    /// An unsolicited server-push notification, delivered as an id-0
-    /// envelope to connections that negotiated the push capability.
-    /// Never sent in answer to a command.
-    Push(PushEvent),
-    Error(ServeError),
+fn write_list<T>(w: &mut Writer, items: &[T], item: impl Fn(&mut Writer, &T)) {
+    w.varint(items.len() as u64);
+    for each in items {
+        item(w, each);
+    }
 }
 
-/// What a push-subscribed connection can be told without asking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PushEvent {
-    /// A session was evicted from memory (`reason` is `"idle"` or
-    /// `"lru"`). With persistence the session spilled to disk and a
-    /// later command restores it lazily; without, its budget is gone —
-    /// either way the dashboard should know its gauge is stale.
-    SessionEvicted { session: SessionId, reason: String },
-    /// A dataset was re-registered: its shared evaluation cache was
-    /// rebuilt, so any client-side caching keyed on the old dataset
-    /// fingerprint is invalid.
-    CacheReset { dataset: String },
-}
-
-impl Response {
-    /// True for non-error responses.
-    pub fn is_ok(&self) -> bool {
-        !matches!(self, Response::Error(_))
+/// Reads a count-prefixed list, refusing a count over `cap` before
+/// allocating anything.
+fn read_list<T>(
+    r: &mut Reader,
+    what: &str,
+    cap: usize,
+    item: impl Fn(&mut Reader) -> Result<T, ServeError>,
+) -> Result<Vec<T>, ServeError> {
+    let count = r.varint(what)? as usize;
+    if count > cap {
+        return Err(r.bad(format!("{what} {count} exceeds cap")));
     }
-
-    /// Encodes as a response object (without an `id`).
-    pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(&str, Json)> = vec![("ok", Json::Bool(self.is_ok()))];
-        match self {
-            Response::SessionCreated {
-                session,
-                wealth,
-                policy,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("wealth", Json::Num(*wealth)));
-                pairs.push(("policy", Json::Str(policy.clone())));
-            }
-            Response::VizAdded {
-                session,
-                viz,
-                wealth,
-                hypothesis,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("viz", Json::Num(*viz as f64)));
-                pairs.push(("wealth", Json::Num(*wealth)));
-                pairs.push((
-                    "hypothesis",
-                    hypothesis
-                        .as_ref()
-                        .map(HypothesisReport::to_json)
-                        .unwrap_or(Json::Null),
-                ));
-            }
-            Response::PolicySet { session, policy } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("policy", Json::Str(policy.clone())));
-            }
-            Response::GaugeText { session, text } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("gauge", Json::Str(text.clone())));
-            }
-            Response::TranscriptText {
-                session,
-                format,
-                text,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("format", Json::Str(format.as_str().into())));
-                pairs.push(("transcript", Json::Str(text.clone())));
-            }
-            Response::SessionClosed {
-                session,
-                hypotheses,
-                discoveries,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("hypotheses", Json::Num(*hypotheses as f64)));
-                pairs.push(("discoveries", Json::Num(*discoveries as f64)));
-            }
-            Response::SessionExported { session, image } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("image", Json::Str(hex_encode(image))));
-            }
-            Response::SessionImported { session, wealth } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("imported", Json::Bool(true)));
-                pairs.push(("wealth", Json::Num(*wealth)));
-            }
-            Response::Datasets {
-                datasets,
-                next_session,
-            } => {
-                pairs.push((
-                    "datasets",
-                    Json::Arr(
-                        datasets
-                            .iter()
-                            .map(|d| {
-                                Json::obj(vec![
-                                    ("name", Json::Str(d.name.clone())),
-                                    ("rows", Json::Num(d.rows as f64)),
-                                    // u64 fingerprints exceed f64's exact
-                                    // integer range; hex keeps the bits.
-                                    ("fingerprint", Json::Str(format!("{:016x}", d.fingerprint))),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                pairs.push(("next_session", Json::Num(*next_session as f64)));
-            }
-            Response::Rebalanced {
-                addr,
-                joined,
-                migrated,
-            } => {
-                pairs.push(("addr", Json::Str(addr.clone())));
-                pairs.push(("joined", Json::Bool(*joined)));
-                pairs.push(("migrated", Json::Num(*migrated as f64)));
-            }
-            Response::SessionReplicated { session, epoch } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("replicated", Json::Bool(true)));
-                pairs.push(("epoch", Json::Num(*epoch as f64)));
-            }
-            Response::ReplicaPromoted {
-                session,
-                epoch,
-                wealth,
-            } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("promoted", Json::Bool(true)));
-                pairs.push(("epoch", Json::Num(*epoch as f64)));
-                pairs.push(("wealth", Json::Num(*wealth)));
-            }
-            Response::ReplicaDropped { session } => {
-                pairs.push(("session", Json::Num(*session as f64)));
-                pairs.push(("dropped", Json::Bool(true)));
-            }
-            Response::Sessions { sessions } => {
-                pairs.push((
-                    "sessions",
-                    Json::Arr(
-                        sessions
-                            .iter()
-                            .map(|s| {
-                                Json::obj(vec![
-                                    ("session", Json::Num(s.session as f64)),
-                                    ("replica", Json::Bool(s.replica)),
-                                    ("epoch", Json::Num(s.epoch as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            Response::GossipView {
-                generation,
-                members,
-            } => {
-                pairs.push(("generation", Json::Num(*generation as f64)));
-                pairs.push(("members", members_to_json(members)));
-            }
-            Response::Stats(snapshot) => {
-                pairs.push(("stats", snapshot.to_json()));
-            }
-            Response::Push(event) => {
-                let body = match event {
-                    PushEvent::SessionEvicted { session, reason } => Json::obj(vec![
-                        ("event", Json::Str("session_evicted".into())),
-                        ("session", Json::Num(*session as f64)),
-                        ("reason", Json::Str(reason.clone())),
-                    ]),
-                    PushEvent::CacheReset { dataset } => Json::obj(vec![
-                        ("event", Json::Str("cache_reset".into())),
-                        ("dataset", Json::Str(dataset.clone())),
-                    ]),
-                };
-                pairs.push(("push", body));
-            }
-            Response::Error(e) => {
-                pairs.push((
-                    "error",
-                    Json::obj(vec![
-                        ("code", Json::Str(e.code.as_str().into())),
-                        ("message", Json::Str(e.message.clone())),
-                    ]),
-                ));
-            }
-        }
-        Json::obj(pairs)
+    let mut items = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        items.push(item(r)?);
     }
-
-    /// Encodes as one response line (echoing the request id, if any).
-    pub fn encode_line(&self, id: Option<u64>) -> String {
-        let mut json = self.to_json();
-        if let (Some(id), Json::Obj(pairs)) = (id, &mut json) {
-            pairs.insert(0, ("id".to_string(), Json::Num(id as f64)));
-        }
-        json.to_string()
-    }
-
-    /// Decodes one response line (used by clients and tests); returns the
-    /// response and the echoed id.
-    pub fn decode_line(line: &str) -> Result<(Response, Option<u64>), ServeError> {
-        let v = Json::parse(line.trim()).map_err(|e| ServeError {
-            code: ErrorCode::BadRequest,
-            message: e.to_string(),
-        })?;
-        let id = v.get("id").and_then(Json::as_u64);
-        Ok((Response::from_json(&v)?, id))
-    }
-
-    /// Decodes a parsed response object (the per-item payload of a batch
-    /// reply, or one v1 response line minus its id).
-    pub fn from_json(v: &Json) -> Result<Response, ServeError> {
-        let ok = v
-            .get("ok")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ServeError::invalid("response missing 'ok'"))?;
-        if !ok {
-            let err = v
-                .get("error")
-                .ok_or_else(|| ServeError::invalid("missing 'error'"))?;
-            return Ok(Response::Error(ServeError {
-                code: ErrorCode::parse(req_str(err, "code", "error")?),
-                message: req_str(err, "message", "error")?.to_string(),
-            }));
-        }
-        let session = || req_u64(v, "session", "response");
-        let response = if let Some(push) = v.get("push") {
-            match push.get("event").and_then(Json::as_str) {
-                Some("session_evicted") => Response::Push(PushEvent::SessionEvicted {
-                    session: req_u64(push, "session", "push")?,
-                    reason: req_str(push, "reason", "push")?.to_string(),
-                }),
-                Some("cache_reset") => Response::Push(PushEvent::CacheReset {
-                    dataset: req_str(push, "dataset", "push")?.to_string(),
-                }),
-                _ => return Err(ServeError::invalid("unknown push event")),
-            }
-        } else if let Some(stats) = v.get("stats") {
-            Response::Stats(Box::new(StatsSnapshot::from_json(stats)?))
-        } else if let Some(image) = v.get("image") {
-            Response::SessionExported {
-                session: session()?,
-                image: hex_decode(
-                    image
-                        .as_str()
-                        .ok_or_else(|| ServeError::invalid("bad 'image'"))?,
-                )?,
-            }
-        } else if v.get("imported").is_some() {
-            Response::SessionImported {
-                session: session()?,
-                wealth: req_num(v, "wealth", "response")?,
-            }
-        } else if v.get("replicated").is_some() {
-            Response::SessionReplicated {
-                session: session()?,
-                epoch: req_u64(v, "epoch", "response")?,
-            }
-        } else if v.get("promoted").is_some() {
-            Response::ReplicaPromoted {
-                session: session()?,
-                epoch: req_u64(v, "epoch", "response")?,
-                wealth: req_num(v, "wealth", "response")?,
-            }
-        } else if v.get("dropped").is_some() {
-            Response::ReplicaDropped {
-                session: session()?,
-            }
-        } else if let Some(sessions) = v.get("sessions") {
-            Response::Sessions {
-                sessions: sessions
-                    .as_arr()
-                    .ok_or_else(|| ServeError::invalid("'sessions' must be an array"))?
-                    .iter()
-                    .map(|s| {
-                        Ok(SessionEntry {
-                            session: req_u64(s, "session", "session entry")?,
-                            replica: s.get("replica").and_then(Json::as_bool).unwrap_or(false),
-                            epoch: s.get("epoch").and_then(Json::as_u64).unwrap_or(0),
-                        })
-                    })
-                    .collect::<Result<_, ServeError>>()?,
-            }
-        } else if let Some(members) = v.get("members") {
-            Response::GossipView {
-                generation: req_u64(v, "generation", "response")?,
-                members: members_from_json(Some(members))?,
-            }
-        } else if let Some(datasets) = v.get("datasets") {
-            Response::Datasets {
-                datasets: datasets
-                    .as_arr()
-                    .ok_or_else(|| ServeError::invalid("'datasets' must be an array"))?
-                    .iter()
-                    .map(|d| {
-                        Ok(DatasetInfo {
-                            name: req_str(d, "name", "dataset")?.to_string(),
-                            rows: req_u64(d, "rows", "dataset")?,
-                            fingerprint: u64::from_str_radix(
-                                req_str(d, "fingerprint", "dataset")?,
-                                16,
-                            )
-                            .map_err(|_| ServeError::invalid("bad dataset fingerprint"))?,
-                        })
-                    })
-                    .collect::<Result<_, ServeError>>()?,
-                next_session: req_u64(v, "next_session", "response")?,
-            }
-        } else if let Some(joined) = v.get("joined") {
-            Response::Rebalanced {
-                addr: req_str(v, "addr", "response")?.to_string(),
-                joined: joined
-                    .as_bool()
-                    .ok_or_else(|| ServeError::invalid("bad 'joined'"))?,
-                migrated: req_u64(v, "migrated", "response")?,
-            }
-        } else if let Some(gauge) = v.get("gauge") {
-            Response::GaugeText {
-                session: session()?,
-                text: gauge.as_str().unwrap_or("").into(),
-            }
-        } else if let Some(t) = v.get("transcript") {
-            Response::TranscriptText {
-                session: session()?,
-                format: match v.get("format").and_then(Json::as_str) {
-                    Some("text") => TranscriptFormat::Text,
-                    _ => TranscriptFormat::Csv,
-                },
-                text: t.as_str().unwrap_or("").into(),
-            }
-        } else if let Some(viz) = v.get("viz") {
-            Response::VizAdded {
-                session: session()?,
-                viz: viz
-                    .as_u64()
-                    .ok_or_else(|| ServeError::invalid("bad 'viz'"))?,
-                wealth: req_num(v, "wealth", "response")?,
-                hypothesis: match v.get("hypothesis") {
-                    None | Some(Json::Null) => None,
-                    Some(h) => Some(HypothesisReport {
-                        id: req_u64(h, "id", "hypothesis")?,
-                        test: req_str(h, "test", "hypothesis")?.to_string(),
-                        statistic: req_num(h, "statistic", "hypothesis")?,
-                        p_value: req_num(h, "p_value", "hypothesis")?,
-                        bid: req_num(h, "bid", "hypothesis")?,
-                        rejected: h
-                            .get("rejected")
-                            .and_then(Json::as_bool)
-                            .ok_or_else(|| ServeError::invalid("bad 'rejected'"))?,
-                        effect_size: req_num(h, "effect_size", "hypothesis")?,
-                        support_fraction: req_num(h, "support_fraction", "hypothesis")?,
-                        wealth_after: req_num(h, "wealth_after", "hypothesis")?,
-                    }),
-                },
-            }
-        } else if let Some(h) = v.get("hypotheses") {
-            Response::SessionClosed {
-                session: session()?,
-                hypotheses: h
-                    .as_u64()
-                    .ok_or_else(|| ServeError::invalid("bad 'hypotheses'"))?,
-                discoveries: req_u64(v, "discoveries", "response")?,
-            }
-        } else if v.get("wealth").is_some() && v.get("policy").is_some() {
-            Response::SessionCreated {
-                session: session()?,
-                wealth: req_num(v, "wealth", "response")?,
-                policy: req_str(v, "policy", "response")?.to_string(),
-            }
-        } else if let Some(policy) = v.get("policy") {
-            Response::PolicySet {
-                session: session()?,
-                policy: policy.as_str().unwrap_or("").to_string(),
-            }
-        } else {
-            return Err(ServeError::invalid("unrecognized response shape"));
-        };
-        Ok(response)
-    }
+    Ok(items)
 }
 
 // -- byte-string helpers ----------------------------------------------------
@@ -2118,22 +2138,36 @@ pub fn hex_decode(text: &str) -> Result<Vec<u8>, ServeError> {
 
 // -- field helpers ----------------------------------------------------------
 
-fn req_str<'a>(v: &'a Json, field: &str, ctx: &str) -> Result<&'a str, ServeError> {
-    v.get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServeError::invalid(format!("{ctx} missing string field '{field}'")))
+fn missing(kind: &str, key: &str, ctx: &str) -> ServeError {
+    ServeError::invalid(format!("{ctx} missing {kind} field '{key}'"))
 }
 
-fn req_num(v: &Json, field: &str, ctx: &str) -> Result<f64, ServeError> {
-    v.get(field)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| ServeError::invalid(format!("{ctx} missing numeric field '{field}'")))
+/// The error of a composite field whose member is absent.
+fn absent(key: &str) -> ServeError {
+    ServeError::invalid(format!("missing '{key}'"))
 }
 
-fn req_u64(v: &Json, field: &str, ctx: &str) -> Result<u64, ServeError> {
-    v.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ServeError::invalid(format!("{ctx} missing integer field '{field}'")))
+fn json_str<'a>(v: Option<&'a Json>, key: &str, ctx: &str) -> Result<&'a str, ServeError> {
+    v.and_then(Json::as_str)
+        .ok_or_else(|| missing("string", key, ctx))
+}
+
+fn req_str<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a str, ServeError> {
+    json_str(v.get(key), key, ctx)
+}
+
+fn req<T: Field>(v: &Json, key: &str, ctx: &str) -> Result<T, ServeError> {
+    T::from_json(v.get(key), key, ctx)
+}
+
+/// Member `key` of `v`, or `value` when it is absent or unreadable.
+fn lenient<T: Field>(v: &Json, key: &str, value: T) -> T {
+    T::from_json(v.get(key), key, "").unwrap_or(value)
+}
+
+fn json_array<'a>(v: Option<&'a Json>, key: &str) -> Result<&'a [Json], ServeError> {
+    v.and_then(Json::as_arr)
+        .ok_or_else(|| ServeError::invalid(format!("'{key}' must be an array")))
 }
 
 #[cfg(test)]
@@ -2632,6 +2666,15 @@ mod tests {
              \"policy\":{\"kind\":\"nope\"}}"
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_session_of_two_to_the_64_is_refused() {
+        // 2^64 is not u64::MAX, the router's session-free route key.
+        let err = Command::decode_line("{\"cmd\":\"gauge\",\"session\":18446744073709551616}")
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::InvalidArgument);
+        assert_eq!(err.message, "request missing integer field 'session'");
     }
 
     #[test]

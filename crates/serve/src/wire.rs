@@ -16,16 +16,20 @@
 //! JSON parser is: filter nesting is depth-capped and batch item counts
 //! honour [`MAX_BATCH_ITEMS`], so a hostile frame cannot blow the stack
 //! or fan out unbounded work.
+//!
+//! This module holds the primitives, the envelopes and the recursive
+//! policy / filter / value codecs. The per-message payloads are not
+//! written here: `Writer::{command, response}` and
+//! `Reader::{command, response}` are generated from the message table
+//! in [`crate::proto`], where a new message is one row.
 
 use crate::error::{ErrorCode, ServeError};
 use crate::proto::{
-    Batch, BatchItem, BatchMode, Command, Encoding, Envelope, HypothesisReport, PushEvent, Reply,
-    Response, Stat, StatsSnapshot, TranscriptFormat, MAX_BATCH_ITEMS,
+    protocol_version, Batch, BatchItem, BatchMode, Encoding, Envelope, FilterSpec, PolicySpec,
+    Reply, MAX_BATCH_ITEMS,
 };
 use aware_data::predicate::CmpOp;
 use aware_data::value::Value;
-
-use crate::proto::{FilterSpec, PolicySpec};
 
 /// Decoded-filter nesting ceiling, mirroring the JSON parser's.
 const MAX_FILTER_DEPTH: usize = 128;
@@ -153,7 +157,7 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, ServeError> {
             };
             Envelope::Hello {
                 id,
-                version: version.min(u32::MAX as u64) as u32,
+                version: protocol_version(version),
                 encoding,
                 push,
             }
@@ -209,7 +213,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ServeError> {
             };
             Reply::HelloAck {
                 id,
-                version: version.min(u32::MAX as u64) as u32,
+                version: protocol_version(version),
                 encoding,
                 max_frame,
                 push,
@@ -422,297 +426,6 @@ impl Writer {
                 self.varint(parts.len() as u64);
                 for p in parts {
                     self.filter(p);
-                }
-            }
-        }
-    }
-
-    fn command(&mut self, cmd: &Command) {
-        match cmd {
-            Command::CreateSession {
-                dataset,
-                alpha,
-                policy,
-            } => {
-                self.u8(1);
-                self.str(dataset);
-                self.f64(*alpha);
-                self.policy(policy);
-            }
-            Command::AddVisualization {
-                session,
-                attribute,
-                filter,
-            } => {
-                self.u8(2);
-                self.varint(*session);
-                self.str(attribute);
-                self.filter(filter);
-            }
-            Command::SetPolicy { session, policy } => {
-                self.u8(3);
-                self.varint(*session);
-                self.policy(policy);
-            }
-            Command::Gauge { session } => {
-                self.u8(4);
-                self.varint(*session);
-            }
-            Command::Transcript { session, format } => {
-                self.u8(5);
-                self.varint(*session);
-                self.u8(matches!(format, TranscriptFormat::Text) as u8);
-            }
-            Command::CloseSession { session } => {
-                self.u8(6);
-                self.varint(*session);
-            }
-            Command::Stats => self.u8(7),
-            Command::CreateSessionAs {
-                session,
-                dataset,
-                alpha,
-                policy,
-            } => {
-                self.u8(8);
-                self.varint(*session);
-                self.str(dataset);
-                self.f64(*alpha);
-                self.policy(policy);
-            }
-            Command::ExportSession { session } => {
-                self.u8(9);
-                self.varint(*session);
-            }
-            Command::ImportSession { session, image } => {
-                self.u8(10);
-                self.varint(*session);
-                self.bytes(image);
-            }
-            Command::ListDatasets => self.u8(11),
-            Command::JoinShard { addr } => {
-                self.u8(12);
-                self.str(addr);
-            }
-            Command::LeaveShard { addr } => {
-                self.u8(13);
-                self.str(addr);
-            }
-            Command::ReplicateSession {
-                session,
-                epoch,
-                image,
-            } => {
-                self.u8(14);
-                self.varint(*session);
-                self.varint(*epoch);
-                self.bytes(image);
-            }
-            Command::PromoteReplica { session } => {
-                self.u8(15);
-                self.varint(*session);
-            }
-            Command::DropReplica { session } => {
-                self.u8(16);
-                self.varint(*session);
-            }
-            Command::SnapshotSession { session } => {
-                self.u8(17);
-                self.varint(*session);
-            }
-            Command::ListSessions => self.u8(18),
-            Command::Gossip {
-                from,
-                generation,
-                members,
-            } => {
-                self.u8(19);
-                self.str(from);
-                self.varint(*generation);
-                self.members(members);
-            }
-        }
-    }
-
-    fn members(&mut self, members: &[crate::proto::MemberInfo]) {
-        self.varint(members.len() as u64);
-        for m in members {
-            self.str(&m.addr);
-            self.u8(m.status.as_u8());
-            self.varint(m.incarnation);
-        }
-    }
-
-    fn response(&mut self, response: &Response) {
-        match response {
-            Response::SessionCreated {
-                session,
-                wealth,
-                policy,
-            } => {
-                self.u8(1);
-                self.varint(*session);
-                self.f64(*wealth);
-                self.str(policy);
-            }
-            Response::VizAdded {
-                session,
-                viz,
-                wealth,
-                hypothesis,
-            } => {
-                self.u8(2);
-                self.varint(*session);
-                self.varint(*viz);
-                self.f64(*wealth);
-                match hypothesis {
-                    None => self.u8(0),
-                    Some(h) => {
-                        self.u8(1);
-                        self.varint(h.id);
-                        self.str(&h.test);
-                        self.f64(h.statistic);
-                        self.f64(h.p_value);
-                        self.f64(h.bid);
-                        self.u8(h.rejected as u8);
-                        self.f64(h.effect_size);
-                        self.f64(h.support_fraction);
-                        self.f64(h.wealth_after);
-                    }
-                }
-            }
-            Response::PolicySet { session, policy } => {
-                self.u8(3);
-                self.varint(*session);
-                self.str(policy);
-            }
-            Response::GaugeText { session, text } => {
-                self.u8(4);
-                self.varint(*session);
-                self.str(text);
-            }
-            Response::TranscriptText {
-                session,
-                format,
-                text,
-            } => {
-                self.u8(5);
-                self.varint(*session);
-                self.u8(matches!(format, TranscriptFormat::Text) as u8);
-                self.str(text);
-            }
-            Response::SessionClosed {
-                session,
-                hypotheses,
-                discoveries,
-            } => {
-                self.u8(6);
-                self.varint(*session);
-                self.varint(*hypotheses);
-                self.varint(*discoveries);
-            }
-            Response::Stats(s) => {
-                self.u8(7);
-                // The scalar-counter list is count-prefixed so the set
-                // can grow (as cache_hits/cache_misses did) without a
-                // framing break: readers take the counters they know
-                // and skip the rest.
-                self.varint(Stat::COUNT as u64);
-                for n in s.scalars() {
-                    self.varint(n);
-                }
-                for n in s.batch_size_hist {
-                    self.varint(n);
-                }
-            }
-            Response::Error(e) => {
-                self.u8(8);
-                self.str(e.code.as_str());
-                self.str(&e.message);
-            }
-            Response::SessionExported { session, image } => {
-                self.u8(9);
-                self.varint(*session);
-                self.bytes(image);
-            }
-            Response::SessionImported { session, wealth } => {
-                self.u8(10);
-                self.varint(*session);
-                self.f64(*wealth);
-            }
-            Response::Datasets {
-                datasets,
-                next_session,
-            } => {
-                self.u8(11);
-                self.varint(datasets.len() as u64);
-                for d in datasets {
-                    self.str(&d.name);
-                    self.varint(d.rows);
-                    // Fixed 8 bytes, not varint: fingerprints are
-                    // uniformly distributed, varints would only pad.
-                    self.raw_u64(d.fingerprint);
-                }
-                self.varint(*next_session);
-            }
-            Response::Rebalanced {
-                addr,
-                joined,
-                migrated,
-            } => {
-                self.u8(12);
-                self.str(addr);
-                self.u8(*joined as u8);
-                self.varint(*migrated);
-            }
-            Response::SessionReplicated { session, epoch } => {
-                self.u8(13);
-                self.varint(*session);
-                self.varint(*epoch);
-            }
-            Response::ReplicaPromoted {
-                session,
-                epoch,
-                wealth,
-            } => {
-                self.u8(14);
-                self.varint(*session);
-                self.varint(*epoch);
-                self.f64(*wealth);
-            }
-            Response::ReplicaDropped { session } => {
-                self.u8(15);
-                self.varint(*session);
-            }
-            Response::Sessions { sessions } => {
-                self.u8(16);
-                self.varint(sessions.len() as u64);
-                for s in sessions {
-                    self.varint(s.session);
-                    self.u8(s.replica as u8);
-                    self.varint(s.epoch);
-                }
-            }
-            Response::GossipView {
-                generation,
-                members,
-            } => {
-                self.u8(17);
-                self.varint(*generation);
-                self.members(members);
-            }
-            Response::Push(event) => {
-                self.u8(18);
-                match event {
-                    PushEvent::SessionEvicted { session, reason } => {
-                        self.u8(1);
-                        self.varint(*session);
-                        self.str(reason);
-                    }
-                    PushEvent::CacheReset { dataset } => {
-                        self.u8(2);
-                        self.str(dataset);
-                    }
                 }
             }
         }
@@ -941,251 +654,14 @@ impl<'a> Reader<'a> {
             other => return Err(self.bad(format!("unknown filter tag {other}"))),
         })
     }
-
-    fn command(&mut self) -> Result<Command, ServeError> {
-        Ok(match self.u8("command tag")? {
-            1 => Command::CreateSession {
-                dataset: self.str("dataset")?,
-                alpha: self.f64("alpha")?,
-                policy: self.policy()?,
-            },
-            2 => Command::AddVisualization {
-                session: self.varint("session")?,
-                attribute: self.str("attribute")?,
-                filter: self.filter(0)?,
-            },
-            3 => Command::SetPolicy {
-                session: self.varint("session")?,
-                policy: self.policy()?,
-            },
-            4 => Command::Gauge {
-                session: self.varint("session")?,
-            },
-            5 => Command::Transcript {
-                session: self.varint("session")?,
-                format: self.transcript_format()?,
-            },
-            6 => Command::CloseSession {
-                session: self.varint("session")?,
-            },
-            7 => Command::Stats,
-            8 => Command::CreateSessionAs {
-                session: self.varint("session")?,
-                dataset: self.str("dataset")?,
-                alpha: self.f64("alpha")?,
-                policy: self.policy()?,
-            },
-            9 => Command::ExportSession {
-                session: self.varint("session")?,
-            },
-            10 => Command::ImportSession {
-                session: self.varint("session")?,
-                image: self.byte_string("image")?,
-            },
-            11 => Command::ListDatasets,
-            12 => Command::JoinShard {
-                addr: self.str("addr")?,
-            },
-            13 => Command::LeaveShard {
-                addr: self.str("addr")?,
-            },
-            14 => Command::ReplicateSession {
-                session: self.varint("session")?,
-                epoch: self.varint("epoch")?,
-                image: self.byte_string("image")?,
-            },
-            15 => Command::PromoteReplica {
-                session: self.varint("session")?,
-            },
-            16 => Command::DropReplica {
-                session: self.varint("session")?,
-            },
-            17 => Command::SnapshotSession {
-                session: self.varint("session")?,
-            },
-            18 => Command::ListSessions,
-            19 => Command::Gossip {
-                from: self.str("from")?,
-                generation: self.varint("generation")?,
-                members: self.members()?,
-            },
-            other => {
-                return Err(ServeError {
-                    code: ErrorCode::UnknownCommand,
-                    message: format!("unknown command tag {other}"),
-                })
-            }
-        })
-    }
-
-    fn members(&mut self) -> Result<Vec<crate::proto::MemberInfo>, ServeError> {
-        let count = self.varint("member count")? as usize;
-        if count > 4096 {
-            return Err(self.bad(format!("member count {count} exceeds cap")));
-        }
-        let mut members = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            members.push(crate::proto::MemberInfo {
-                addr: self.str("member addr")?,
-                status: crate::proto::MemberStatus::from_u8(self.u8("member status")?)?,
-                incarnation: self.varint("member incarnation")?,
-            });
-        }
-        Ok(members)
-    }
-
-    fn transcript_format(&mut self) -> Result<TranscriptFormat, ServeError> {
-        match self.u8("transcript format")? {
-            0 => Ok(TranscriptFormat::Csv),
-            1 => Ok(TranscriptFormat::Text),
-            other => Err(self.bad(format!("unknown transcript format {other}"))),
-        }
-    }
-
-    fn response(&mut self) -> Result<Response, ServeError> {
-        Ok(match self.u8("response tag")? {
-            1 => Response::SessionCreated {
-                session: self.varint("session")?,
-                wealth: self.f64("wealth")?,
-                policy: self.str("policy")?,
-            },
-            2 => Response::VizAdded {
-                session: self.varint("session")?,
-                viz: self.varint("viz")?,
-                wealth: self.f64("wealth")?,
-                hypothesis: match self.u8("hypothesis flag")? {
-                    0 => None,
-                    1 => Some(HypothesisReport {
-                        id: self.varint("hypothesis id")?,
-                        test: self.str("test")?,
-                        statistic: self.f64("statistic")?,
-                        p_value: self.f64("p_value")?,
-                        bid: self.f64("bid")?,
-                        rejected: self.u8("rejected")? != 0,
-                        effect_size: self.f64("effect_size")?,
-                        support_fraction: self.f64("support_fraction")?,
-                        wealth_after: self.f64("wealth_after")?,
-                    }),
-                    other => return Err(self.bad(format!("bad hypothesis flag {other}"))),
-                },
-            },
-            3 => Response::PolicySet {
-                session: self.varint("session")?,
-                policy: self.str("policy")?,
-            },
-            4 => Response::GaugeText {
-                session: self.varint("session")?,
-                text: self.str("gauge")?,
-            },
-            5 => Response::TranscriptText {
-                session: self.varint("session")?,
-                format: self.transcript_format()?,
-                text: self.str("transcript")?,
-            },
-            6 => Response::SessionClosed {
-                session: self.varint("session")?,
-                hypotheses: self.varint("hypotheses")?,
-                discoveries: self.varint("discoveries")?,
-            },
-            7 => {
-                // Count-prefixed scalar counters: decode the ones this
-                // build knows, default the missing (older peer), skip
-                // the surplus (newer peer).
-                let count = self.varint("stats field count")? as usize;
-                if count > 256 {
-                    return Err(self.bad(format!("stats field count {count} exceeds cap")));
-                }
-                let mut stats = StatsSnapshot::default();
-                let mut slots = stats.scalars_mut();
-                for position in 0..count {
-                    let value = self.varint("stats field")?;
-                    if let Some(slot) = slots.get_mut(position) {
-                        **slot = value;
-                    }
-                }
-                for slot in &mut stats.batch_size_hist {
-                    *slot = self.varint("stats histogram")?;
-                }
-                Response::Stats(Box::new(stats))
-            }
-            8 => Response::Error(ServeError {
-                code: ErrorCode::parse(&self.str("error code")?),
-                message: self.str("error message")?,
-            }),
-            9 => Response::SessionExported {
-                session: self.varint("session")?,
-                image: self.byte_string("image")?,
-            },
-            10 => Response::SessionImported {
-                session: self.varint("session")?,
-                wealth: self.f64("wealth")?,
-            },
-            11 => {
-                let count = self.varint("dataset count")? as usize;
-                let mut datasets = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    datasets.push(crate::proto::DatasetInfo {
-                        name: self.str("dataset name")?,
-                        rows: self.varint("dataset rows")?,
-                        fingerprint: self.u64_le("dataset fingerprint")?,
-                    });
-                }
-                Response::Datasets {
-                    datasets,
-                    next_session: self.varint("next_session")?,
-                }
-            }
-            12 => Response::Rebalanced {
-                addr: self.str("addr")?,
-                joined: self.u8("joined")? != 0,
-                migrated: self.varint("migrated")?,
-            },
-            13 => Response::SessionReplicated {
-                session: self.varint("session")?,
-                epoch: self.varint("epoch")?,
-            },
-            14 => Response::ReplicaPromoted {
-                session: self.varint("session")?,
-                epoch: self.varint("epoch")?,
-                wealth: self.f64("wealth")?,
-            },
-            15 => Response::ReplicaDropped {
-                session: self.varint("session")?,
-            },
-            16 => {
-                let count = self.varint("session count")? as usize;
-                let mut sessions = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    sessions.push(crate::proto::SessionEntry {
-                        session: self.varint("session")?,
-                        replica: self.u8("replica flag")? != 0,
-                        epoch: self.varint("epoch")?,
-                    });
-                }
-                Response::Sessions { sessions }
-            }
-            17 => Response::GossipView {
-                generation: self.varint("generation")?,
-                members: self.members()?,
-            },
-            18 => Response::Push(match self.u8("push event kind")? {
-                1 => PushEvent::SessionEvicted {
-                    session: self.varint("session")?,
-                    reason: self.str("eviction reason")?,
-                },
-                2 => PushEvent::CacheReset {
-                    dataset: self.str("dataset")?,
-                },
-                other => return Err(self.bad(format!("unknown push event kind {other}"))),
-            }),
-            other => return Err(self.bad(format!("unknown response tag {other}"))),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{
+        Command, HypothesisReport, PushEvent, Response, Stat, StatsSnapshot, TranscriptFormat,
+    };
 
     fn round_trip_envelope(envelope: Envelope) {
         let bytes = encode_envelope(&envelope);
@@ -1729,6 +1205,59 @@ mod tests {
             Err(e) => assert!(e.message.contains("overruns"), "{e}"),
             Ok(v) => panic!("decoded {v:?}"),
         }
+    }
+
+    #[test]
+    fn hello_versions_past_u32_clamp_on_both_surfaces() {
+        let past = (1u64 << 32) + 3;
+        let hello = Envelope::decode_line(&format!(
+            "{{\"cmd\":\"hello\",\"version\":{past},\"encoding\":\"binary\"}}"
+        ));
+        assert!(matches!(
+            hello,
+            Ok(Envelope::Hello {
+                version: u32::MAX,
+                ..
+            })
+        ));
+        let ack = Reply::decode_line(&format!(
+            "{{\"ok\":true,\"hello\":{{\"version\":{past},\"encoding\":\"binary\",\"max_frame\":8}}}}"
+        ));
+        assert!(matches!(
+            ack,
+            Ok(Reply::HelloAck {
+                version: u32::MAX,
+                ..
+            })
+        ));
+
+        let mut w = Writer::new();
+        w.u8(TAG_HELLO);
+        w.opt_varint(None);
+        w.varint(past);
+        w.u8(encoding_tag(Encoding::Binary));
+        let hello = decode_envelope(&w.buf);
+        assert!(matches!(
+            hello,
+            Ok(Envelope::Hello {
+                version: u32::MAX,
+                ..
+            })
+        ));
+        let mut w = Writer::new();
+        w.u8(TAG_HELLO_ACK);
+        w.opt_varint(None);
+        w.varint(past);
+        w.u8(encoding_tag(Encoding::Binary));
+        w.varint(8);
+        let ack = decode_reply(&w.buf);
+        assert!(matches!(
+            ack,
+            Ok(Reply::HelloAck {
+                version: u32::MAX,
+                ..
+            })
+        ));
     }
 
     #[test]

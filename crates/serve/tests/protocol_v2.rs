@@ -15,8 +15,9 @@ use aware_data::predicate::CmpOp;
 use aware_data::value::Value;
 use aware_serve::frame::{self, FrameRead, MAX_FRAME_BYTES};
 use aware_serve::proto::{
-    Batch, BatchItem, BatchMode, Command, Encoding, Envelope, FilterSpec, HypothesisReport,
-    PolicySpec, Reply, StatsSnapshot, TranscriptFormat, PROTOCOL_VERSION,
+    Batch, BatchItem, BatchMode, Command, DatasetInfo, Encoding, Envelope, FilterSpec,
+    HypothesisReport, MemberInfo, MemberStatus, PolicySpec, PushEvent, Reply, SessionEntry,
+    StatsSnapshot, TranscriptFormat, PROTOCOL_VERSION,
 };
 use aware_serve::service::{Service, ServiceConfig};
 use aware_serve::tcp::{Client, TcpServer};
@@ -144,9 +145,30 @@ impl Lcg {
         }
     }
 
+    /// A snapshot-image stand-in: raw bytes, every value possible.
+    fn bytes(&mut self) -> Vec<u8> {
+        (0..self.pick(16)).map(|_| self.next() as u8).collect()
+    }
+
+    fn members(&mut self) -> Vec<MemberInfo> {
+        (0..self.pick(4))
+            .map(|_| MemberInfo {
+                addr: self.string(),
+                status: [
+                    MemberStatus::Alive,
+                    MemberStatus::Suspect,
+                    MemberStatus::Dead,
+                ][self.pick(3)],
+                incarnation: self.next(),
+            })
+            .collect()
+    }
+
+    /// Every command variant; the drill-down command is drawn twice as
+    /// often, since it carries the filter tree.
     fn command(&mut self) -> Command {
         let session = self.next() % (1 << 53);
-        match self.pick(7) {
+        match self.pick(20) {
             0 => Command::CreateSession {
                 dataset: self.string(),
                 alpha: self.fractional(),
@@ -166,9 +188,39 @@ impl Lcg {
                 session,
                 format: [TranscriptFormat::Csv, TranscriptFormat::Text][self.pick(2)],
             },
-            _ => match self.pick(2) {
-                0 => Command::CloseSession { session },
-                _ => Command::Stats,
+            6 => Command::CloseSession { session },
+            7 => Command::Stats,
+            8 => Command::CreateSessionAs {
+                session,
+                dataset: self.string(),
+                alpha: self.fractional(),
+                policy: self.policy(),
+            },
+            9 => Command::ExportSession { session },
+            10 => Command::ImportSession {
+                session,
+                image: self.bytes(),
+            },
+            11 => Command::ListDatasets,
+            12 => Command::JoinShard {
+                addr: self.string(),
+            },
+            13 => Command::LeaveShard {
+                addr: self.string(),
+            },
+            14 => Command::ReplicateSession {
+                session,
+                epoch: self.next(),
+                image: self.bytes(),
+            },
+            15 => Command::PromoteReplica { session },
+            16 => Command::DropReplica { session },
+            17 => Command::SnapshotSession { session },
+            18 => Command::ListSessions,
+            _ => Command::Gossip {
+                from: self.string(),
+                generation: self.next(),
+                members: self.members(),
             },
         }
     }
@@ -188,9 +240,11 @@ impl Lcg {
         }
     }
 
+    /// Every response variant; the drill-down reply is drawn twice as
+    /// often, since it carries the hypothesis report.
     fn response(&mut self) -> Response {
         let session = self.next() % (1 << 53);
-        match self.pick(8) {
+        match self.pick(19) {
             0 => Response::SessionCreated {
                 session,
                 wealth: self.fractional(),
@@ -236,24 +290,78 @@ impl Lcg {
                 hypotheses: self.next(),
                 discoveries: self.next(),
             },
-            _ => match self.pick(2) {
-                0 => {
-                    let mut stats = StatsSnapshot::default();
-                    for slot in stats.scalars_mut() {
-                        *slot = self.next();
-                    }
-                    for slot in &mut stats.batch_size_hist {
-                        *slot = self.next();
-                    }
-                    Response::Stats(Box::new(stats))
+            7 => {
+                let mut stats = StatsSnapshot::default();
+                for slot in stats.scalars_mut() {
+                    *slot = self.next();
                 }
-                _ => Response::Error(ServeError {
-                    code: ErrorCode::parse(
-                        ["bad_request", "unknown_session", "aborted", "overloaded"][self.pick(4)],
-                    ),
-                    message: self.string(),
-                }),
+                for slot in &mut stats.batch_size_hist {
+                    *slot = self.next();
+                }
+                Response::Stats(Box::new(stats))
+            }
+            8 => Response::Error(ServeError {
+                code: ErrorCode::parse(
+                    ["bad_request", "unknown_session", "aborted", "overloaded"][self.pick(4)],
+                ),
+                message: self.string(),
+            }),
+            9 => Response::SessionExported {
+                session,
+                image: self.bytes(),
             },
+            10 => Response::SessionImported {
+                session,
+                wealth: self.fractional(),
+            },
+            11 => Response::Datasets {
+                datasets: (0..self.pick(3))
+                    .map(|_| DatasetInfo {
+                        name: self.string(),
+                        rows: self.next(),
+                        // All 64 bits: the JSON surface carries it as hex.
+                        fingerprint: (self.next() << 33) ^ self.next(),
+                    })
+                    .collect(),
+                next_session: self.next(),
+            },
+            12 => Response::Rebalanced {
+                addr: self.string(),
+                joined: self.pick(2) == 0,
+                migrated: self.next(),
+            },
+            13 => Response::SessionReplicated {
+                session,
+                epoch: self.next(),
+            },
+            14 => Response::ReplicaPromoted {
+                session,
+                epoch: self.next(),
+                wealth: self.fractional(),
+            },
+            15 => Response::ReplicaDropped { session },
+            16 => Response::Sessions {
+                sessions: (0..self.pick(4))
+                    .map(|_| SessionEntry {
+                        session: self.next(),
+                        replica: self.pick(2) == 0,
+                        epoch: self.next(),
+                    })
+                    .collect(),
+            },
+            17 => Response::GossipView {
+                generation: self.next(),
+                members: self.members(),
+            },
+            _ => Response::Push(match self.pick(2) {
+                0 => PushEvent::SessionEvicted {
+                    session,
+                    reason: self.string(),
+                },
+                _ => PushEvent::CacheReset {
+                    dataset: self.string(),
+                },
+            }),
         }
     }
 }
