@@ -20,7 +20,9 @@
 //! * [`proto`] — the typed [`proto::Command`]/[`proto::Response`] API,
 //!   the protocol-v2 [`proto::Envelope`]/[`proto::Batch`] layer
 //!   (batched commands, hello negotiation), and the line-delimited
-//!   JSON codec (hand-rolled; the crate is std-only by design).
+//!   JSON codec (hand-rolled; the crate is std-only by design). Its
+//!   message table declares each command and response once and
+//!   generates the per-message codecs of both encodings.
 //! * [`frame`] — the v2 binary framing: `AWR2` magic, version byte,
 //!   u32 length prefix.
 //! * [`wire`] — the compact tag-based binary codec the frames carry.

@@ -389,9 +389,10 @@ impl Reply {
     }
 }
 
-/// A decoded protocol version. One past `u32::MAX` reads as `u32::MAX`,
-/// which no server speaks, so negotiation refuses it instead of
-/// wrapping it onto a version that exists.
+/// A decoded protocol version, shared by all four hello decoders.
+/// Anything past `u32::MAX` reads as `u32::MAX`, which no server
+/// speaks, so negotiation refuses it instead of wrapping it onto a
+/// version that exists.
 pub(crate) fn protocol_version(n: u64) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
@@ -1633,6 +1634,7 @@ impl Field for TranscriptFormat {
         Json::Str(self.as_str().into())
     }
     fn from_json(v: Option<&Json>, key: &str, ctx: &str) -> Result<Self, ServeError> {
+        // A format that is not a string has always read as csv.
         match v.ok_or_else(|| missing("string", key, ctx))?.as_str() {
             None | Some("csv") => Ok(TranscriptFormat::Csv),
             Some("text") => Ok(TranscriptFormat::Text),
