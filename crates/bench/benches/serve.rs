@@ -7,13 +7,15 @@
 //!   drives an interleaved per-session command stream (filtered
 //!   visualizations → hypothesis tests through α-investing), and
 //!   closes them, so no state leaks between iterations. One client
-//!   thread per session; sessions are pinned to service workers by id,
-//!   so the parallelism under test is the service's, not the driver's.
+//!   thread per session, and each command runs on its client's thread
+//!   under its session's stripe, so the parallelism under test is the
+//!   client threads' over the service's shared state.
 //! * `serve_batch_dispatch` — protocol v2's reason to exist: the same
 //!   64 single-session commands as 64 `call`s vs one `call_batch`, at
 //!   batch sizes 1/8/64/256. The per-command work is held light
-//!   (gauge renders) so what's measured is dispatch overhead — two
-//!   channel hops and a reply allocation per *unit*, not per command.
+//!   (gauge renders) so what's measured is dispatch overhead — a
+//!   pending-slot reservation, a stripe and a reply allocation per
+//!   *unit*, not per command.
 //! * `serve_wire` — full TCP loopback at the same batch sizes in both
 //!   encodings (NDJSON lines vs AWR2 binary frames), so the codec and
 //!   syscall savings are visible end to end.

@@ -7,7 +7,7 @@
 //!                [--log-level LEVEL] [--log-json] [--slow-ms MS]
 //!                [--metrics-addr HOST:PORT] [--reactor]
 //! cluster shard  [--addr 127.0.0.1:0] [--rows 20000] [--seed 2017]
-//!                [--workers N] [--data-dir DIR] [--snapshot-every S]
+//!                [--data-dir DIR] [--snapshot-every S]
 //!                [--log-level LEVEL] [--log-json] [--slow-ms MS]
 //!                [--metrics-addr HOST:PORT] [--reactor]
 //! ```
@@ -66,7 +66,7 @@ fn usage() -> ! {
          [--replicas R] [--shard-timeout-ms MS] \
          [--log-level debug|info|warn|error] [--log-json] [--slow-ms MS] [--metrics-addr HOST:PORT] \
          [--reactor]\n\
-         cluster shard  [--addr HOST:PORT] [--rows N] [--seed K] [--workers N] \
+         cluster shard  [--addr HOST:PORT] [--rows N] [--seed K] \
          [--data-dir DIR] [--snapshot-every S] \
          [--log-level debug|info|warn|error] [--log-json] [--slow-ms MS] [--metrics-addr HOST:PORT] \
          [--reactor]"
@@ -246,7 +246,6 @@ fn run_shard(mut args: impl Iterator<Item = String>) {
     let mut addr = "127.0.0.1:0".to_string();
     let mut rows: usize = 20_000;
     let mut seed: u64 = 2017;
-    let mut workers: Option<usize> = None;
     let mut data_dir: Option<PathBuf> = None;
     let mut snapshot_every = Duration::from_secs(30);
     let mut obs = ObsArgs::default();
@@ -267,13 +266,6 @@ fn run_shard(mut args: impl Iterator<Item = String>) {
                     .parse()
                     .unwrap_or_else(|e| die(&format!("--seed: {e}")))
             }
-            "--workers" => {
-                workers = Some(
-                    next_value(&mut args, "--workers")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("--workers: {e}"))),
-                )
-            }
             "--data-dir" => data_dir = Some(PathBuf::from(next_value(&mut args, "--data-dir"))),
             "--snapshot-every" => {
                 snapshot_every = Duration::from_secs(
@@ -288,16 +280,13 @@ fn run_shard(mut args: impl Iterator<Item = String>) {
         }
     }
     obs.init_logger();
-    let mut config = ServiceConfig {
+    let config = ServiceConfig {
         snapshot_every: data_dir.as_ref().map(|_| snapshot_every),
         data_dir,
         sweep_interval: Some(Duration::from_secs(5)),
         slow_ms: obs.slow_ms,
         ..ServiceConfig::default()
     };
-    if let Some(w) = workers {
-        config.workers = w;
-    }
     eprintln!("generating census dataset: {rows} rows (seed {seed}) …");
     let table = CensusGenerator::new(seed).generate(rows);
     let service = Service::start(config);
@@ -318,9 +307,9 @@ fn run_shard(mut args: impl Iterator<Item = String>) {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    // Graceful drain: stop accepting, then Service::shutdown joins the
-    // workers and spills every dirty session to disk before the
-    // summary line goes out.
+    // Graceful drain: stop accepting, then Service::shutdown waits for
+    // admitted commands and spills every dirty session to disk before
+    // the summary line goes out.
     let sessions_live = match service.handle().call(Command::Stats) {
         Response::Stats(s) => s.sessions_live,
         _ => 0,

@@ -455,10 +455,7 @@ mod tests {
 
     #[test]
     fn unhealthy_flip_drains_idle_and_one_success_flips_back() {
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        });
+        let service = Service::start(ServiceConfig::default());
         service
             .handle()
             .register_table("census", CensusGenerator::new(7).generate(500));

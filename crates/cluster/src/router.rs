@@ -1401,12 +1401,17 @@ fn leave_shard(inner: &Inner, addr: String) -> Response {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-fn route_one(inner: &Inner, cmd: Command, trace: u64) -> Response {
+/// Answers a router-local command — `stats`, `list_datasets`, the
+/// rebalance verbs, a refusal for the replication plane — or hands back
+/// a command the owning shard must execute. Exhaustive, with no `_`
+/// arm: a new command is classified here once, for a single command and
+/// a batch item alike.
+fn answer_locally(inner: &Inner, cmd: Command) -> Result<Response, Command> {
     match cmd {
-        Command::Stats => aggregate_stats(inner),
-        Command::ListDatasets => list_datasets(inner),
-        Command::JoinShard { addr } => join_shard(inner, addr),
-        Command::LeaveShard { addr } => leave_shard(inner, addr),
+        Command::Stats => Ok(aggregate_stats(inner)),
+        Command::ListDatasets => Ok(list_datasets(inner)),
+        Command::JoinShard { addr } => Ok(join_shard(inner, addr)),
+        Command::LeaveShard { addr } => Ok(leave_shard(inner, addr)),
         // The replication plane is router-to-shard only: letting a
         // client ship images or force promotions through the router
         // would bypass the epoch bookkeeping that makes promotion safe.
@@ -1417,34 +1422,41 @@ fn route_one(inner: &Inner, cmd: Command, trace: u64) -> Response {
         | Command::ListSessions
         | Command::Gossip { .. } => {
             inner.metrics.inc(Stat::errors);
-            Response::Error(ServeError::invalid(
+            Ok(Response::Error(ServeError::invalid(
                 "replication commands are shard-internal — the router manages \
                  replicas, promotion, and membership itself",
-            ))
+            )))
         }
-        Command::CreateSession {
+        cmd @ (Command::CreateSession { .. }
+        | Command::CreateSessionAs { .. }
+        | Command::ExportSession { .. }
+        | Command::ImportSession { .. }
+        | Command::AddVisualization { .. }
+        | Command::SetPolicy { .. }
+        | Command::Gauge { .. }
+        | Command::Transcript { .. }
+        | Command::CloseSession { .. }) => Err(cmd),
+    }
+}
+
+fn route_one(inner: &Inner, cmd: Command, trace: u64) -> Response {
+    match answer_locally(inner, cmd) {
+        Ok(response) => response,
+        Err(Command::CreateSession {
             dataset,
             alpha,
             policy,
-        } => create_session(inner, dataset, alpha, policy, trace),
-        cmd => forward_session(inner, cmd, trace),
+        }) => create_session(inner, dataset, alpha, policy, trace),
+        Err(cmd) => forward_session(inner, cmd, trace),
     }
 }
 
 impl Dispatch for RouterHandle {
-    fn call(&self, cmd: Command) -> Response {
-        self.call_traced(cmd, aware_obs::trace::next_trace_id())
-    }
-
     fn call_traced(&self, cmd: Command, trace: u64) -> Response {
         let inner = &self.inner;
         inner.metrics.batch(1);
         inner.metrics.inc(Stat::commands);
         route_one(inner, cmd, trace)
-    }
-
-    fn call_batch_mode(&self, cmds: Vec<Command>, mode: BatchMode) -> Vec<Response> {
-        self.call_batch_traced(cmds, mode, aware_obs::trace::next_trace_id())
     }
 
     /// Batch forwarding: admin items answer inline; routed items take
@@ -1453,8 +1465,8 @@ impl Dispatch for RouterHandle {
     /// sub-batch envelope per shard in parallel, each stamped with the
     /// client batch's trace id. Same-session items stay adjacent
     /// within their shard group, so the shard's own batch unit
-    /// semantics (one pinned run, fail-fast per stream) hold across
-    /// the hop.
+    /// semantics (one run under the session's stripe, fail-fast per
+    /// stream) hold across the hop.
     fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response> {
         let inner = &self.inner;
         let n = cmds.len();
@@ -1466,24 +1478,13 @@ impl Dispatch for RouterHandle {
         let mut forwards: Vec<(usize, SessionId, Command)> = Vec::new();
         for (index, cmd) in cmds.into_iter().enumerate() {
             inner.metrics.inc(Stat::commands);
-            match cmd {
-                Command::Stats
-                | Command::ListDatasets
-                | Command::JoinShard { .. }
-                | Command::LeaveShard { .. }
-                | Command::ReplicateSession { .. }
-                | Command::PromoteReplica { .. }
-                | Command::DropReplica { .. }
-                | Command::SnapshotSession { .. }
-                | Command::ListSessions
-                | Command::Gossip { .. } => {
-                    slots[index] = Some(route_one(inner, cmd, trace));
-                }
-                Command::CreateSession {
+            match answer_locally(inner, cmd) {
+                Ok(response) => slots[index] = Some(response),
+                Err(Command::CreateSession {
                     dataset,
                     alpha,
                     policy,
-                } => {
+                }) => {
                     // Allocate here so the item routes (and pins) like
                     // any other session command in this batch.
                     let id = inner.next_session.fetch_add(1, Ordering::Relaxed);
@@ -1498,7 +1499,7 @@ impl Dispatch for RouterHandle {
                         },
                     ));
                 }
-                cmd => {
+                Err(cmd) => {
                     let id = cmd.session().expect("non-admin commands address a session");
                     forwards.push((index, id, cmd));
                 }
@@ -1811,10 +1812,7 @@ mod tests {
     /// A real shard: a Service behind a real TCP front end on a
     /// loopback port. Same census content on every shard (same seed).
     fn shard(seed: u64) -> (Service, TcpServer, String) {
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        });
+        let service = Service::start(ServiceConfig::default());
         service
             .handle()
             .register_table("census", CensusGenerator::new(seed).generate(2_000));

@@ -126,8 +126,6 @@ fn spawn_shard() -> (ProcGuard, SocketAddr) {
         "1200",
         "--seed",
         "7",
-        "--workers",
-        "2",
     ])
 }
 

@@ -175,8 +175,6 @@ fn spawn_shard() -> (ProcGuard, SocketAddr) {
         "1200",
         "--seed",
         "7",
-        "--workers",
-        "2",
     ])
 }
 
@@ -202,8 +200,6 @@ fn spawn_shard_with_store(dir: &std::path::Path) -> (ProcGuard, SocketAddr) {
         "1200",
         "--seed",
         "7",
-        "--workers",
-        "2",
         "--data-dir",
         dir.to_str().unwrap(),
         "--snapshot-every",
@@ -524,8 +520,6 @@ fn router_stamped_trace_id_appears_in_the_shards_slow_query_log() {
         "1200",
         "--seed",
         "7",
-        "--workers",
-        "2",
         "--slow-ms",
         "0",
     ]);

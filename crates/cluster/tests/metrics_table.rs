@@ -18,10 +18,7 @@ use aware_serve::tcp::{Client, TcpServer};
 /// A real shard: a `Service` behind the thread-per-connection front
 /// end on a loopback port. Same census content on every shard.
 fn shard() -> (Service, TcpServer, String) {
-    let service = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    let service = Service::start(ServiceConfig::default());
     service
         .handle()
         .register_table("census", CensusGenerator::new(7).generate(2_000));
@@ -77,8 +74,8 @@ fn reactor_router_counts_its_own_front_end_and_merges_the_shards_reactor_scalars
         Response::SessionCreated { session, .. } => session,
         other => panic!("{other:?}"),
     };
-    // One unit larger than the shard's 64-command DRR quantum: the
-    // owning shard must defer it once before running it whole.
+    // One 65-item batch, forwarded to the owning shard as one binary
+    // sub-batch frame.
     let gauges = vec![Command::Gauge { session }; 65];
     let replies = client.call_batch(&gauges, BatchMode::Continue).unwrap();
     assert!(replies.iter().all(Response::is_ok));
@@ -91,8 +88,9 @@ fn reactor_router_counts_its_own_front_end_and_merges_the_shards_reactor_scalars
     // router's own: this client's open connection and its requests.
     assert_eq!(stats.reactor_connections, 1, "{stats:?}");
     assert!(stats.reactor_wakeups >= 3, "{stats:?}");
-    // And this one is a shard's, carried through the merge.
-    assert!(stats.drr_deferrals >= 1, "{stats:?}");
+    // And this one is the shards': this client speaks v1 NDJSON to
+    // the router, so only the router's hops to its shards are frames.
+    assert!(stats.binary_frames >= 1, "{stats:?}");
 }
 
 /// Every line the router's endpoint served before the scalar table

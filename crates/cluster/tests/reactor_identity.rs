@@ -84,8 +84,6 @@ fn spawn_shard(reactor: bool) -> (ProcGuard, SocketAddr) {
         "1200",
         "--seed",
         "7",
-        "--workers",
-        "2",
     ];
     if reactor {
         args.push("--reactor");

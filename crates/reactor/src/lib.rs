@@ -23,9 +23,9 @@
 //! message is handed to a small pool of dispatcher threads (pinned
 //! `token % dispatchers`, so one connection's messages stay ordered)
 //! that call into a [`ReactorService`] — `aware-serve` implements it
-//! over the same `Dispatch` trait the blocking front end uses, so the
-//! worker pool, batching, and α-investing ordering guarantees are
-//! untouched. One message per connection is in flight at a time;
+//! over the same `Dispatch` trait the blocking front end uses, so
+//! batching and the α-investing ordering guarantees are untouched: the
+//! dispatcher thread runs the command itself. One message per connection is in flight at a time;
 //! replies re-enter the loop through a completion queue and an
 //! `eventfd` wakeup.
 //!
@@ -119,7 +119,7 @@ pub trait ReactorService: Send + Sync + 'static {
 /// Event-loop tuning; defaults match the blocking front end's caps.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Dispatcher threads (protocol decode/encode + worker-pool entry).
+    /// Dispatcher threads (protocol decode/encode + command execution).
     pub dispatchers: usize,
     /// Reap connections idle (no bytes either way) this long.
     pub idle_timeout: Option<Duration>,

@@ -422,10 +422,7 @@ type FrontPair = (
 
 fn identical_pair() -> FrontPair {
     let mk = || {
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        });
+        let service = Service::start(ServiceConfig::default());
         service
             .handle()
             .register_table("census", CensusGenerator::new(23).generate(1_500));

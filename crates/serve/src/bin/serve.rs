@@ -1,7 +1,7 @@
 //! The `serve` binary: AWARE multi-session exploration service over TCP.
 //!
 //! ```text
-//! serve [--addr 127.0.0.1:7878] [--workers N] [--rows 20000]
+//! serve [--addr 127.0.0.1:7878] [--rows 20000]
 //!       [--max-sessions N] [--idle-timeout-secs S] [--seed K]
 //!       [--max-pending N] [--data-dir DIR] [--snapshot-every SECS]
 //!       [--log-level LEVEL] [--log-json] [--slow-ms MS]
@@ -48,7 +48,6 @@ use std::time::Duration;
 struct Args {
     addr: String,
     reactor: bool,
-    workers: Option<usize>,
     rows: usize,
     max_sessions: u64,
     idle_timeout: Duration,
@@ -66,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7878".into(),
         reactor: false,
-        workers: None,
         rows: 20_000,
         max_sessions: 65_536,
         idle_timeout: Duration::from_secs(15 * 60),
@@ -87,13 +85,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
-            "--workers" => {
-                args.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
             "--rows" => {
                 args.rows = value("--rows")?
                     .parse()
@@ -146,7 +137,7 @@ fn parse_args() -> Result<Args, String> {
             "--reactor" => args.reactor = true,
             "--help" | "-h" => {
                 println!(
-                    "serve [--addr HOST:PORT] [--workers N] [--rows N] \
+                    "serve [--addr HOST:PORT] [--rows N] \
                      [--max-sessions N] [--idle-timeout-secs S] [--seed K] \
                      [--max-pending N] [--data-dir DIR] [--snapshot-every SECS] \
                      [--log-level debug|info|warn|error] [--log-json] \
@@ -171,7 +162,7 @@ fn main() {
 
     aware_obs::log::init(args.log_level, args.log_json);
 
-    let mut config = ServiceConfig {
+    let config = ServiceConfig {
         max_sessions: args.max_sessions,
         idle_timeout: args.idle_timeout,
         sweep_interval: Some(Duration::from_secs(5)),
@@ -181,9 +172,6 @@ fn main() {
         slow_ms: args.slow_ms,
         ..ServiceConfig::default()
     };
-    if let Some(w) = args.workers {
-        config.workers = w;
-    }
 
     eprintln!(
         "generating census dataset: {} rows (seed {}) …",
@@ -227,9 +215,8 @@ fn main() {
         _ => {}
     }
     eprintln!(
-        "aware-serve listening on {} ({} workers, {} max sessions, idle timeout {:?}, {} front end)",
+        "aware-serve listening on {} ({} max sessions, idle timeout {:?}, {} front end)",
         server.local_addr(),
-        config.workers,
         config.max_sessions,
         config.idle_timeout,
         if args.reactor {

@@ -10,8 +10,9 @@
 //! once shown is never revised. Hardt & Ullman's hardness result for
 //! interactive reuse makes the isolation boundary load-bearing:
 //! sessions must not share statistical state. The service therefore
-//! serializes commands *within* a session (worker pinning, FIFO
-//! queues) while running distinct sessions in parallel, and shares
+//! serializes commands *within* a session (a per-session stripe mutex
+//! held while a command runs) while running distinct sessions in
+//! parallel on their callers' threads, and shares
 //! only the immutable dataset (`Arc<Table>` — 1 000 sessions over one
 //! census cost one table).
 //!
@@ -26,11 +27,11 @@
 //! * [`frame`] — the v2 binary framing: `AWR2` magic, version byte,
 //!   u32 length prefix.
 //! * [`wire`] — the compact tag-based binary codec the frames carry.
-//! * [`service`] — the worker-pool dispatcher
+//! * [`service`] — the dispatcher, which runs every command on its
+//!   caller's thread under a per-session stripe
 //!   ([`service::ServiceHandle::call_batch`]: same-session commands as
-//!   one pinned unit, cross-session fan-out), per-session pending-
-//!   command caps, session admission with sampled-LRU eviction, and
-//!   idle-timeout sweeps.
+//!   one unit), per-session pending-command caps, session admission
+//!   with sampled-LRU eviction, and idle-timeout sweeps.
 //! * [`registry`] — the sharded session registry
 //!   (`RwLock<HashMap<…>>` shards of `Mutex<Session>` entries).
 //! * `conn` — the connection protocol, written once: hello
@@ -60,7 +61,7 @@
 //! use aware_serve::proto::{Command, FilterSpec, PolicySpec, Response};
 //! use aware_serve::service::{Service, ServiceConfig};
 //!
-//! let service = Service::start(ServiceConfig { workers: 2, ..Default::default() });
+//! let service = Service::start(ServiceConfig { max_sessions: 1_024, ..Default::default() });
 //! let handle = service.handle();
 //! handle.register_table("census", CensusGenerator::new(1).generate(2_000));
 //!

@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One stage of a command's life, each with its own latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// An accepted unit waiting in a worker's queue before pickup.
+    /// An admitted unit waiting for its session's stripe (another
+    /// unit of the same session, or of one sharing its stripe, is
+    /// executing). 0 µs when the stripe was free.
     QueueWait,
     /// Executing one command.
     Execute,
@@ -30,7 +32,7 @@ impl Stage {
         ["queue_wait", "execute", "snapshot_flush", "wire_encode"];
 }
 
-/// Counter block shared by every worker and connection thread.
+/// Counter block shared by every connection and dispatcher thread.
 ///
 /// Every slot is cumulative since start; the gauges among the declared
 /// scalars (`sessions_live`, cache and store readings, uptime) are

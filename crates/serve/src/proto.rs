@@ -1151,7 +1151,7 @@ message_table! {
 
 impl Command {
     /// The session this command addresses, if any — the dispatcher keys
-    /// ordering and worker routing on it.
+    /// ordering and per-session exclusion on it.
     pub fn session(&self) -> Option<SessionId> {
         match *self {
             Command::CreateSessionAs { session, .. }
@@ -1508,7 +1508,9 @@ scalar_table! {
     reactor_connections: Lenient, Sum, Gauge, "Connections currently open on the reactor front end.";
     reactor_wakeups: Lenient, Sum, Counter, "Readiness wakeups the reactor event loop has serviced.";
     push_frames: Lenient, Sum, Counter, "Server-push frames delivered to subscribed connections.";
-    drr_deferrals: Lenient, Sum, Counter, "Worker rounds where a session exhausted its DRR quantum with work left.";
+    /// Retired with the worker pool's deficit round-robin: always 0.
+    /// The slot stays so the wire layout and exposition do not move.
+    drr_deferrals: Lenient, Sum, Counter, "Retired (always 0): commands now run on their caller's thread, with no worker queue to defer.";
 }
 
 /// Cap on the per-session risk rows a `stats` reply carries: enough

@@ -1,7 +1,7 @@
 //! The sharded session registry.
 //!
 //! Sessions live behind `N` shards of `RwLock<HashMap<SessionId,
-//! Arc<SessionEntry>>>`, so lookups from many worker threads contend
+//! Arc<SessionEntry>>>`, so lookups from many connection threads contend
 //! only on the shard they hash to, and an eviction sweep never stops
 //! the world. The entry's `Mutex<Session>` serializes *statistical*
 //! state per session — the α-investing guarantee is sequential, so a
@@ -58,8 +58,8 @@ pub struct SessionMeta {
 pub struct SessionEntry {
     /// The session's id (key in its shard).
     pub id: SessionId,
-    /// The serialized session state. Workers lock this for the duration
-    /// of one command.
+    /// The serialized session state, locked for the duration of one
+    /// command.
     pub session: Mutex<ServedSession>,
     /// Persistence metadata (dataset name, active policy spec).
     pub meta: Mutex<SessionMeta>,

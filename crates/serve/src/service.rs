@@ -1,21 +1,21 @@
-//! The multi-session service: worker pool, dispatch, and eviction.
+//! The multi-session service: dispatch, eviction and persistence.
 //!
 //! ## Ordering model
 //!
 //! α-investing is a *sequential* guarantee: within one session, bids and
 //! decisions must happen in a single total order, and a decision once
 //! announced is final. Across sessions there is no coupling at all. The
-//! dispatcher encodes exactly that. A command takes a slot in its
-//! session's pending count, then [`execute_unit`] runs it either
-//! **inline** on the caller's thread — when the session held no slot,
-//! its stripe is free, one of `workers` inline permits is free and
-//! shutdown has not begun — or **queued** on the worker
-//! `session_id % workers`, which drains per-session FIFO queues by
-//! deficit round-robin. Either way the unit holds its session's stripe
-//! mutex while it executes (a worker waits for it, an inline caller
-//! only `try_lock`s), so no two commands of one session ever run at
-//! once — two restores of a spilled session cannot install two
-//! ledgers — and they execute in the order they took their slots.
+//! dispatcher encodes exactly that, with no threads of its own: every
+//! command runs through [`execute_unit`] on the thread that submitted
+//! it (a connection thread or a reactor dispatcher), holding its
+//! session's stripe mutex. So, per session, one unit runs at a time —
+//! two restores of a spilled session cannot install two ledgers — and
+//! each command is atomic between its request and its reply. A batch's
+//! same-session items form one unit and run back-to-back in batch
+//! order. Commands from concurrent connections to one session run in
+//! the order they take the stripe; no FIFO across connections is
+//! promised, and no client can observe one (neither knows when the
+//! other's request arrived).
 //!
 //! ## Eviction
 //!
@@ -63,17 +63,13 @@ use aware_data::cache::EvalCache;
 use aware_data::table::Table;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, TryLockError, Weak};
+use std::time::{Duration, Instant};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads draining command queues. Sessions are pinned to
-    /// workers by `id % workers`.
-    pub workers: usize,
     /// Registry shard count.
     pub shards: usize,
     /// Hard cap on live sessions; beyond it, creation evicts the LRU
@@ -84,14 +80,15 @@ pub struct ServiceConfig {
     /// Interval of the background eviction sweeper; `None` (the default)
     /// means sweeps only happen when [`Service::sweep_idle`] is called.
     pub sweep_interval: Option<Duration>,
-    /// Backpressure: commands a single session may have queued (submitted
-    /// but not yet executed) before further submissions are refused with
-    /// [`ErrorCode::Overloaded`]. A whole batch unit counts at once, so a
-    /// same-session batch larger than this cap is always refused — which
-    /// is why the default equals [`crate::proto::MAX_BATCH_ITEMS`]: any
-    /// protocol-legal batch fits on an idle server. Operators lowering it
-    /// constrain the usable same-session batch size too. One chatty
-    /// client saturates its own session, never a worker.
+    /// Backpressure: commands a single session may have admitted
+    /// (waiting for its stripe or executing) before further submissions
+    /// are refused with [`ErrorCode::Overloaded`]. A whole batch unit
+    /// counts at once, so a same-session batch larger than this cap is
+    /// always refused — which is why the default equals
+    /// [`crate::proto::MAX_BATCH_ITEMS`]: any protocol-legal batch fits
+    /// on an idle server. Operators lowering it constrain the usable
+    /// same-session batch size too. One chatty client saturates its own
+    /// session, never another.
     pub max_pending_per_session: usize,
     /// Snapshot directory for durable sessions. `None` (the default)
     /// keeps every session in memory only — the pre-persistence
@@ -115,9 +112,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
             shards: 16,
             max_sessions: 65_536,
             idle_timeout: Duration::from_secs(15 * 60),
@@ -133,13 +127,13 @@ impl Default for ServiceConfig {
 /// Dispatch route (and pending-table key) for session-free commands
 /// that consume no session id (`list_datasets`, the router admin
 /// verbs). Reserved: the allocator counts up from 0 and could never
-/// reach it, so these commands share a pending cap and worker queue
-/// with each other but never with a real session — a roster poll must
-/// not be able to push session `0` into `overloaded`.
+/// reach it, so these commands share a pending cap and a stripe with
+/// each other but never with a real session — a roster poll must not
+/// be able to push session `0` into `overloaded`.
 const SESSION_FREE_ROUTE: u64 = u64::MAX;
 
 /// Route exclusion stripes (a constant, not a knob: a collision only
-/// sends an idle route's command to its worker).
+/// makes one route's command wait for another's).
 const ROUTE_STRIPES: usize = 256;
 
 /// Fibonacci hash of a route, shared by the pending shards and stripes.
@@ -149,9 +143,9 @@ fn spread(key: u64) -> usize {
 
 /// Pending-command accounting per session stream, sharded like the
 /// registry. A count covers a command from admission until it executed
-/// (queued or inline); an entry disappears as soon as its stream drains
-/// to zero, so the map stays proportional to *actively loaded*
-/// sessions, not live ones.
+/// (including any wait for its stripe); an entry disappears as soon as
+/// its stream drains to zero, so the map stays proportional to
+/// *actively loaded* sessions, not live ones.
 struct PendingTable {
     shards: Vec<Mutex<HashMap<u64, usize>>>,
 }
@@ -169,22 +163,23 @@ impl PendingTable {
         &self.shards[spread(key) % self.shards.len()]
     }
 
-    /// Reserves `n` pending slots for `key`: `Some(idle)`, `idle` when
-    /// the stream held none before, or `None` (no effect) past `cap`.
-    fn try_acquire(&self, key: u64, n: usize, cap: usize) -> Option<bool> {
+    /// Reserves `n` pending slots for `key`; `false` (no effect) past
+    /// `cap`.
+    fn try_acquire(&self, key: u64, n: usize, cap: usize) -> bool {
         let mut shard = self.shard(key).lock().unwrap();
         let count = shard.entry(key).or_insert(0);
         if *count + n > cap {
             if *count == 0 {
                 shard.remove(&key);
             }
-            return None;
+            return false;
         }
         *count += n;
-        Some(*count == n)
+        true
     }
 
-    /// Releases `n` slots for `key` (after execution or a failed send).
+    /// Releases `n` slots for `key` (after execution, or for a unit
+    /// refused at shutdown).
     fn release(&self, key: u64, n: usize) {
         let mut shard = self.shard(key).lock().unwrap();
         if let Some(count) = shard.get_mut(&key) {
@@ -219,7 +214,7 @@ struct ReplicaHeld {
     image: Option<Vec<u8>>,
 }
 
-/// State shared by workers, handles, and the sweeper.
+/// State shared by handles and the background threads.
 struct Inner {
     registry: Registry,
     metrics: Metrics,
@@ -228,9 +223,10 @@ struct Inner {
     pending: PendingTable,
     /// Per-route exclusion, held by a unit while it executes.
     stripes: [Mutex<()>; ROUTE_STRIPES],
-    /// Inline executions in flight: at most `workers`, 0 before the
-    /// shutdown flush.
-    inline: AtomicUsize,
+    /// Units admitted past the shutdown check and not yet finished
+    /// (waiting for their stripe or executing); 0 before the shutdown
+    /// flush.
+    in_flight: AtomicUsize,
     store: Option<SnapshotStore>,
     /// Warm replica images held for sessions homed elsewhere, by id.
     replicas: Mutex<HashMap<SessionId, ReplicaHeld>>,
@@ -238,12 +234,11 @@ struct Inner {
     /// the roster. A restarted router can learn the cluster from any
     /// shard that heard a gossip round.
     gossip: Mutex<(u64, Vec<crate::proto::MemberInfo>)>,
-    /// Set by shutdown before the workers drain. Queued commands
-    /// discover shutdown through their dead worker channels; inline
-    /// admission and the inline `stats` path check this flag, so a
-    /// drained shard stops advertising healthy stats — which is what
-    /// lets a cluster router's health probe see an in-process shard death.
-    shutting_down: std::sync::atomic::AtomicBool,
+    /// Set by shutdown before it waits for `in_flight`. Unit admission
+    /// and the `stats` fast path check it, so a drained shard stops
+    /// advertising healthy stats — which is what lets a cluster
+    /// router's health probe see an in-process shard death.
+    shutting_down: AtomicBool,
     /// Server-push sinks registered by push-capable front ends (the
     /// reactor). Each sink delivers one event toward one subscribed
     /// connection and returns `false` when that connection is gone, at
@@ -400,27 +395,6 @@ struct UnitItem {
     assigned: Option<SessionId>,
 }
 
-enum Job {
-    /// A batch's same-session run: executed back-to-back on the pinned
-    /// worker, never interleaved with other queue entries.
-    Unit {
-        items: Vec<UnitItem>,
-        mode: BatchMode,
-        /// The pending-table key to release, one slot per item executed.
-        pending_key: u64,
-        /// When the unit was queued — the worker measures queue wait
-        /// (enqueue → execution start) from this.
-        enqueued: std::time::Instant,
-        /// Trace id attributed to every item (slow-query records carry
-        /// it, so one grep follows a command across processes).
-        trace: u64,
-        /// Receives the unit's responses in one message when the unit
-        /// is done — one wake-up of the submitter per unit, not per item.
-        reply: mpsc::Sender<Vec<(usize, Response)>>,
-    },
-    Shutdown,
-}
-
 /// What the connection protocol needs from the thing that executes
 /// commands. The one protocol handler (`conn::Handler`) is
 /// generic over this, and both transports — the thread-per-connection
@@ -431,25 +405,23 @@ enum Job {
 /// the wire surface cannot drift between a shard and the router
 /// standing in front of it, nor between two fronts.
 pub trait Dispatch {
-    /// Executes one command to completion.
-    fn call(&self, cmd: Command) -> Response;
-    /// Executes an ordered batch, responses in submission order.
-    fn call_batch_mode(&self, cmds: Vec<Command>, mode: BatchMode) -> Vec<Response>;
+    /// Executes one command to completion, attributed to a trace id
+    /// (stamped by the wire front end).
+    fn call_traced(&self, cmd: Command, trace: u64) -> Response;
+    /// Executes an ordered batch, responses in submission order,
+    /// attributed to a trace id.
+    fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response>;
     /// The counter block the wire front ends record into: messages
     /// per surface, protocol errors, reply encode time, and the
     /// reactor's connection/wakeup/push accounting.
     fn metrics(&self) -> &Metrics;
-    /// [`Dispatch::call`] attributed to a trace id (stamped by the
-    /// wire front end). The default ignores the trace — a dispatcher
-    /// without tracing support still works.
-    fn call_traced(&self, cmd: Command, trace: u64) -> Response {
-        let _ = trace;
-        self.call(cmd)
+    /// [`Dispatch::call_traced`] under a freshly minted trace id.
+    fn call(&self, cmd: Command) -> Response {
+        self.call_traced(cmd, aware_obs::trace::next_trace_id())
     }
-    /// [`Dispatch::call_batch_mode`] attributed to a trace id.
-    fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response> {
-        let _ = trace;
-        self.call_batch_mode(cmds, mode)
+    /// [`Dispatch::call_batch_traced`] under a freshly minted trace id.
+    fn call_batch_mode(&self, cmds: Vec<Command>, mode: BatchMode) -> Vec<Response> {
+        self.call_batch_traced(cmds, mode, aware_obs::trace::next_trace_id())
     }
     /// Whether this dispatcher can emit server-push events. The hello
     /// `push` capability is only granted when the front end can deliver
@@ -472,18 +444,9 @@ pub trait Dispatch {
 #[derive(Clone)]
 pub struct ServiceHandle {
     inner: Arc<Inner>,
-    senders: Arc<Vec<mpsc::Sender<Job>>>,
 }
 
 impl Dispatch for ServiceHandle {
-    fn call(&self, cmd: Command) -> Response {
-        ServiceHandle::call(self, cmd)
-    }
-
-    fn call_batch_mode(&self, cmds: Vec<Command>, mode: BatchMode) -> Vec<Response> {
-        ServiceHandle::call_batch_mode(self, cmds, mode)
-    }
-
     fn metrics(&self) -> &Metrics {
         &self.inner.metrics
     }
@@ -519,17 +482,28 @@ fn overloaded(route: u64, cap: usize) -> Response {
     })
 }
 
+/// Answers every item of a unit that will not run with `error()`.
+fn refuse(
+    inner: &Inner,
+    items: Vec<UnitItem>,
+    error: impl Fn() -> Response,
+) -> Vec<(usize, Response)> {
+    items
+        .into_iter()
+        .map(|item| {
+            inner.metrics.inc(Stat::errors);
+            (item.index, error())
+        })
+        .collect()
+}
+
 impl ServiceHandle {
     /// Executes one command to completion and returns its response —
     /// semantically a one-element [`ServiceHandle::call_batch`]
-    /// (identical metrics, routing, and backpressure), but on a fast
-    /// path that skips the batch partitioning structures: no slot
-    /// vector, no route map — the dominant v1 traffic shape should not
-    /// pay for machinery a single command cannot use.
-    ///
-    /// Runs on the calling thread when nothing of the session is queued
-    /// or running, else queues on the session's worker and blocks until
-    /// every earlier command of that session has executed (FIFO).
+    /// (identical metrics, routing, and backpressure), but a one-item
+    /// unit with no slot vector and no route map: the dominant v1
+    /// traffic shape should not pay for machinery a single command
+    /// cannot use.
     pub fn call(&self, cmd: Command) -> Response {
         self.call_traced(cmd, aware_obs::trace::next_trace_id())
     }
@@ -539,103 +513,12 @@ impl ServiceHandle {
     /// the envelope).
     pub fn call_traced(&self, cmd: Command, trace: u64) -> Response {
         self.inner.metrics.batch(1);
-        self.inner.metrics.inc(Stat::commands);
-        if matches!(cmd, Command::Stats) {
-            if self
-                .inner
-                .shutting_down
-                .load(std::sync::atomic::Ordering::SeqCst)
-            {
-                return shutdown_error();
-            }
-            let start = std::time::Instant::now();
-            let response = Response::Stats(Box::new(snapshot_with_caches(&self.inner)));
-            self.inner
-                .metrics
-                .observe_command(cmd.kind_index(), start.elapsed().as_micros() as u64);
-            return response;
-        }
-        let (assigned, route) = match cmd.session() {
-            Some(sid) => (None, sid),
-            // Only creation consumes an id; other session-free commands
-            // (list_datasets, the router admin verbs) route to a fixed
-            // worker without touching the allocator — a roster poll
-            // must not advance the id space a cluster router seats
-            // its cluster-wide allocator above.
-            None if matches!(cmd, Command::CreateSession { .. }) => {
-                let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
-                (Some(id), id)
-            }
-            None => (None, SESSION_FREE_ROUTE),
+        let (route, item) = match self.route(0, cmd) {
+            Ok(routed) => routed,
+            Err(answer) => return answer,
         };
-        let cap = self.inner.config.max_pending_per_session;
-        let Some(idle) = self.inner.pending.try_acquire(route, 1, cap) else {
-            self.inner.metrics.inc(Stat::overloaded);
-            self.inner.metrics.inc(Stat::errors);
-            return overloaded(route, cap);
-        };
-        let item = UnitItem {
-            index: 0,
-            cmd,
-            assigned,
-        };
-        let items = match self.run_inline(idle, vec![item], BatchMode::Continue, route, trace) {
-            Ok(mut replies) => return replies.pop().expect("one reply per item").1,
-            Err(items) => items,
-        };
-        let worker = (route % self.senders.len() as u64) as usize;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let job = Job::Unit {
-            items,
-            mode: BatchMode::Continue,
-            pending_key: route,
-            enqueued: std::time::Instant::now(),
-            trace,
-            reply: reply_tx,
-        };
-        if self.senders[worker].send(job).is_err() {
-            self.inner.pending.release(route, 1);
-            self.inner.metrics.inc(Stat::errors);
-            return shutdown_error();
-        }
-        match reply_rx.recv().ok().and_then(|mut replies| replies.pop()) {
-            Some((_, response)) => response,
-            None => {
-                self.inner.metrics.inc(Stat::errors);
-                shutdown_error()
-            }
-        }
-    }
-
-    /// Executes a unit on the calling thread when its route was `idle`
-    /// at `try_acquire`, it fits one DRR quantum (a larger unit is the
-    /// flood DRR exists for), its stripe and one of `workers` permits
-    /// are free and shutdown has not begun; else hands the items back.
-    fn run_inline(
-        &self,
-        idle: bool,
-        items: Vec<UnitItem>,
-        mode: BatchMode,
-        route: u64,
-        trace: u64,
-    ) -> Result<Vec<(usize, Response)>, Vec<UnitItem>> {
-        let inner = &self.inner;
-        if !idle || items.len() as u64 > DRR_QUANTUM {
-            return Err(items);
-        }
-        let Ok(_stripe) = inner.stripe(route).try_lock() else {
-            return Err(items);
-        };
-        // SeqCst: shutdown either sees this permit or we see its flag.
-        if inner.inline.fetch_add(1, Ordering::SeqCst) >= self.senders.len()
-            || inner.shutting_down.load(Ordering::SeqCst)
-        {
-            inner.inline.fetch_sub(1, Ordering::SeqCst);
-            return Err(items);
-        }
-        let replies = execute_unit(inner, items, mode, route, 0, trace);
-        inner.inline.fetch_sub(1, Ordering::SeqCst);
-        Ok(replies)
+        let mut replies = self.run_unit(route, vec![item], BatchMode::Continue, trace);
+        replies.pop().expect("one reply per item").1
     }
 
     /// Executes an ordered batch of commands and returns their
@@ -645,9 +528,8 @@ impl ServiceHandle {
     /// batch order, never interleaved with commands from other clients
     /// — so the α-investing decision sequence a batch observes is
     /// exactly the sequence a v1 client would have produced with N
-    /// round trips. A one-session batch may run inline (see
-    /// [`ServiceHandle::call`]); otherwise units fan out to their
-    /// workers in parallel and the call blocks until all are back.
+    /// round trips. Units run one after another on the calling thread,
+    /// in order of each session's first appearance.
     pub fn call_batch(&self, cmds: Vec<Command>) -> Vec<Response> {
         self.call_batch_mode(cmds, BatchMode::Continue)
     }
@@ -675,119 +557,115 @@ impl ServiceHandle {
         slots.resize_with(n, || None);
 
         // Partition into per-route units, preserving batch order within
-        // each route. `order` keeps unit submission deterministic.
+        // each route. `order` keeps unit execution deterministic.
         let mut order: Vec<u64> = Vec::new();
         let mut units: HashMap<u64, Vec<UnitItem>> = HashMap::new();
         for (index, cmd) in cmds.into_iter().enumerate() {
-            self.inner.metrics.inc(Stat::commands);
-            // Stats is session-free and read-only: answer inline rather
-            // than serializing it behind some arbitrary worker's queue.
-            if matches!(cmd, Command::Stats) {
-                if self
-                    .inner
-                    .shutting_down
-                    .load(std::sync::atomic::Ordering::SeqCst)
-                {
-                    slots[index] = Some(shutdown_error());
-                    continue;
-                }
-                let start = std::time::Instant::now();
-                slots[index] = Some(Response::Stats(Box::new(snapshot_with_caches(&self.inner))));
-                self.inner
-                    .metrics
-                    .observe_command(cmd.kind_index(), start.elapsed().as_micros() as u64);
-                continue;
+            match self.route(index, cmd) {
+                Ok((route, item)) => units
+                    .entry(route)
+                    .or_insert_with(|| {
+                        order.push(route);
+                        Vec::new()
+                    })
+                    .push(item),
+                Err(answer) => slots[index] = Some(answer),
             }
-            let (assigned, route) = match cmd.session() {
-                Some(sid) => (None, sid),
-                // CreateSession: allocate the id up front so the
-                // command routes to — and the session stays pinned
-                // on — its worker. Other session-free commands route
-                // without consuming an id (see `call`).
-                None if matches!(cmd, Command::CreateSession { .. }) => {
-                    let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
-                    (Some(id), id)
-                }
-                None => (None, SESSION_FREE_ROUTE),
-            };
-            units
-                .entry(route)
-                .or_insert_with(|| {
-                    order.push(route);
-                    Vec::new()
-                })
-                .push(UnitItem {
-                    index,
-                    cmd,
-                    assigned,
-                });
         }
-
-        // Submit every unit, then collect responses as workers finish —
-        // cross-session units run in parallel.
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let cap = self.inner.config.max_pending_per_session;
-        let mut outstanding_units = 0usize;
-        let single_route = order.len() == 1;
+        // One unit, hence one stripe, at a time: no lock ordering.
         for route in order {
             let items = units.remove(&route).expect("unit recorded in order");
-            let count = items.len();
-            let Some(idle) = self.inner.pending.try_acquire(route, count, cap) else {
-                self.inner.metrics.inc(Stat::overloaded);
-                for item in items {
-                    self.inner.metrics.inc(Stat::errors);
-                    slots[item.index] = Some(overloaded(route, cap));
-                }
-                continue;
-            };
-            outstanding_units += 1;
-            let items = match self.run_inline(idle && single_route, items, mode, route, trace) {
-                Ok(replies) => {
-                    let _ = reply_tx.send(replies); // collected with the workers'
-                    continue;
-                }
-                Err(items) => items,
-            };
-            let worker = (route % self.senders.len() as u64) as usize;
-            let job = Job::Unit {
-                items,
-                mode,
-                pending_key: route,
-                enqueued: std::time::Instant::now(),
-                trace,
-                reply: reply_tx.clone(),
-            };
-            if let Err(mpsc::SendError(job)) = self.senders[worker].send(job) {
-                outstanding_units -= 1;
-                self.inner.pending.release(route, count);
-                if let Job::Unit { items, .. } = job {
-                    for item in items {
-                        self.inner.metrics.inc(Stat::errors);
-                        slots[item.index] = Some(shutdown_error());
-                    }
-                }
-            }
-        }
-        drop(reply_tx);
-        for _ in 0..outstanding_units {
-            match reply_rx.recv() {
-                Ok(replies) => {
-                    for (index, response) in replies {
-                        slots[index] = Some(response);
-                    }
-                }
-                Err(_) => break, // workers died mid-batch; fill below
+            for (index, response) in self.run_unit(route, items, mode, trace) {
+                slots[index] = Some(response);
             }
         }
         slots
             .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    self.inner.metrics.inc(Stat::errors);
-                    shutdown_error()
-                })
-            })
+            .map(|slot| slot.expect("every item answered"))
             .collect()
+    }
+
+    /// Counts one command and assigns its route: its session, a fresh
+    /// id for `create_session`, or [`SESSION_FREE_ROUTE`]. `Err` carries
+    /// the answer of a `stats`, which is session-free and read-only and
+    /// so is answered here rather than behind some route's stripe.
+    fn route(&self, index: usize, cmd: Command) -> Result<(u64, UnitItem), Response> {
+        let inner = &self.inner;
+        inner.metrics.inc(Stat::commands);
+        if matches!(cmd, Command::Stats) {
+            if inner.shutting_down.load(Ordering::SeqCst) {
+                return Err(shutdown_error());
+            }
+            let start = Instant::now();
+            let response = Response::Stats(Box::new(snapshot_with_caches(inner)));
+            inner
+                .metrics
+                .observe_command(cmd.kind_index(), start.elapsed().as_micros() as u64);
+            return Err(response);
+        }
+        let (assigned, route) = match cmd.session() {
+            Some(sid) => (None, sid),
+            // Only creation consumes an id; other session-free commands
+            // (list_datasets, the router admin verbs) route without
+            // touching the allocator — a roster poll must not advance
+            // the id space a cluster router seats its cluster-wide
+            // allocator above.
+            None if matches!(cmd, Command::CreateSession { .. }) => {
+                let id = inner.next_session.fetch_add(1, Ordering::Relaxed);
+                (Some(id), id)
+            }
+            None => (None, SESSION_FREE_ROUTE),
+        };
+        Ok((
+            route,
+            UnitItem {
+                index,
+                cmd,
+                assigned,
+            },
+        ))
+    }
+
+    /// Runs one unit to completion on the calling thread: takes its
+    /// pending slots (or answers `overloaded`), counts itself in flight
+    /// (or answers `shutdown`), then executes under its route's stripe.
+    /// Time spent waiting for a busy stripe is the unit's queue wait; a
+    /// free stripe records 0 µs without reading the clock.
+    fn run_unit(
+        &self,
+        route: u64,
+        items: Vec<UnitItem>,
+        mode: BatchMode,
+        trace: u64,
+    ) -> Vec<(usize, Response)> {
+        let inner = &self.inner;
+        let cap = inner.config.max_pending_per_session;
+        if !inner.pending.try_acquire(route, items.len(), cap) {
+            inner.metrics.inc(Stat::overloaded);
+            return refuse(inner, items, || overloaded(route, cap));
+        }
+        // SeqCst: shutdown either sees this unit in flight or we see its
+        // flag. A unit counted here finishes before the shutdown flush,
+        // even one still waiting for its stripe.
+        inner.in_flight.fetch_add(1, Ordering::SeqCst);
+        let replies = if inner.shutting_down.load(Ordering::SeqCst) {
+            inner.pending.release(route, items.len());
+            refuse(inner, items, shutdown_error)
+        } else {
+            let stripe = inner.stripe(route);
+            let (_held, queue_us) = match stripe.try_lock() {
+                Ok(held) => (held, 0),
+                Err(TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), 0),
+                Err(TryLockError::WouldBlock) => {
+                    let start = Instant::now();
+                    let held = stripe.lock().unwrap_or_else(PoisonError::into_inner);
+                    (held, start.elapsed().as_micros() as u64)
+                }
+            };
+            execute_unit(inner, items, mode, route, queue_us, trace)
+        };
+        inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+        replies
     }
 
     /// Registers (or replaces) a dataset under `name`.
@@ -898,8 +776,9 @@ fn render_metrics(inner: &Inner) -> String {
     r.family(
         "aware_stage_latency_us",
         "summary",
-        "Stage breakdown: queue_wait, execute, snapshot_flush, wire_encode (one reply's \
-         encode, socket write excluded); microseconds.",
+        "Stage breakdown: queue_wait (waiting for the session's stripe), execute, \
+         snapshot_flush, wire_encode (one reply's encode, socket write excluded); \
+         microseconds.",
     );
     for (stage, snap) in inner.metrics.stages() {
         r.summary("aware_stage_latency_us", &[("stage", stage)], &snap);
@@ -985,12 +864,12 @@ fn render_metrics(inner: &Inner) -> String {
     r.finish()
 }
 
-/// The running service: worker threads plus the shared state. Dropping
-/// (or calling [`Service::shutdown`]) stops the workers; commands sent
-/// through surviving handles then answer with a `shutdown` error.
+/// The running service: the shared state behind its handles. Dropping
+/// (or calling [`Service::shutdown`]) waits for admitted commands and
+/// flushes dirty sessions; commands sent through surviving handles then
+/// answer with a `shutdown` error.
 pub struct Service {
     handle: ServiceHandle,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
@@ -1002,7 +881,6 @@ impl Service {
     /// directory cannot be created or scanned — running "durable" with
     /// a broken store would be a silent lie.
     pub fn start(config: ServiceConfig) -> Service {
-        let workers = config.workers.max(1);
         let store = config.data_dir.as_ref().map(|dir| {
             SnapshotStore::open(dir).unwrap_or_else(|e| {
                 panic!(
@@ -1038,28 +916,14 @@ impl Service {
             next_session: AtomicU64::new(first_free_id),
             pending: PendingTable::new(config.shards),
             stripes: std::array::from_fn(|_| Mutex::new(())),
-            inline: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
             store,
             replicas: Mutex::new(replicas),
             gossip: Mutex::new((0, Vec::new())),
-            shutting_down: std::sync::atomic::AtomicBool::new(false),
+            shutting_down: AtomicBool::new(false),
             push_sinks: Mutex::new(Vec::new()),
             config,
         });
-
-        let mut senders = Vec::with_capacity(workers);
-        let mut joins = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(tx);
-            let inner = inner.clone();
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("aware-serve-worker-{i}"))
-                    .spawn(move || worker_loop(rx, inner))
-                    .expect("spawn worker thread"),
-            );
-        }
 
         if let Some(interval) = inner.config.sweep_interval {
             let weak = Arc::downgrade(&inner);
@@ -1082,11 +946,7 @@ impl Service {
         }
 
         Service {
-            handle: ServiceHandle {
-                inner,
-                senders: Arc::new(senders),
-            },
-            workers: joins,
+            handle: ServiceHandle { inner },
         }
     }
 
@@ -1105,31 +965,10 @@ impl Service {
         self.handle.sweep_idle()
     }
 
-    /// Stops the workers and waits for them to finish their queues.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
-
-    fn shutdown_in_place(&mut self) {
-        self.handle
-            .inner
-            .shutting_down
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        for tx in self.handle.senders.iter() {
-            let _ = tx.send(Job::Shutdown);
-        }
-        for join in self.workers.drain(..) {
-            let _ = join.join();
-        }
-        // Inline callers admitted before the flag finish their unit
-        // first, so an acked inline mutation never misses the flush.
-        let inner = &self.handle.inner;
-        while inner.inline.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        // Workers are quiet now: flush every dirty session so a graceful
-        // restart loses nothing even in periodic-snapshot mode.
-        flush_dirty(inner);
+    /// Refuses new commands, waits for admitted ones, and flushes every
+    /// dirty session — what dropping the service does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -1144,7 +983,17 @@ fn flush_dirty(inner: &Inner) {
 
 impl Drop for Service {
     fn drop(&mut self) {
-        self.shutdown_in_place();
+        let inner = &self.handle.inner;
+        inner.shutting_down.store(true, Ordering::SeqCst);
+        // Callers admitted before the flag finish their unit first — a
+        // caller still waiting for its stripe included — so an acked
+        // mutation never misses the flush.
+        while inner.in_flight.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        // Quiet now: flush every dirty session so a graceful restart
+        // loses nothing even in periodic-snapshot mode.
+        flush_dirty(inner);
     }
 }
 
@@ -1198,144 +1047,10 @@ fn snapshotter_loop(inner: Weak<Inner>, interval: Duration) {
     }
 }
 
-/// Commands one route may execute per deficit-round-robin visit before
-/// the worker moves on to its other routes. A unit larger than the
-/// quantum is never split (units are the atomicity guarantee) — its
-/// route just accrues deficit across visits until the unit fits.
-const DRR_QUANTUM: u64 = 64;
-
-/// A worker's local backlog for one route (session stream): units in
-/// FIFO order plus the route's accumulated deficit.
-struct RouteQueue {
-    jobs: std::collections::VecDeque<Job>,
-    deficit: u64,
-}
-
-/// The worker loop drains its channel through a deficit-round-robin
-/// scheduler: jobs are parked in per-route FIFO queues, and each
-/// active route gets [`DRR_QUANTUM`] commands' worth of service per
-/// round. One session flooding the worker with huge batches can no
-/// longer starve the other sessions pinned to the same worker — they
-/// interleave at quantum granularity while each route's own order (the
-/// FIFO-per-session guarantee) is untouched, because units only ever
-/// run from their own route's queue, in arrival order.
-fn worker_loop(rx: mpsc::Receiver<Job>, inner: Arc<Inner>) {
-    let mut routes: HashMap<u64, RouteQueue> = HashMap::new();
-    let mut ring: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    let mut draining = false;
-
-    loop {
-        // Fill: block when idle; otherwise soak up whatever has
-        // arrived without blocking, so newly active routes join the
-        // ring before the next visit.
-        if ring.is_empty() && !draining {
-            match rx.recv() {
-                Ok(Job::Shutdown) => draining = true,
-                Ok(job) => enqueue_route(&mut routes, &mut ring, job),
-                Err(_) => return,
-            }
-        }
-        if !draining {
-            loop {
-                match rx.try_recv() {
-                    Ok(Job::Shutdown) => {
-                        // Stop pulling new work, but run everything
-                        // already parked locally: jobs accepted before
-                        // shutdown still answer (same contract as the
-                        // old strict-FIFO loop).
-                        draining = true;
-                        break;
-                    }
-                    Ok(job) => enqueue_route(&mut routes, &mut ring, job),
-                    Err(_) => break,
-                }
-            }
-        }
-        let Some(route) = ring.pop_front() else {
-            if draining {
-                return;
-            }
-            continue;
-        };
-        let Some(queue) = routes.get_mut(&route) else {
-            continue;
-        };
-        queue.deficit = queue.deficit.saturating_add(DRR_QUANTUM);
-        while let Some(front) = queue.jobs.front() {
-            let cost = match front {
-                Job::Unit { items, .. } => (items.len() as u64).max(1),
-                Job::Shutdown => unreachable!("shutdown markers are not enqueued"),
-            };
-            if cost > queue.deficit {
-                break;
-            }
-            queue.deficit -= cost;
-            let job = queue.jobs.pop_front().expect("front observed above");
-            run_unit(&inner, job);
-        }
-        if queue.jobs.is_empty() {
-            // An idle route keeps no deficit: credit must not be
-            // bankable across idle periods.
-            routes.remove(&route);
-        } else {
-            // The route still has work but spent its round: yield to
-            // the ring's other routes.
-            inner.metrics.inc(Stat::drr_deferrals);
-            ring.push_back(route);
-        }
-    }
-}
-
-/// Parks `job` on its route's local queue, activating the route in the
-/// round-robin ring if it was idle.
-fn enqueue_route(
-    routes: &mut HashMap<u64, RouteQueue>,
-    ring: &mut std::collections::VecDeque<u64>,
-    job: Job,
-) {
-    let route = match &job {
-        Job::Unit { pending_key, .. } => *pending_key,
-        Job::Shutdown => unreachable!("shutdown markers are not enqueued"),
-    };
-    let queue = routes.entry(route).or_insert_with(|| {
-        ring.push_back(route);
-        RouteQueue {
-            jobs: std::collections::VecDeque::new(),
-            deficit: 0,
-        }
-    });
-    queue.jobs.push_back(job);
-}
-
-/// A worker's half of a queued unit: wait for the route's stripe (at
-/// most one inline unit's execution), run it, answer the submitter.
-fn run_unit(inner: &Inner, job: Job) {
-    let Job::Unit {
-        items,
-        mode,
-        pending_key,
-        enqueued,
-        trace,
-        reply,
-    } = job
-    else {
-        return;
-    };
-    let replies = {
-        let _stripe = inner
-            .stripe(pending_key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let queue_us = enqueued.elapsed().as_micros() as u64;
-        execute_unit(inner, items, mode, pending_key, queue_us, trace)
-    };
-    let _ = reply.send(replies);
-}
-
-/// Executes one dispatch unit to completion on whatever thread calls it
-/// (a worker, or the submitter inline) — back-to-back, under its route's
-/// stripe held by the caller, so a batched stream decides exactly as N
-/// sequential round trips. Releases one pending slot of `route` per item.
+/// Executes one dispatch unit to completion on the calling thread —
+/// back-to-back, under its route's stripe held by the caller, so a
+/// batched stream decides exactly as N sequential round trips. Releases
+/// one pending slot of `route` per item.
 fn execute_unit(
     inner: &Inner,
     items: Vec<UnitItem>,
@@ -1344,9 +1059,9 @@ fn execute_unit(
     queue_us: u64,
     trace: u64,
 ) -> Vec<(usize, Response)> {
-    // Queue wait: one span per unit (the unit waited as a whole; 0 when
-    // inline). Each command's end-to-end latency is that wait plus its
-    // own execute time.
+    // Queue wait: one span per unit (the unit waited for its stripe as a
+    // whole; 0 when the stripe was free). Each command's end-to-end
+    // latency is that wait plus its own execute time.
     inner.metrics.observe(Stage::QueueWait, queue_us);
     let slow_us = inner.config.slow_ms.map(|ms| ms.saturating_mul(1000));
     let mut aborted = false;
@@ -1376,9 +1091,9 @@ fn execute_unit(
             // Panic isolation: a handler panic (poisoned
             // session mutex, engine bug) must cost one error
             // response — at worst one bricked session —
-            // never the running thread (a worker serves 1/W of
-            // all sessions). The command moves into the
-            // closure — no per-command clone on the hot path.
+            // never the calling connection or dispatcher thread.
+            // The command moves into the closure — no
+            // per-command clone on the hot path.
             let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 execute(inner, cmd, assigned)
             }))
@@ -1418,7 +1133,7 @@ fn execute_unit(
 /// Context for a potential slow-query record, captured before the
 /// command moves into the execute closure. Cache hit/miss figures are
 /// counter deltas summed over every dataset — approximate under
-/// concurrency (other workers' probes land in the same window), but
+/// concurrency (other threads' probes land in the same window), but
 /// free of per-probe bookkeeping on the hot path.
 struct SlowContext {
     session: Option<SessionId>,
@@ -2370,6 +2085,7 @@ mod tests {
     use aware_data::census::CensusGenerator;
     use aware_data::predicate::CmpOp;
     use aware_data::value::Value;
+    use std::sync::mpsc;
 
     fn test_service(config: ServiceConfig) -> Service {
         let service = Service::start(config);
@@ -2682,8 +2398,8 @@ mod tests {
         let service = test_service(ServiceConfig::default());
         let h = service.handle();
         let sid = create(&h);
-        // The stripe is busy, so the call cannot run inline; it queues,
-        // and its worker waits on the stripe too.
+        let before = queue_wait(&h);
+        // The stripe is busy, so the caller waits for it.
         let stripe = h.inner.stripe(sid).lock().unwrap();
         let (done_tx, done_rx) = mpsc::channel();
         let caller = h.clone();
@@ -2700,6 +2416,21 @@ mod tests {
         let response = done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert!(matches!(response, Response::GaugeText { session, .. } if session == sid));
         join.join().unwrap();
+        // The wait for the stripe is the unit's queue wait: one sample
+        // covering the 50 ms hold.
+        let after = queue_wait(&h);
+        assert_eq!(after.count() - before.count(), 1);
+        assert!(
+            after.sum - before.sum >= 40_000,
+            "queue wait {} µs does not cover the hold",
+            after.sum - before.sum
+        );
+    }
+
+    fn queue_wait(h: &ServiceHandle) -> aware_obs::hist::HistogramSnapshot {
+        h.inner.metrics.stages()[Stage::QueueWait as usize]
+            .1
+            .clone()
     }
 
     #[test]
@@ -2707,22 +2438,35 @@ mod tests {
         let service = test_service(ServiceConfig::default());
         let h = service.handle();
         let sid = create(&h);
-        let queue_wait = |h: &ServiceHandle| {
-            h.inner.metrics.stages()[Stage::QueueWait as usize]
-                .1
-                .clone()
-        };
         let before = queue_wait(&h);
         for _ in 0..20 {
             assert!(h.call(Command::Gauge { session: sid }).is_ok());
         }
         let after = queue_wait(&h);
-        // Twenty hand-offs to a worker would each wait microseconds;
-        // twenty inline executions record exactly 0 µs apiece.
+        // Twenty hand-offs to another thread would each wait
+        // microseconds; twenty inline executions record exactly 0 µs
+        // apiece.
         assert_eq!(after.count() - before.count(), 20);
         assert_eq!(
             after.sum, before.sum,
             "an idle-route call waited in a queue"
+        );
+        // An uncontended 8-session batch: eight units, each run inline
+        // on a free stripe, eight 0 µs samples.
+        let sessions: Vec<SessionId> = (0..8).map(|_| create(&h)).collect();
+        let before = queue_wait(&h);
+        let replies = h.call_batch(
+            sessions
+                .iter()
+                .map(|&session| Command::Gauge { session })
+                .collect(),
+        );
+        assert!(replies.iter().all(Response::is_ok));
+        let after = queue_wait(&h);
+        assert_eq!(after.count() - before.count(), 8);
+        assert_eq!(
+            after.sum, before.sum,
+            "an uncontended batch unit waited in a queue"
         );
     }
 
@@ -2823,7 +2567,6 @@ mod tests {
     fn lru_cap_evicts_oldest_session() {
         let service = test_service(ServiceConfig {
             max_sessions: 4,
-            workers: 2,
             ..ServiceConfig::default()
         });
         let h = service.handle();
@@ -2903,7 +2646,6 @@ mod tests {
         let dir = temp_data_dir("spill");
         let service = test_service(ServiceConfig {
             max_sessions: 2,
-            workers: 2,
             data_dir: Some(dir.clone()),
             ..ServiceConfig::default()
         });
@@ -3049,7 +2791,6 @@ mod tests {
     fn sessions_survive_a_service_restart() {
         let dir = temp_data_dir("restart");
         let config = || ServiceConfig {
-            workers: 2,
             data_dir: Some(dir.clone()),
             snapshot_every: Some(Duration::ZERO), // synchronous durability
             ..ServiceConfig::default()
@@ -3097,7 +2838,6 @@ mod tests {
     fn corrupt_snapshots_surface_as_corrupt_snapshot_not_fresh_wealth() {
         let dir = temp_data_dir("corrupt");
         let config = || ServiceConfig {
-            workers: 2,
             data_dir: Some(dir.clone()),
             snapshot_every: Some(Duration::ZERO),
             ..ServiceConfig::default()
@@ -3322,7 +3062,6 @@ mod tests {
         let image = image_of_session(&hp, sid);
 
         let config = || ServiceConfig {
-            workers: 2,
             data_dir: Some(dir.clone()),
             ..ServiceConfig::default()
         };
@@ -3584,7 +3323,6 @@ mod tests {
         let dir = temp_data_dir("fp-mismatch");
         let config = |rows: usize, seed: u64| {
             let service = Service::start(ServiceConfig {
-                workers: 2,
                 data_dir: Some(dir.clone()),
                 snapshot_every: Some(Duration::ZERO),
                 ..ServiceConfig::default()
@@ -3670,7 +3408,19 @@ mod tests {
 
     #[test]
     fn shutdown_flushes_only_after_inline_callers_finish() {
-        let dir = temp_data_dir("inline-drain");
+        // The admitted caller parks mid-command on the session mutex,
+        // then (second input) before executing, on its route's stripe.
+        for park_on_stripe in [false, true] {
+            shutdown_waits_for_a_parked_caller(park_on_stripe);
+        }
+    }
+
+    fn shutdown_waits_for_a_parked_caller(park_on_stripe: bool) {
+        let dir = temp_data_dir(if park_on_stripe {
+            "stripe-drain"
+        } else {
+            "inline-drain"
+        });
         let config = || ServiceConfig {
             data_dir: Some(dir.clone()),
             snapshot_every: Some(Duration::from_secs(3_600)),
@@ -3682,7 +3432,8 @@ mod tests {
         // On disk and clean: a flush that ran early would skip it.
         flush_dirty(&h.inner);
         let entry = h.inner.registry.peek(sid).unwrap();
-        let held = entry.session.lock().unwrap();
+        let held_session = (!park_on_stripe).then(|| entry.session.lock().unwrap());
+        let held_stripe = park_on_stripe.then(|| h.inner.stripe(sid).lock().unwrap());
         let caller = h.clone();
         let caller = std::thread::spawn(move || {
             caller.call(Command::AddVisualization {
@@ -3691,8 +3442,12 @@ mod tests {
                 filter: salary_filter(),
             })
         });
-        // Admitted inline, now parked on the session mutex mid-command.
-        while h.inner.inline.load(Ordering::SeqCst) == 0 {
+        // Admitted (counted in flight), then parked on the held lock. A
+        // caller that parked on the stripe before being counted would
+        // never show here: past the deadline the test goes on, and the
+        // shutdown assertions below catch it.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while h.inner.in_flight.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
             std::thread::yield_now();
         }
         let (done_tx, done_rx) = mpsc::channel();
@@ -3702,9 +3457,11 @@ mod tests {
         });
         assert!(
             done_rx.recv_timeout(Duration::from_millis(50)).is_err(),
-            "shutdown finished while an admitted inline caller was mid-command"
+            "shutdown finished while an admitted caller was parked (on the stripe: \
+             {park_on_stripe})"
         );
-        drop(held);
+        drop(held_session);
+        drop(held_stripe);
         assert!(matches!(
             caller.join().unwrap(),
             Response::VizAdded {
@@ -3722,19 +3479,13 @@ mod tests {
     }
 
     #[test]
-    fn drr_defers_a_batch_larger_than_the_quantum_without_reordering() {
-        // One worker, one session, one unit of quantum+1 commands: the
-        // unit costs more than one round's deficit, so the worker must
-        // defer it once (accruing credit) before running it whole. The
-        // responses still come back complete and in submission order —
-        // DRR changes *when* a unit runs, never what or in what order.
-        let service = test_service(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        });
+    fn a_65_item_same_session_batch_answers_complete_and_in_order() {
+        // One session, one unit of 65 commands, run whole on the
+        // calling thread: every response comes back, in submission order.
+        let service = test_service(ServiceConfig::default());
         let h = service.handle();
         let sid = create(&h);
-        let n = (DRR_QUANTUM + 1) as usize;
+        let n = 65;
         let cmds: Vec<Command> = (0..n).map(|_| Command::Gauge { session: sid }).collect();
         let responses = h.call_batch(cmds);
         assert_eq!(responses.len(), n);
@@ -3744,24 +3495,13 @@ mod tests {
                 "{r:?}"
             );
         }
-        let stats = stats_of(&h);
-        assert!(
-            stats.drr_deferrals >= 1,
-            "a {n}-command unit must overdraw the {DRR_QUANTUM}-command quantum at least once: \
-             {stats:?}"
-        );
     }
 
     #[test]
-    fn two_sessions_on_one_worker_both_finish_under_drr() {
-        // Two session streams pinned to the same (only) worker, each
-        // submitting several units: DRR interleaves the routes at
-        // quantum granularity, and both streams' per-session FIFO
-        // guarantees hold (every gauge answers for its own session).
-        let service = test_service(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        });
+    fn two_concurrent_session_streams_both_finish() {
+        // Two session streams submitting from two threads: both finish,
+        // and every gauge answers for its own session.
+        let service = test_service(ServiceConfig::default());
         let h = service.handle();
         let a = create(&h);
         let b = create(&h);

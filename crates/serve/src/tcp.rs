@@ -3,9 +3,8 @@
 //! One protocol handler, two transports: the protocol itself — surface
 //! detection by first byte, hello negotiation, batches, error replies,
 //! the JSON→binary upgrade — lives in `conn.rs`, and this front
-//! only moves bytes. Each connection gets a thread (the worker pool
-//! behind the [`ServiceHandle`] is what bounds statistical work, so
-//! connection threads are thin) that [`pump`]s its socket: a blocking
+//! only moves bytes. Each connection gets a thread that [`pump`]s its
+//! socket and runs its commands through the [`ServiceHandle`]: a blocking
 //! read feeds the same incremental decoder the reactor front uses,
 //! each decoded message goes through the shared handler, and each
 //! reply leaves in one `write_all`. The one thing this transport cannot
@@ -548,10 +547,7 @@ mod tests {
     use aware_reactor::Inbound;
 
     fn served() -> (Service, TcpServer) {
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        });
+        let service = Service::start(ServiceConfig::default());
         service
             .handle()
             .register_table("census", CensusGenerator::new(11).generate(3_000));
@@ -798,10 +794,7 @@ mod tests {
     }
 
     fn handler() -> (Service, Handler<crate::service::ServiceHandle>) {
-        let service = Service::start(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        });
+        let service = Service::start(ServiceConfig::default());
         service
             .handle()
             .register_table("census", CensusGenerator::new(11).generate(500));

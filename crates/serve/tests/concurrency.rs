@@ -4,11 +4,11 @@
 //! j's bid is a function of the wealth left by hypotheses 1..j−1, so a
 //! server may only scale across sessions, never reorder within one.
 //! This test drives ≥ 64 sessions from ≥ 8 client threads (≥ 10 000
-//! commands total, interleaved across sessions, workers, registry
+//! commands total, interleaved across sessions, route stripes, registry
 //! shards, and one shared table) and then asserts that every session's
 //! final gauge and transcripts are **byte-identical** to a
 //! single-threaded replay of that session's exact command stream on a
-//! fresh single-worker service.
+//! fresh service.
 
 use aware_data::census::{CensusGenerator, EDUCATION, MARITAL, RACE, REGION, WAVE};
 use aware_data::predicate::CmpOp;
@@ -220,9 +220,8 @@ fn concurrent_sessions_replay_byte_identically() {
 
     // --- Concurrent run: 12 threads × 6 sessions each, command-major
     // interleaving within each thread so its sessions' commands mix on
-    // the worker queues.
+    // the route stripes.
     let service = Service::start(ServiceConfig {
-        workers: 8,
         shards: 16,
         ..Default::default()
     });
@@ -310,10 +309,9 @@ fn concurrent_sessions_replay_byte_identically() {
     drop(handle);
     service.shutdown();
 
-    // --- Sequential replay: one worker, one session at a time, same
+    // --- Sequential replay: one thread, one session at a time, same
     // table bytes, same scripts.
     let replay_service = Service::start(ServiceConfig {
-        workers: 1,
         shards: 1,
         ..Default::default()
     });
@@ -344,8 +342,8 @@ fn concurrent_sessions_replay_byte_identically() {
 
 /// The v2 counterpart: the same byte-identity guarantee must hold when
 /// commands arrive through `call_batch` in *mixed-session* batches —
-/// same-session items execute as one pinned unit, cross-session items
-/// fan out, and every session's final state must equal a v1
+/// same-session items execute as one unit, cross-session units run one
+/// after another, and every session's final state must equal a v1
 /// single-threaded replay of its command stream.
 #[test]
 fn batched_mixed_session_replay_matches_v1() {
@@ -359,7 +357,6 @@ fn batched_mixed_session_replay_matches_v1() {
 
     let table = shared_table();
     let service = Service::start(ServiceConfig {
-        workers: 4,
         shards: 8,
         ..Default::default()
     });
@@ -441,9 +438,8 @@ fn batched_mixed_session_replay_matches_v1() {
     drop(handle);
     service.shutdown();
 
-    // v1 replay: one worker, single `call`s, one session at a time.
+    // v1 replay: one thread, single `call`s, one session at a time.
     let replay_service = Service::start(ServiceConfig {
-        workers: 1,
         shards: 1,
         ..Default::default()
     });
@@ -495,7 +491,6 @@ fn lru_spill_under_load_restores_byte_identical_state() {
     let _ = std::fs::remove_dir_all(&dir);
     let table = shared_table();
     let service = Service::start(ServiceConfig {
-        workers: 4,
         shards: 8,
         max_sessions: CAPACITY,
         data_dir: Some(dir.clone()),
@@ -725,8 +720,8 @@ fn assert_ledger_holds(
 }
 
 /// Per-route exclusion under spill churn: 8 threads hammer 4 durable
-/// sessions through a 2-session registry, so inline and queued calls
-/// for one session race each other and every other command restores a
+/// sessions through a 2-session registry, so two threads' calls for
+/// one session race for its stripe and every other command restores a
 /// spilled session while another evicts one. Two commands of one
 /// session running at once could restore two copies of its ledger;
 /// acked decisions would then be lost or doubled.
@@ -738,7 +733,6 @@ fn route_exclusion_keeps_one_ledger_per_session_under_spill_churn() {
     let dir = temp_data_dir("route-exclusion");
     let start = || {
         let service = Service::start(ServiceConfig {
-            workers: 4,
             shards: 8,
             max_sessions: 2,
             data_dir: Some(dir.clone()),
@@ -810,9 +804,10 @@ fn route_exclusion_keeps_one_ledger_per_session_under_spill_churn() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Shutdown drains inline callers: with a periodic snapshot interval
+/// Shutdown drains admitted callers: with a periodic snapshot interval
 /// far longer than the test, only the shutdown flush persists anything,
-/// so every decision acked while shutdown ran — inline or queued — must
+/// so every decision acked while shutdown ran — run at once or after a
+/// wait for its stripe — must
 /// be in the ledger after a restart, and callers arriving after it get
 /// `shutdown`.
 #[test]
@@ -821,7 +816,6 @@ fn shutdown_flushes_every_decision_acked_while_it_ran() {
     let dir = temp_data_dir("shutdown-drain");
     let start = || {
         let service = Service::start(ServiceConfig {
-            workers: 2,
             data_dir: Some(dir.clone()),
             snapshot_every: Some(std::time::Duration::from_secs(3_600)),
             ..Default::default()

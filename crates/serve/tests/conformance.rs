@@ -34,16 +34,7 @@ impl Drop for ServerGuard {
 
 fn spawn_server() -> (ServerGuard, SocketAddr) {
     let mut child = Proc::new(env!("CARGO_BIN_EXE_serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--rows",
-            "1500",
-            "--workers",
-            "2",
-            "--seed",
-            "7",
-        ])
+        .args(["--addr", "127.0.0.1:0", "--rows", "1500", "--seed", "7"])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())

@@ -100,10 +100,7 @@ fn cases() -> Vec<Case> {
 }
 
 fn service() -> Service {
-    let service = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    let service = Service::start(ServiceConfig::default());
     service
         .handle()
         .register_table("census", CensusGenerator::new(11).generate(1_500));

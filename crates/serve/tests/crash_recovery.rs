@@ -55,8 +55,6 @@ fn spawn_server(data_dir: &Path) -> (ServerGuard, SocketAddr) {
             "127.0.0.1:0",
             "--rows",
             "1200",
-            "--workers",
-            "2",
             "--seed",
             "7",
             "--snapshot-every",

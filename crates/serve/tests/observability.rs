@@ -14,7 +14,6 @@ use std::net::TcpStream;
 
 fn served(slow_ms: Option<u64>) -> Service {
     let service = Service::start(ServiceConfig {
-        workers: 2,
         slow_ms,
         ..ServiceConfig::default()
     });
@@ -171,10 +170,7 @@ fn session_risk_rows_round_trip_the_json_stats_surface() {
 /// unchanged.
 #[test]
 fn exposition_is_a_superset_of_the_hand_written_one() {
-    let service = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    let service = Service::start(ServiceConfig::default());
     let handle = service.handle();
     handle.register_table("census", CensusGenerator::new(11).generate(3_000));
     let (a, b) = (create(&service), create(&service));

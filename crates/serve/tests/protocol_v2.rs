@@ -439,10 +439,7 @@ fn stats_reply_matches_the_golden_fixtures() {
 // -- live-socket negotiation ------------------------------------------------
 
 fn served() -> (Service, TcpServer) {
-    let service = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    let service = Service::start(ServiceConfig::default());
     service
         .handle()
         .register_table("census", CensusGenerator::new(23).generate(1_500));

@@ -30,10 +30,7 @@ use std::time::{Duration, Instant};
 type ReactorFront = aware_reactor::ReactorServer<aware_serve::proto::PushEvent>;
 
 fn served(cfg: ReactorConfig) -> (Service, ReactorFront) {
-    let service = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
+    let service = Service::start(ServiceConfig::default());
     service
         .handle()
         .register_table("census", CensusGenerator::new(11).generate(1_500));

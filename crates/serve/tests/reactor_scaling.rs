@@ -55,16 +55,7 @@ impl Drop for ServerGuard {
 }
 
 fn spawn_serve(reactor: bool) -> (ServerGuard, SocketAddr) {
-    let mut args = vec![
-        "--addr",
-        "127.0.0.1:0",
-        "--rows",
-        "1500",
-        "--workers",
-        "2",
-        "--seed",
-        "7",
-    ];
+    let mut args = vec!["--addr", "127.0.0.1:0", "--rows", "1500", "--seed", "7"];
     if reactor {
         args.push("--reactor");
     }
