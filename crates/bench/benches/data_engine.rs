@@ -129,6 +129,35 @@ fn eval_cache(c: &mut Criterion) {
     group.bench_function("invariants_warm", |b| {
         b.iter(|| warm.invariants(black_box(&table), "age").unwrap())
     });
+
+    // A cold test at the scale and shape of the `cold_scan_1m` workload:
+    // a 3-clause filter (rank bit-slice `Between` and `≥`, bucket-index
+    // `In`) through a fresh cache, then the rule-2 histogram under it.
+    let rows = 1_000_000usize;
+    let table = CensusGenerator::new(4).generate(rows);
+    let cold = Predicate::between("age", 27.0, 52.0)
+        .and(Predicate::cmp(
+            "hours_per_week",
+            CmpOp::Ge,
+            Value::from(30.0),
+        ))
+        .and(Predicate::In {
+            column: "education".into(),
+            values: ["Some-College", "Bachelor", "Master"]
+                .map(Value::from)
+                .to_vec(),
+        });
+    group.throughput(Throughput::Elements(rows as u64));
+    group.bench_function("cold_chain_1m", |b| {
+        b.iter_batched(
+            EvalCache::new,
+            |cache| {
+                let sel = cache.selection(black_box(&table), &cold).unwrap();
+                numeric_histogram(&table, "age", Some(&sel), 10).unwrap()
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

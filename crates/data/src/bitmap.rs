@@ -126,18 +126,24 @@ impl Bitmap {
 
     /// Count of set bits.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        #[cfg(target_arch = "x86_64")]
+        if avx2_popcnt() {
+            // SAFETY: `avx2_popcnt` detected AVX2 and POPCNT on this CPU.
+            return unsafe { count_avx2(&self.words) };
+        }
+        count_portable(&self.words)
     }
 
     /// `(self ∧ other).count_ones()` without allocating the intersection
     /// bitmap. Panics if lengths differ.
     pub fn count_ones_and(&self, other: &Bitmap) -> usize {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
+        #[cfg(target_arch = "x86_64")]
+        if avx2_popcnt() {
+            // SAFETY: `avx2_popcnt` detected AVX2 and POPCNT on this CPU.
+            return unsafe { count_and_avx2(&self.words, &other.words) };
+        }
+        count_and_portable(&self.words, &other.words)
     }
 
     /// Calls `f(i)` for every set bit `i` in ascending order — the
@@ -255,6 +261,46 @@ impl Bitmap {
             }
         }
     }
+}
+
+/// True when this CPU has AVX2 and POPCNT, so the `_avx2` builds of the
+/// popcount and rank bit-slice kernels may run. std caches the answer
+/// after the first call, so each later check is one atomic load.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn avx2_popcnt() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+}
+
+// Each kernel below is written once, as an `#[inline(always)]` portable
+// function, and compiled a second time inside an `_avx2` function that
+// enables the two features: there `count_ones` is one POPCNT (or a
+// vectorized popcount) instead of a bit-trick sequence. Callers pick the
+// build with `avx2_popcnt`; off x86-64 only the portable one exists.
+
+#[inline(always)]
+fn count_portable(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+fn count_avx2(words: &[u64]) -> usize {
+    count_portable(words)
+}
+
+#[inline(always)]
+fn count_and_portable(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (a & b).count_ones() as usize)
+        .sum()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+fn count_and_avx2(a: &[u64], b: &[u64]) -> usize {
+    count_and_portable(a, b)
 }
 
 /// Iterator over set bits of one word.
@@ -378,6 +424,41 @@ mod tests {
         let b = Bitmap::from_indices(150, &[5, 64, 99, 149]);
         assert_eq!(a.count_ones_and(&b), a.and(&b).count_ones());
         assert_eq!(a.count_ones_and(&b), 3);
+    }
+
+    /// The AVX2 build of each popcount kernel returns what the portable
+    /// build does: 0 to 4 099 words, full and ragged tails, all-zeros,
+    /// all-ones and random words.
+    #[test]
+    fn both_builds_of_the_popcount_kernels_agree() {
+        let mut g = crate::predicate::arbitrary::Gen(7);
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = avx2_popcnt();
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        for words in [0usize, 1, 63, 64, 65, 4099] {
+            for len in [words * 64, (words * 64).saturating_sub(37)] {
+                let random = Bitmap::from_fn(len, |_| g.next() & 1 == 1);
+                let other = Bitmap::from_fn(len, |_| g.next().is_multiple_of(3));
+                for b in [Bitmap::zeros(len), Bitmap::ones(len), random] {
+                    let ones = b.iter_ones().count();
+                    let both = b.and(&other).iter_ones().count();
+                    assert_eq!(count_portable(&b.words), ones, "{len} bits");
+                    assert_eq!(count_and_portable(&b.words, &other.words), both);
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2 {
+                        // SAFETY: `avx2_popcnt` detected AVX2 and POPCNT.
+                        assert_eq!(unsafe { count_avx2(&b.words) }, ones, "{len} bits");
+                        // SAFETY: as above.
+                        let and = unsafe { count_and_avx2(&b.words, &other.words) };
+                        assert_eq!(and, both, "{len} bits");
+                    }
+                }
+            }
+        }
+        if !avx2 {
+            eprintln!("AVX2 build not compared: this CPU lacks AVX2 or POPCNT");
+        }
     }
 
     #[test]

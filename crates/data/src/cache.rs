@@ -14,7 +14,11 @@
 //! * **incremental chain evaluation**: on a miss, `A∧B∧C` is computed as
 //!   `cached(A∧B) ∧ eval(C)` — each step of a growing filter chain pays
 //!   one clause, not the whole conjunction, and every prefix is left
-//!   warm for the next step;
+//!   warm for the next step. What a miss stores is the prefixes: `A`,
+//!   `A∧B` and `A∧B∧C`, not `B` or `C` alone. A later clause that is
+//!   already resident is used, but one that is not is evaluated into the
+//!   bitmap that becomes the next prefix, so a cold n-clause chain
+//!   allocates n bitmaps, not 2n − 1;
 //! * **negations** are never stored: `¬p` is served as `not()` of the
 //!   cached positive (the paper's dashed inverted-selection link);
 //! * **per-attribute invariants**: the global histogram, its bucket
@@ -261,6 +265,15 @@ pub struct CacheStats {
     pub invariants: u64,
 }
 
+/// A selection as [`EvalCache::resolve`] found it.
+enum Resolved {
+    /// Resident in the cache (or just stored by a nested chain).
+    Shared(Arc<Bitmap>),
+    /// Evaluated by this call and owned by it. The fingerprint names a
+    /// missed clause that may be stored; ⊤ and negations carry none.
+    Fresh(Bitmap, Option<Fingerprint>),
+}
+
 struct Entry {
     bitmap: Arc<Bitmap>,
     last_used: u64,
@@ -295,8 +308,9 @@ impl Default for EvalCache {
 /// 5k-row bench census ≈ 640 KiB.
 pub const DEFAULT_SELECTION_CAPACITY: usize = 1024;
 
-/// Default stripe count: enough to keep 16 workers from serializing on
-/// one mutex, small enough that per-stripe LRU stays meaningful.
+/// Default stripe count: enough that the connection threads and reactor
+/// dispatchers probing one dataset's cache at once rarely wait on the
+/// same mutex, small enough that per-stripe LRU stays meaningful.
 pub const DEFAULT_STRIPES: usize = 16;
 
 impl EvalCache {
@@ -326,27 +340,42 @@ impl EvalCache {
     /// The returned bitmap is bit-identical to `pred.eval(table)`; the
     /// only difference is where the bits came from.
     pub fn selection(&self, table: &Table, pred: &Predicate) -> Result<Arc<Bitmap>> {
-        match pred {
-            // ⊤ is cheaper to rebuild than to look up.
-            Predicate::True => Ok(Arc::new(Bitmap::ones(table.rows()))),
-            // ¬p: not() of the cached positive, never stored.
-            Predicate::Not(inner) => Ok(Arc::new(self.selection(table, inner)?.not())),
-            Predicate::And(parts) if parts.len() >= 2 => self.chain(table, parts, true),
-            Predicate::Or(parts) if parts.len() >= 2 => self.chain(table, parts, false),
-            other => {
-                let fp = Fingerprint::of(other);
-                if let Some(hit) = self.lookup(&fp) {
-                    return Ok(hit);
-                }
-                self.store(fp, other.eval(table)?)
-            }
+        match self.resolve(table, pred)? {
+            Resolved::Shared(bitmap) => Ok(bitmap),
+            Resolved::Fresh(bitmap, Some(fp)) => self.store(fp, bitmap),
+            Resolved::Fresh(bitmap, None) => Ok(Arc::new(bitmap)),
         }
     }
 
+    /// `pred`'s bitmap with every probe [`EvalCache::selection`] makes,
+    /// leaving the store of a missed clause to the caller.
+    fn resolve(&self, table: &Table, pred: &Predicate) -> Result<Resolved> {
+        Ok(match pred {
+            // ⊤ is cheaper to rebuild than to look up.
+            Predicate::True => Resolved::Fresh(Bitmap::ones(table.rows()), None),
+            // ¬p: not() of the cached positive, never stored.
+            Predicate::Not(inner) => Resolved::Fresh(self.selection(table, inner)?.not(), None),
+            Predicate::And(parts) if parts.len() >= 2 => {
+                Resolved::Shared(self.chain(table, parts, true)?)
+            }
+            Predicate::Or(parts) if parts.len() >= 2 => {
+                Resolved::Shared(self.chain(table, parts, false)?)
+            }
+            other => {
+                let fp = Fingerprint::of(other);
+                match self.lookup(&fp) {
+                    Some(hit) => Resolved::Shared(hit),
+                    None => Resolved::Fresh(other.eval(table)?, Some(fp)),
+                }
+            }
+        })
+    }
+
     /// Chain evaluation of an n-ary conjunction/disjunction: find the
-    /// longest cached prefix, then extend it one cached clause at a time,
-    /// leaving every prefix warm. Cold cost equals the naive fold; warm
-    /// cost is one word-level combine per *new* clause.
+    /// longest cached prefix, then extend it one clause at a time,
+    /// storing every prefix (the first clause is prefix 1) but no later
+    /// clause. Cold cost equals the naive fold; warm cost is one
+    /// word-level combine per *new* clause.
     fn chain(&self, table: &Table, parts: &[Predicate], conjunctive: bool) -> Result<Arc<Bitmap>> {
         let full = Fingerprint::of_parts(parts, conjunctive);
         if let Some(hit) = self.lookup(&full) {
@@ -360,13 +389,34 @@ impl EvalCache {
                 acc = hit;
                 continue;
             }
-            let clause = self.selection(table, &parts[k - 1])?;
-            acc = self.store(fp, combine(&acc, &clause, conjunctive))?;
+            acc = self.store(fp, self.extend(table, &acc, &parts[k - 1], conjunctive)?)?;
         }
         // Final clause: the full fingerprint already missed above, so
-        // combine and store without re-probing.
-        let clause = self.selection(table, &parts[n - 1])?;
-        self.store(full, combine(&acc, &clause, conjunctive))
+        // extend and store without re-probing.
+        self.store(full, self.extend(table, &acc, &parts[n - 1], conjunctive)?)
+    }
+
+    /// `prefix ∧ clause` (or `∨`) as a new bitmap; a clause that is not
+    /// resident is not stored.
+    fn extend(
+        &self,
+        table: &Table,
+        prefix: &Bitmap,
+        clause: &Predicate,
+        conjunctive: bool,
+    ) -> Result<Bitmap> {
+        Ok(match self.resolve(table, clause)? {
+            Resolved::Shared(clause) if conjunctive => prefix.and(&clause),
+            Resolved::Shared(clause) => prefix.or(&clause),
+            Resolved::Fresh(mut own, _) => {
+                if conjunctive {
+                    own.and_assign(prefix);
+                } else {
+                    own.or_assign(prefix);
+                }
+                own
+            }
+        })
     }
 
     /// The memoized full-table invariants of one attribute.
@@ -457,14 +507,6 @@ impl EvalCache {
             }
         }
         Ok(arc)
-    }
-}
-
-fn combine(acc: &Bitmap, clause: &Bitmap, conjunctive: bool) -> Bitmap {
-    if conjunctive {
-        acc.and(clause)
-    } else {
-        acc.or(clause)
     }
 }
 
@@ -613,6 +655,63 @@ mod tests {
             stats.misses - misses_before <= 2,
             "chain re-evaluated its prefix: {stats:?}"
         );
+    }
+
+    #[test]
+    fn a_chain_miss_stores_its_prefixes_not_its_clauses() {
+        let t = demo();
+        let cache = EvalCache::new();
+        let a = eq("edu", "HS");
+        let b = Predicate::eq("rich", true);
+        let c = Predicate::between("age", 20.0, 60.0);
+        let abc = Predicate::And(vec![a.clone(), b.clone(), c.clone()]);
+        assert_eq!(*cache.selection(&t, &abc).unwrap(), abc.eval(&t).unwrap());
+        // Probed: A∧B∧C, A, A∧B, B, C. Resident: A, A∧B, A∧B∧C.
+        assert_eq!(cache.counters(), (0, 5));
+        assert_eq!(cache.stats().selections, 3);
+        let ab = Predicate::And(vec![a.clone(), b.clone()]);
+        for prefix in [&a, &ab, &abc] {
+            cache.selection(&t, prefix).unwrap();
+        }
+        assert_eq!(cache.counters(), (3, 5), "every prefix hits");
+        // The second clause alone was never stored; this probe stores it.
+        let b_alone = cache.selection(&t, &b).unwrap();
+        assert_eq!(cache.counters(), (3, 6));
+        assert_eq!(cache.stats().selections, 4);
+
+        // A resident later clause is used as is, not stored again.
+        let phd_b = Predicate::And(vec![eq("edu", "PhD"), b.clone()]);
+        assert_eq!(
+            *cache.selection(&t, &phd_b).unwrap(),
+            phd_b.eval(&t).unwrap()
+        );
+        assert_eq!(cache.counters(), (4, 8), "probed PhD∧B, PhD, B (hit)");
+        assert_eq!(cache.stats().selections, 6, "added PhD and PhD∧B");
+        assert!(Arc::ptr_eq(&b_alone, &cache.selection(&t, &b).unwrap()));
+
+        // Drill-down chains that grow, repeat, reorder and negate probe
+        // exactly as they would if every clause were stored (10 hits, 10
+        // misses). Only a clause reused alone, or first in another chain,
+        // after it was a later clause probes differently, as B did above.
+        let cache = EvalCache::new();
+        let d = Predicate::cmp("age", CmpOp::Ge, Value::Int(30));
+        let not_phd = eq("edu", "PhD").negate();
+        let chains = [
+            abc.clone(),
+            a.clone(),
+            ab.clone(),
+            Predicate::And(vec![a.clone(), b.clone(), c.clone(), d.clone()]),
+            Predicate::And(vec![c.clone(), b.clone(), a.clone()]),
+            Predicate::And(vec![a.clone(), b.clone(), not_phd.clone()]),
+            Predicate::Or(vec![a.clone(), not_phd.clone()]),
+        ];
+        for chain in &chains {
+            assert_eq!(
+                *cache.selection(&t, chain).unwrap(),
+                chain.eval(&t).unwrap()
+            );
+        }
+        assert_eq!(cache.counters(), (10, 10));
     }
 
     #[test]

@@ -29,6 +29,18 @@
 //! * [`census`] — seeded generative model producing an Adult-like census
 //!   table with *known* ground-truth dependencies.
 //!
+//! ## Where `unsafe` lives
+//!
+//! Only in the kernel dispatch of [`bitmap`] (popcount) and of the rank
+//! bit-slice compare under [`hist`]. Each of those kernels is compiled
+//! twice from one source: as is, and inside a
+//! `#[target_feature(enable = "avx2,popcnt")]` function. Calling the
+//! second build is `unsafe` because it needs those CPU features, so each
+//! kernel makes that call only after `is_x86_feature_detected!` reports
+//! both, under a `// SAFETY:` comment saying so. Otherwise (another
+//! architecture, an older CPU) the portable build runs. Both builds return
+//! identical bitmaps and counts; there is no setting for the choice.
+//!
 //! ## Example
 //!
 //! ```
@@ -44,6 +56,9 @@
 //! let by_sex = histogram(&table, "sex", Some(&high_earners)).unwrap();
 //! assert_eq!(by_sex.total(), high_earners.count_ones() as u64);
 //! ```
+
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod agg;
 pub mod bitmap;

@@ -15,6 +15,8 @@
 //! Only finite columns are indexed: with no `NaN` cell, `x > r` is
 //! `¬(x ≤ r)` and every operator is a rank range or its complement.
 
+#[cfg(target_arch = "x86_64")]
+use crate::bitmap::avx2_popcnt;
 use crate::bitmap::Bitmap;
 use crate::predicate::CmpOp;
 use std::collections::HashSet;
@@ -128,6 +130,23 @@ impl RankSlices {
     /// Rows whose rank is in `lo..hi`: `below(hi) ∧ ¬below(lo)`, each
     /// side computed only where it is not trivially all or no rows.
     fn range(&self, lo: usize, hi: usize) -> Bitmap {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_popcnt() {
+            // SAFETY: `avx2_popcnt` detected AVX2 and POPCNT on this CPU.
+            return unsafe { self.range_avx2(lo, hi) };
+        }
+        self.range_portable(lo, hi)
+    }
+
+    /// [`RankSlices::range`] compiled for AVX2: 256-bit inner loops.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,popcnt")]
+    fn range_avx2(&self, lo: usize, hi: usize) -> Bitmap {
+        self.range_portable(lo, hi)
+    }
+
+    #[inline(always)]
+    fn range_portable(&self, lo: usize, hi: usize) -> Bitmap {
         let hi = hi.min(self.values.len());
         let mut out = vec![0u64; self.rows.div_ceil(64)];
         if lo < hi {
@@ -157,6 +176,7 @@ impl RankSlices {
     /// down, `lt |= eq & !s; eq &= s` where `c` has a 1, `eq &= !s`
     /// where it has a 0. Below `c`'s lowest 1 nothing can join `lt`, so
     /// the walk stops there.
+    #[inline(always)]
     fn below(&self, c: usize, at: usize, lt: &mut [u64]) {
         debug_assert!(0 < c && c < self.values.len() && lt.len() <= BLOCK);
         lt.fill(0);
@@ -180,6 +200,23 @@ impl RankSlices {
     /// Rows whose rank is one of `ranks` (each `< d`) — or, with
     /// `complement`, none of them: the OR of per-rank equalities.
     fn any_of(&self, ranks: &[usize], complement: bool) -> Bitmap {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_popcnt() {
+            // SAFETY: `avx2_popcnt` detected AVX2 and POPCNT on this CPU.
+            return unsafe { self.any_of_avx2(ranks, complement) };
+        }
+        self.any_of_portable(ranks, complement)
+    }
+
+    /// [`RankSlices::any_of`] compiled for AVX2: 256-bit inner loops.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,popcnt")]
+    fn any_of_avx2(&self, ranks: &[usize], complement: bool) -> Bitmap {
+        self.any_of_portable(ranks, complement)
+    }
+
+    #[inline(always)]
+    fn any_of_portable(&self, ranks: &[usize], complement: bool) -> Bitmap {
         let mut out = vec![0u64; self.rows.div_ceil(64)];
         for (b, block) in out.chunks_mut(BLOCK).enumerate() {
             let at = b * BLOCK;
@@ -304,6 +341,41 @@ mod tests {
             assert_eq!(index.between(f64::NAN, 1.0).count_ones(), 0);
             assert_eq!(index.between(1.0, f64::NAN).count_ones(), 0);
         }
+    }
+
+    /// The AVX2 build of each compare kernel returns what the portable
+    /// build does, over every rank range and a spread of rank lists.
+    #[test]
+    fn both_builds_of_the_compare_kernels_agree() {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_popcnt() {
+            for d in [1, 2, 3, 64, 65, 100] {
+                for rows in ROWS {
+                    let index = RankSlices::build(cells(rows, d).into_iter()).expect("few values");
+                    let d = index.values.len();
+                    let bounds: Vec<usize> = (0..=d).chain([usize::MAX]).collect();
+                    for &lo in &bounds {
+                        for &hi in &bounds {
+                            // SAFETY: `avx2_popcnt` detected AVX2 and POPCNT.
+                            let fast = unsafe { index.range_avx2(lo, hi) };
+                            assert_eq!(fast, index.range_portable(lo, hi), "{lo}..{hi} of {d}");
+                        }
+                    }
+                    let all: Vec<usize> = (0..d).collect();
+                    let odd: Vec<usize> = (1..d).step_by(2).collect();
+                    for ranks in [&[][..], &[0], &[d - 1], &odd, &all] {
+                        for complement in [false, true] {
+                            // SAFETY: as above.
+                            let fast = unsafe { index.any_of_avx2(ranks, complement) };
+                            let portable = index.any_of_portable(ranks, complement);
+                            assert_eq!(fast, portable, "{ranks:?} of {d}, {complement}");
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        eprintln!("AVX2 build not compared: this CPU lacks AVX2 or POPCNT");
     }
 
     #[test]

@@ -50,7 +50,9 @@ use aware_obs::expose::{Decode, Kind, Merge, MetricDef};
 /// Identifier of a live session, allocated by the service.
 pub type SessionId = u64;
 
-/// A boxed investing policy usable across worker threads.
+/// A boxed investing policy that can move between threads: a session's
+/// commands run on whichever connection thread or reactor dispatcher
+/// received them.
 pub type BoxedPolicy = Box<dyn InvestingPolicy + Send>;
 
 /// The protocol version spoken after a successful hello handshake.
