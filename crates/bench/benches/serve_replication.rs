@@ -1,5 +1,5 @@
 //! Pricing `aware-replica`: what warm snapshot-shipping replication
-//! costs the client, and what read hedging buys it.
+//! costs the client.
 //!
 //! Two routed clusters on the same box, identical except for
 //! `--replicas`: 3 shards behind a replication-off router vs 3 shards
@@ -15,12 +15,11 @@
 //! The acceptance bar (ISSUE 7): replication-on 64-batch throughput at
 //! ≥ 95% of replication-off — CI enforces it from `BENCH_replica.json`.
 //!
-//! The second half prices hedged reads: single-gauge round-trip
-//! latency quantiles (p50/p90/p99) against the replication-on cluster
-//! (clean sessions at the latest acked epoch — every gauge races the
-//! primary against the freshest replica) vs the replication-off
-//! cluster (primary only). The quantile rows land in the same JSON
-//! artifact.
+//! The second half records single-gauge round-trip latency quantiles
+//! (p50/p90/p99) against both clusters, with every session clean and
+//! its replicas at the latest acked epoch. Replicas are standby images
+//! that only promotion reads, so both rows go to the primary alone;
+//! the quantile rows land in the same JSON artifact.
 
 use aware_cluster::router::{Router, RouterConfig, RouterHandle};
 use aware_data::census::CensusGenerator;
@@ -179,22 +178,23 @@ fn serve_replication(c: &mut Criterion) {
     }
     group.finish();
 
-    // --- Read-latency quantiles: hedged (on-cluster, clean sessions at
-    // the latest acked epoch) vs unhedged (off-cluster). Measured
-    // outside the criterion loop — quantiles need the raw sample
-    // distribution, not a median of batched samples.
+    // --- Read-latency quantiles with replication off vs on, clean
+    // sessions at the latest acked epoch. Measured outside the
+    // criterion loop — quantiles need the raw sample distribution, not
+    // a median of batched samples.
     let samples = if test_mode { 50 } else { 2_000 };
-    let mut results: Vec<(String, Vec<u64>, String)> = Vec::new();
-    for (label, cluster) in [("latency_unhedged", &off), ("latency_hedged", &on)] {
+    let mut results: Vec<(String, Vec<u64>)> = Vec::new();
+    for (label, cluster) in [
+        ("latency_replication_off", &off),
+        ("latency_replication_on", &on),
+    ] {
         let mut client =
             Client::connect_with(cluster.server.local_addr(), Encoding::Binary).unwrap();
         let sids = prime_sessions(&mut client);
-        // Quiesce: ship every image and let the acks land, so the
-        // hedge-eligibility gate (clean, epoch acked) is open.
+        // Quiesce: ship every image and let the acks land.
         while cluster.handle.replication_lag() > 0 {
             cluster.handle.replicate_now();
         }
-        let hedged_before = cluster.handle.call(Command::Stats);
         let mut ns: Vec<u64> = Vec::with_capacity(samples);
         for i in 0..samples {
             let sid = sids[i % sids.len()];
@@ -203,23 +203,11 @@ fn serve_replication(c: &mut Criterion) {
             ns.push(start.elapsed().as_nanos() as u64);
             assert!(response.is_ok(), "{response:?}");
         }
-        // Record how many reads actually raced a replica, so the
-        // artifact shows the hedged row really hedged.
-        let hedged = |r: &Response| match r {
-            Response::Stats(s) => s.hedged_reads,
-            _ => 0,
-        };
-        let delta = hedged(&cluster.handle.call(Command::Stats)) - hedged(&hedged_before);
-        results.push((
-            format!("serve_replication/{label}/gauge"),
-            ns,
-            format!(",\"hedged_reads\":{delta}"),
-        ));
+        results.push((format!("serve_replication/{label}/gauge"), ns));
     }
-    for (label, mut ns, extra) in results {
-        record_quantiles(&label, &mut ns, &extra);
+    for (label, mut ns) in results {
+        record_quantiles(&label, &mut ns, "");
     }
 }
-
 criterion_group!(benches, serve_replication);
 criterion_main!(benches);

@@ -28,8 +28,8 @@ pub struct SessState {
     pub dirty: bool,
     /// True when the router knows a live primary serves this session.
     /// False for entries rebuilt from a shard's *replica* inventory
-    /// whose primary has not rejoined yet — those can answer hedged
-    /// reads but must not be shipped, migrated, or treated as placed.
+    /// whose primary has not rejoined yet — those can be promoted but
+    /// must not be shipped, migrated, or treated as placed.
     pub primary_known: bool,
     /// Acked replica holders: `(addr, acked epoch)`.
     pub replicas: Vec<(String, u64)>,

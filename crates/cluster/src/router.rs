@@ -19,12 +19,12 @@
 //! The α-investing contract is per-session and sequential, and it must
 //! hold *across the hop*: two commands for one session, even from two
 //! different router connections, must reach the shard in a single
-//! total order. The router serializes per session with striped locks —
-//! a forward holds its session's stripe for the whole shard round
-//! trip, batches take every stripe they touch in sorted order (no
-//! deadlocks), and migrations take the same stripe before moving a
-//! session. Commands for different sessions proceed in parallel on
-//! pooled connections.
+//! total order. The router serializes per session with striped locks:
+//! a single command and a batch are one forwarding path (`route`),
+//! which takes every stripe its run touches in sorted order (no
+//! deadlocks) and holds them for the whole shard round trip, and
+//! migrations take the same stripe before moving a session. Commands
+//! for different sessions proceed in parallel on pooled connections.
 //!
 //! ## Rebalancing
 //!
@@ -68,13 +68,12 @@
 //! a tampered image answers `corrupt_snapshot` and failover falls
 //! through to the next-best epoch), installs a placement override,
 //! and leaves the session dirty so the next round re-establishes R
-//! replicas on the new ring. Read-only commands (`gauge`,
-//! `transcript`) hedge: when a replica has acked the latest epoch,
-//! the router races primary and replica and the first good answer
-//! wins; mutations stay strictly primary-only and at-most-once.
+//! replicas on the new ring. Replicas are standby images; only
+//! promotion reads them. Every command, reads included, goes to the
+//! session's primary, mutations at most once.
 
 use crate::gossip::Membership;
-use crate::pool::ShardPool;
+use crate::pool::{PoolError, ShardPool};
 use crate::replica::{self, SessState};
 use crate::ring::{Ring, DEFAULT_VNODES};
 use aware_serve::metrics::Metrics;
@@ -94,10 +93,6 @@ use std::time::{Duration, Instant};
 pub struct RouterConfig {
     /// Virtual nodes per shard on the ring.
     pub vnodes: usize,
-    /// Per-session serialization stripes. More stripes = less false
-    /// sharing between unrelated sessions; correctness never depends
-    /// on the count.
-    pub stripes: usize,
     /// Background health-probe cadence; `None` probes only on `stats`.
     pub probe_interval: Option<Duration>,
     /// Router-hop slow-query threshold (milliseconds). A forwarded
@@ -107,8 +102,8 @@ pub struct RouterConfig {
     /// disables the records (histograms still fill).
     pub slow_ms: Option<u64>,
     /// Warm replicas per session (`0` disables the replication plane
-    /// entirely: no snapshot shipping, no failover, no hedging — the
-    /// exact pre-replica behavior). With R > 0 each session's image is
+    /// entirely: no snapshot shipping, no failover — the exact
+    /// pre-replica behavior). With R > 0 each session's image is
     /// shipped to the R ring successors of its primary on the probe
     /// cadence, and a confirmed-dead primary is failed over
     /// automatically.
@@ -131,7 +126,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             vnodes: DEFAULT_VNODES,
-            stripes: 512,
             probe_interval: None,
             slow_ms: None,
             replicas: 0,
@@ -140,6 +134,14 @@ impl Default for RouterConfig {
         }
     }
 }
+
+/// Per-session serialization stripes (a constant, not a knob: a
+/// collision only makes one session's command wait for another's;
+/// correctness never depends on the count).
+const ROUTER_STRIPES: usize = 512;
+
+/// Router-allocated ids a `create_session` tries before it gives up.
+const ID_ATTEMPTS: usize = 16;
 
 /// Current placement: the ring, plus per-session overrides that exist
 /// only around rebalances (sessions already moved before the ring
@@ -163,7 +165,7 @@ struct Inner {
     config: RouterConfig,
     topology: RwLock<Topology>,
     pools: RwLock<HashMap<String, Arc<ShardPool>>>,
-    stripes: Vec<Mutex<()>>,
+    stripes: [Mutex<()>; ROUTER_STRIPES],
     /// Sessions created (or imported) through this router and not yet
     /// closed, with their replication state — the population a
     /// rebalance considers for migration and a replication round
@@ -216,14 +218,13 @@ impl Router {
     /// `--shard` flags, so startup and live rebalancing share one code
     /// path).
     pub fn start(config: RouterConfig) -> Router {
-        let stripes = config.stripes.max(1);
         let inner = Arc::new(Inner {
             topology: RwLock::new(Topology {
                 ring: Ring::new(config.vnodes),
                 overrides: HashMap::new(),
             }),
             pools: RwLock::new(HashMap::new()),
-            stripes: (0..stripes).map(|_| Mutex::new(())).collect(),
+            stripes: std::array::from_fn(|_| Mutex::new(())),
             sessions: Mutex::new(HashMap::new()),
             pending_drops: Mutex::new(Vec::new()),
             stranded: Mutex::new(HashMap::new()),
@@ -315,11 +316,11 @@ fn pools_sorted(inner: &Inner) -> Vec<Arc<ShardPool>> {
     out
 }
 
-fn stripe_of(inner: &Inner, id: SessionId) -> usize {
+fn stripe_of(id: SessionId) -> usize {
     // splitmix-style mix so sequential ids spread across stripes.
     let mut x = id.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    (x as usize) % inner.stripes.len()
+    (x as usize) % ROUTER_STRIPES
 }
 
 /// The pool currently serving `id`, or an `unavailable`/empty-ring
@@ -432,18 +433,221 @@ fn adapt_shard_response(
     response
 }
 
-/// Emits the router-hop `slow_query` record when the round trip for
-/// `trace` reached the configured threshold. The record carries the
-/// same trace id the shard stamps into *its* slow-query log, so
-/// `grep trace=<id>` follows one command across both processes.
-fn note_slow(
+/// Where a routed command's reply goes and the session it addresses.
+struct Slot {
+    index: usize,
+    id: SessionId,
+    /// The router allocated `id` for a client `create_session`, so a
+    /// shard that already holds it gets the next id instead.
+    allocated: bool,
+}
+
+/// One shard's share of a forwarding round, in submission order.
+struct Group {
+    pool: Arc<ShardPool>,
+    slots: Vec<Slot>,
+    cmds: Vec<Command>,
+}
+
+/// The router's one forwarding path: a single command is a run of one,
+/// a batch a run of many, and each gets one reply per command, in
+/// order. Admin commands answer here, `create_session` gets a
+/// router-allocated id, and everything else goes to the shard that
+/// owns its session. The router owns allocation, so an id a shard
+/// already holds can only mean the shard carried ids this router never
+/// learned about (e.g. sessions created behind its back); such a create
+/// retries with the next id, up to [`ID_ATTEMPTS`] times.
+fn route(inner: &Inner, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response> {
+    let mut replies: Vec<Option<Response>> = Vec::with_capacity(cmds.len());
+    let mut pending: Vec<(Slot, Command)> = Vec::new();
+    for (index, cmd) in cmds.into_iter().enumerate() {
+        inner.metrics.inc(Stat::commands);
+        let (id, allocated, cmd) = match answer_locally(inner, cmd) {
+            Ok(response) => {
+                replies.push(Some(response));
+                continue;
+            }
+            Err(Command::CreateSession {
+                dataset,
+                alpha,
+                policy,
+            }) => {
+                let id = inner.next_session.fetch_add(1, Ordering::Relaxed);
+                let cmd = Command::CreateSessionAs {
+                    session: id,
+                    dataset,
+                    alpha,
+                    policy,
+                };
+                (id, true, cmd)
+            }
+            Err(cmd) => {
+                let id = cmd.session().expect("non-admin commands address a session");
+                (id, false, cmd)
+            }
+        };
+        let slot = Slot {
+            index,
+            id,
+            allocated,
+        };
+        replies.push(None);
+        pending.push((slot, cmd));
+    }
+    for _ in 0..ID_ATTEMPTS {
+        if pending.is_empty() {
+            break;
+        }
+        pending = forward(inner, pending, mode, trace, &mut replies);
+    }
+    for (slot, _) in pending {
+        inner.metrics.inc(Stat::errors);
+        replies[slot.index] = Some(Response::Error(ServeError::invalid(format!(
+            "could not allocate a free session id in {ID_ATTEMPTS} attempts — \
+             were sessions created on the shards directly?"
+        ))));
+    }
+    replies
+        .into_iter()
+        .map(|reply| {
+            reply.unwrap_or_else(|| {
+                Response::Error(ServeError::invalid("batch item produced no response"))
+            })
+        })
+        .collect()
+}
+
+/// One forwarding round. Holds the stripe of every session the round
+/// touches (sorted, so two rounds never deadlock) for the whole shard
+/// round trip, groups the commands by owning shard, and sends each
+/// group as one envelope: on the caller's thread, or on one scoped
+/// thread per shard when two or more shards are involved. Fills
+/// `replies` and returns the creates whose id a shard already held,
+/// re-addressed to fresh ids.
+fn forward(
     inner: &Inner,
+    pending: Vec<(Slot, Command)>,
+    mode: BatchMode,
     trace: u64,
-    kind: usize,
-    session: Option<SessionId>,
-    shard: &str,
-    rt_us: u64,
-) {
+    replies: &mut [Option<Response>],
+) -> Vec<(Slot, Command)> {
+    let mut stripes: Vec<usize> = pending.iter().map(|(slot, _)| stripe_of(slot.id)).collect();
+    stripes.sort_unstable();
+    stripes.dedup();
+    let _guards: Vec<MutexGuard<'_, ()>> = stripes
+        .iter()
+        .map(|&s| inner.stripes[s].lock().unwrap())
+        .collect();
+
+    let mut groups: Vec<Group> = Vec::new();
+    for (slot, cmd) in pending {
+        let pool = match owner_pool(inner, slot.id) {
+            Ok(pool) => pool,
+            Err(refusal) => {
+                inner.metrics.inc(Stat::errors);
+                replies[slot.index] = Some(refusal);
+                continue;
+            }
+        };
+        let at = match groups.iter().position(|g| g.pool.addr() == pool.addr()) {
+            Some(at) => at,
+            None => {
+                groups.push(Group {
+                    pool,
+                    slots: Vec::new(),
+                    cmds: Vec::new(),
+                });
+                groups.len() - 1
+            }
+        };
+        groups[at].slots.push(slot);
+        groups[at].cmds.push(cmd);
+    }
+
+    let sent: Vec<(Group, Result<Vec<Response>, PoolError>, u64)> = if groups.len() < 2 {
+        groups.into_iter().map(|g| send(g, mode, trace)).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let joins: Vec<_> = groups
+                .into_iter()
+                .map(|g| scope.spawn(move || send(g, mode, trace)))
+                .collect();
+            joins
+                .into_iter()
+                .map(|join| join.join().expect("shard call thread"))
+                .collect()
+        })
+    };
+
+    let mut retry = Vec::new();
+    for (group, result, rt_us) in sent {
+        inner.metrics.add(Stat::forwarded, group.cmds.len() as u64);
+        // One hop, many items: every item completed its hop in rt_us.
+        for cmd in &group.cmds {
+            inner.metrics.observe_command(cmd.kind_index(), rt_us);
+        }
+        note_slow(inner, trace, &group, rt_us);
+        let responses = match result {
+            Ok(responses) => responses,
+            Err(e) => {
+                inner.metrics.inc(Stat::shard_errors);
+                for slot in group.slots {
+                    inner.metrics.inc(Stat::errors);
+                    replies[slot.index] = Some(unavailable(format!(
+                        "shard serving session {} is unreachable ({e}); its wealth ledger \
+                         is intact there — retry when the shard returns",
+                        slot.id
+                    )));
+                }
+                continue;
+            }
+        };
+        let items = group.slots.into_iter().zip(group.cmds);
+        for ((mut slot, mut cmd), response) in items.zip(responses) {
+            let taken = matches!(&response, Response::Error(e)
+                if e.code == ErrorCode::InvalidArgument && e.message.contains("already in use"));
+            if slot.allocated && taken {
+                slot.id = inner.next_session.fetch_add(1, Ordering::Relaxed);
+                if let Command::CreateSessionAs { session, .. } = &mut cmd {
+                    *session = slot.id;
+                }
+                retry.push((slot, cmd));
+            } else {
+                replies[slot.index] = Some(adapt_shard_response(
+                    inner,
+                    &group.pool,
+                    Some(slot.id),
+                    response,
+                ));
+            }
+        }
+    }
+    retry
+}
+
+/// Sends one group as one envelope, timing the round trip: a lone
+/// command as itself, so a single command's hop stays a single-command
+/// frame, and more as a sub-batch stamped with the run's trace id.
+fn send(
+    group: Group,
+    mode: BatchMode,
+    trace: u64,
+) -> (Group, Result<Vec<Response>, PoolError>, u64) {
+    let start = Instant::now();
+    let result = match &group.cmds[..] {
+        [cmd] => group.pool.call_traced(cmd, trace).map(|r| vec![r]),
+        cmds => group.pool.call_batch_traced(cmds, mode, trace),
+    };
+    let rt_us = start.elapsed().as_micros() as u64;
+    (group, result, rt_us)
+}
+
+/// Emits the router-hop `slow_query` record when a group's round trip
+/// reached the configured threshold. The record carries the same trace
+/// id the shard stamps into *its* slow-query log, so `grep trace=<id>`
+/// follows one command across both processes; a sub-batch logs once
+/// (the shard logs its own per-item records under the same trace).
+fn note_slow(inner: &Inner, trace: u64, group: &Group, rt_us: u64) {
     let Some(ms) = inner.config.slow_ms else {
         return;
     };
@@ -451,86 +655,23 @@ fn note_slow(
         return;
     }
     inner.metrics.inc(Stat::slow_queries);
+    let (kind, session) = match (&group.cmds[..], &group.slots[..]) {
+        ([cmd], [slot]) => (
+            COMMAND_KINDS[cmd.kind_index().min(COMMAND_KINDS.len() - 1)],
+            slot.id.to_string(),
+        ),
+        _ => ("batch", "-".to_string()),
+    };
     aware_obs::logline!(
         aware_obs::log::Level::Warn,
         "slow_query",
         trace = aware_obs::trace::fmt_trace(trace),
-        kind = COMMAND_KINDS[kind.min(COMMAND_KINDS.len() - 1)],
-        session = session.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
-        shard = shard,
+        kind = kind,
+        session = session,
+        items = group.cmds.len(),
+        shard = group.pool.addr(),
         rt_us = rt_us,
     );
-}
-
-/// Forwards one session-addressed command under its stripe lock,
-/// timing the full hop (stripe + shard round trip) into the router's
-/// per-kind histogram.
-fn forward_session(inner: &Inner, cmd: Command, trace: u64) -> Response {
-    let id = cmd.session().expect("session-addressed command");
-    let kind = cmd.kind_index();
-    let _stripe = inner.stripes[stripe_of(inner, id)].lock().unwrap();
-    let pool = match owner_pool(inner, id) {
-        Ok(pool) => pool,
-        Err(refusal) => {
-            inner.metrics.inc(Stat::errors);
-            return refusal;
-        }
-    };
-    if let Some(replica) = hedge_target(inner, &cmd, id, pool.addr()) {
-        return hedged_call(inner, cmd, id, kind, trace, pool, replica);
-    }
-    inner.metrics.inc(Stat::forwarded);
-    let start = Instant::now();
-    let result = pool.call_traced(&cmd, trace);
-    let rt_us = start.elapsed().as_micros() as u64;
-    inner.metrics.observe_command(kind, rt_us);
-    note_slow(inner, trace, kind, Some(id), pool.addr(), rt_us);
-    match result {
-        Ok(response) => adapt_shard_response(inner, &pool, Some(id), response),
-        Err(e) => {
-            inner.metrics.inc(Stat::shard_errors);
-            inner.metrics.inc(Stat::errors);
-            unavailable(format!(
-                "shard serving session {id} is unreachable ({e}); its wealth ledger \
-                 is intact there — retry when the shard returns"
-            ))
-        }
-    }
-}
-
-/// Rewrites a client `create_session` into a routed
-/// `create_session_as` with a router-allocated id.
-fn create_session(
-    inner: &Inner,
-    dataset: String,
-    alpha: f64,
-    policy: aware_serve::proto::PolicySpec,
-    trace: u64,
-) -> Response {
-    // The router owns allocation, so collisions can only mean a shard
-    // carried ids this router never learned about (e.g. it was seeded
-    // behind the router's back); a bounded retry walks past them.
-    for _ in 0..16 {
-        let id = inner.next_session.fetch_add(1, Ordering::Relaxed);
-        let cmd = Command::CreateSessionAs {
-            session: id,
-            dataset: dataset.clone(),
-            alpha,
-            policy: policy.clone(),
-        };
-        let response = forward_session(inner, cmd, trace);
-        if let Response::Error(e) = &response {
-            if e.code == ErrorCode::InvalidArgument && e.message.contains("already in use") {
-                continue;
-            }
-        }
-        return response;
-    }
-    inner.metrics.inc(Stat::errors);
-    Response::Error(ServeError::invalid(
-        "could not allocate a free session id in 16 attempts — \
-         were sessions created on the shards directly?",
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -573,7 +714,7 @@ fn replicate_round(inner: &Inner) -> u64 {
 /// dirty bit can never be cleared for state that isn't in the image —
 /// a concurrent mutation waits on the stripe and re-dirties after.
 fn replicate_one(inner: &Inner, id: SessionId, r: usize) -> bool {
-    let _stripe = inner.stripes[stripe_of(inner, id)].lock().unwrap();
+    let _stripe = inner.stripes[stripe_of(id)].lock().unwrap();
     let (primary_addr, desired) = {
         let topo = inner.topology.read().unwrap();
         let Some(primary) = topo.route(id) else {
@@ -693,7 +834,7 @@ fn fail_over(inner: &Inner, dead: &str) {
     };
     let (mut promoted, mut pinned, mut lost) = (0u64, 0u64, 0u64);
     for id in victims {
-        let _stripe = inner.stripes[stripe_of(inner, id)].lock().unwrap();
+        let _stripe = inner.stripes[stripe_of(id)].lock().unwrap();
         let candidates = {
             let sessions = inner.sessions.lock().unwrap();
             sessions
@@ -833,111 +974,6 @@ fn replication_lag(inner: &Inner) -> u64 {
         })
         .max()
         .unwrap_or(0)
-}
-
-/// The replica pool to race a read against, when hedging applies:
-/// replication on, the command is a pure read, the session is clean,
-/// and some replica acked the *latest* epoch (a stale replica would
-/// still answer correctly-validated state, but an older transcript —
-/// the hedge must be observationally identical to the primary).
-fn hedge_target(
-    inner: &Inner,
-    cmd: &Command,
-    id: SessionId,
-    primary_addr: &str,
-) -> Option<Arc<ShardPool>> {
-    if inner.config.replicas == 0 {
-        return None;
-    }
-    if !matches!(cmd, Command::Gauge { .. } | Command::Transcript { .. }) {
-        return None;
-    }
-    let freshest = {
-        let sessions = inner.sessions.lock().unwrap();
-        let state = sessions.get(&id)?;
-        if state.dirty || state.epoch == 0 {
-            return None;
-        }
-        state
-            .replicas
-            .iter()
-            .filter(|(addr, epoch)| *epoch == state.epoch && addr != primary_addr)
-            .map(|(addr, _)| addr.clone())
-            .min()?
-    };
-    inner.pools.read().unwrap().get(&freshest).cloned()
-}
-
-/// Races a read against primary and replica on two detached threads;
-/// the first non-error answer wins (deliberately *not* a scoped join —
-/// joining both would make every hedged read as slow as the slower
-/// leg, which is the opposite of the point). The loser's late answer
-/// lands in a closed channel and is dropped. If both legs fail, the
-/// primary's outcome is reported.
-fn hedged_call(
-    inner: &Inner,
-    cmd: Command,
-    id: SessionId,
-    kind: usize,
-    trace: u64,
-    primary: Arc<ShardPool>,
-    replica_pool: Arc<ShardPool>,
-) -> Response {
-    inner.metrics.add(Stat::forwarded, 2);
-    let start = Instant::now();
-    let (tx, rx) = std::sync::mpsc::channel();
-    // The losing leg is not detached-forever: every pool socket carries
-    // the configured deadline, so a leg racing a frozen shard blows its
-    // read timeout and exits within the budget (at most twice it, for
-    // the pooled-connection retry) instead of leaking a thread per
-    // hedged read against a SIGSTOPped peer.
-    for (is_primary, pool) in [(true, primary.clone()), (false, replica_pool)] {
-        let tx = tx.clone();
-        let cmd = cmd.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send((is_primary, pool.call_traced(&cmd, trace)));
-        });
-    }
-    drop(tx);
-    let mut primary_outcome: Option<Response> = None;
-    let mut replica_outcome: Option<Response> = None;
-    while let Ok((is_primary, result)) = rx.recv() {
-        match result {
-            Ok(response) if !matches!(response, Response::Error(_)) => {
-                let rt_us = start.elapsed().as_micros() as u64;
-                inner.metrics.observe_command(kind, rt_us);
-                note_slow(inner, trace, kind, Some(id), primary.addr(), rt_us);
-                return response;
-            }
-            Ok(response) => {
-                if is_primary {
-                    // Only the primary's answer feeds the session map /
-                    // health bookkeeping — a replica-side error (e.g. a
-                    // dropped image) says nothing about the session.
-                    primary_outcome =
-                        Some(adapt_shard_response(inner, &primary, Some(id), response));
-                } else {
-                    replica_outcome = Some(response);
-                }
-            }
-            Err(e) => {
-                inner.metrics.inc(Stat::shard_errors);
-                let slot = if is_primary {
-                    &mut primary_outcome
-                } else {
-                    &mut replica_outcome
-                };
-                *slot = Some(unavailable(format!(
-                    "shard serving session {id} is unreachable ({e}); its wealth \
-                     ledger is intact there — retry when the shard returns"
-                )));
-            }
-        }
-    }
-    inner.metrics.inc(Stat::errors);
-    primary_outcome
-        .or(replica_outcome)
-        .unwrap_or_else(|| unavailable(format!("hedged read of session {id} got no response")))
 }
 
 /// Renders up to 16 session ids for an error payload.
@@ -1129,7 +1165,7 @@ enum Migration {
 /// On an import failure the image is re-imported to the source — the
 /// wealth ledger must land *somewhere* before the stripe unlocks.
 fn migrate_session(inner: &Inner, id: SessionId, to_addr: &str) -> Migration {
-    let _stripe = inner.stripes[stripe_of(inner, id)].lock().unwrap();
+    let _stripe = inner.stripes[stripe_of(id)].lock().unwrap();
     let from_addr = match inner.topology.read().unwrap().route(id) {
         Some(addr) => addr,
         None => return Migration::Failed,
@@ -1439,185 +1475,20 @@ fn answer_locally(inner: &Inner, cmd: Command) -> Result<Response, Command> {
     }
 }
 
-fn route_one(inner: &Inner, cmd: Command, trace: u64) -> Response {
-    match answer_locally(inner, cmd) {
-        Ok(response) => response,
-        Err(Command::CreateSession {
-            dataset,
-            alpha,
-            policy,
-        }) => create_session(inner, dataset, alpha, policy, trace),
-        Err(cmd) => forward_session(inner, cmd, trace),
-    }
-}
-
 impl Dispatch for RouterHandle {
     fn call_traced(&self, cmd: Command, trace: u64) -> Response {
-        let inner = &self.inner;
-        inner.metrics.batch(1);
-        inner.metrics.inc(Stat::commands);
-        route_one(inner, cmd, trace)
+        self.inner.metrics.batch(1);
+        let mut replies = route(&self.inner, vec![cmd], BatchMode::Continue, trace);
+        replies.pop().expect("one reply per command")
     }
 
-    /// Batch forwarding: admin items answer inline; routed items take
-    /// every stripe they touch (sorted — no deadlocks), group by
-    /// owning shard preserving submission order, and go out as one
-    /// sub-batch envelope per shard in parallel, each stamped with the
-    /// client batch's trace id. Same-session items stay adjacent
-    /// within their shard group, so the shard's own batch unit
-    /// semantics (one run under the session's stripe, fail-fast per
-    /// stream) hold across the hop.
+    /// A batch runs the same `route` a single command does. Items
+    /// for one shard keep their submission order inside its sub-batch,
+    /// so the shard's own batch unit semantics (one run under the
+    /// session's stripe, fail-fast per stream) hold across the hop.
     fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response> {
-        let inner = &self.inner;
-        let n = cmds.len();
-        inner.metrics.batch(n);
-        let mut slots: Vec<Option<Response>> = Vec::new();
-        slots.resize_with(n, || None);
-
-        // Classify: admin inline, everything else routed by session id.
-        let mut forwards: Vec<(usize, SessionId, Command)> = Vec::new();
-        for (index, cmd) in cmds.into_iter().enumerate() {
-            inner.metrics.inc(Stat::commands);
-            match answer_locally(inner, cmd) {
-                Ok(response) => slots[index] = Some(response),
-                Err(Command::CreateSession {
-                    dataset,
-                    alpha,
-                    policy,
-                }) => {
-                    // Allocate here so the item routes (and pins) like
-                    // any other session command in this batch.
-                    let id = inner.next_session.fetch_add(1, Ordering::Relaxed);
-                    forwards.push((
-                        index,
-                        id,
-                        Command::CreateSessionAs {
-                            session: id,
-                            dataset,
-                            alpha,
-                            policy,
-                        },
-                    ));
-                }
-                Err(cmd) => {
-                    let id = cmd.session().expect("non-admin commands address a session");
-                    forwards.push((index, id, cmd));
-                }
-            }
-        }
-
-        // Serialize against concurrent traffic and migrations for every
-        // session this batch touches.
-        let mut stripe_indices: Vec<usize> = forwards
-            .iter()
-            .map(|(_, id, _)| stripe_of(inner, *id))
-            .collect();
-        stripe_indices.sort_unstable();
-        stripe_indices.dedup();
-        let _guards: Vec<MutexGuard<'_, ()>> = stripe_indices
-            .iter()
-            .map(|&s| inner.stripes[s].lock().unwrap())
-            .collect();
-
-        // Group by owning shard, preserving submission order per shard.
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, Vec<(usize, Command)>> = HashMap::new();
-        for (index, id, cmd) in forwards {
-            match owner_pool(inner, id) {
-                Ok(pool) => {
-                    let addr = pool.addr().to_string();
-                    groups
-                        .entry(addr.clone())
-                        .or_insert_with(|| {
-                            order.push(addr);
-                            Vec::new()
-                        })
-                        .push((index, cmd));
-                }
-                Err(refusal) => {
-                    inner.metrics.inc(Stat::errors);
-                    slots[index] = Some(refusal);
-                }
-            }
-        }
-
-        // One sub-batch per shard, in parallel.
-        let pools = inner.pools.read().unwrap();
-        std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(order.len());
-            for addr in &order {
-                let items = groups.remove(addr).expect("group recorded in order");
-                let pool = pools.get(addr).cloned();
-                joins.push(scope.spawn(move || {
-                    let cmds: Vec<Command> = items.iter().map(|(_, cmd)| cmd.clone()).collect();
-                    let start = Instant::now();
-                    let result = match &pool {
-                        Some(pool) => pool
-                            .call_batch_traced(&cmds, mode, trace)
-                            .map_err(|e| e.to_string()),
-                        None => Err("shard pool disappeared mid-batch".to_string()),
-                    };
-                    (items, pool, result, start.elapsed().as_micros() as u64)
-                }));
-            }
-            for join in joins {
-                let (items, pool, result, rt_us) = join.join().expect("shard batch thread");
-                if let Some(pool) = &pool {
-                    // One hop, many items: every item completed its hop
-                    // in rt_us, so each kind gets the sample; a slow hop
-                    // logs once for the sub-batch (the shard logs its own
-                    // per-item records under the same trace).
-                    for (_, cmd) in &items {
-                        inner.metrics.observe_command(cmd.kind_index(), rt_us);
-                    }
-                    if let Some(ms) = inner.config.slow_ms {
-                        if rt_us >= ms.saturating_mul(1000) {
-                            inner.metrics.inc(Stat::slow_queries);
-                            aware_obs::logline!(
-                                aware_obs::log::Level::Warn,
-                                "slow_query",
-                                trace = aware_obs::trace::fmt_trace(trace),
-                                kind = "batch",
-                                items = items.len(),
-                                shard = pool.addr(),
-                                rt_us = rt_us,
-                            );
-                        }
-                    }
-                }
-                match result {
-                    Ok(responses) => {
-                        inner.metrics.add(Stat::forwarded, items.len() as u64);
-                        for ((index, cmd), response) in items.into_iter().zip(responses) {
-                            slots[index] = Some(match &pool {
-                                Some(pool) => {
-                                    adapt_shard_response(inner, pool, cmd.session(), response)
-                                }
-                                None => response,
-                            });
-                        }
-                    }
-                    Err(message) => {
-                        inner.metrics.inc(Stat::shard_errors);
-                        for (index, _) in items {
-                            inner.metrics.inc(Stat::errors);
-                            slots[index] = Some(unavailable(format!(
-                                "shard unreachable mid-batch ({message}); session state \
-                                 is intact on the shard — retry when it returns"
-                            )));
-                        }
-                    }
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Response::Error(ServeError::invalid("batch item produced no response"))
-                })
-            })
-            .collect()
+        self.inner.metrics.batch(cmds.len());
+        route(&self.inner, cmds, mode, trace)
     }
 
     fn metrics(&self) -> &Metrics {
@@ -2125,9 +1996,8 @@ mod tests {
         assert_eq!(h.replicate_now(), sids.len() as u64);
         assert_eq!(h.replication_lag(), 0);
         assert_eq!(stats_of(&h).replicas_live, sids.len() as u64);
-        // Clean sessions hedge gauge/transcript reads against the
-        // freshest replica — the answer must be byte-identical to the
-        // primary's, whichever leg wins the race.
+        // Every read goes to the primary; these transcripts are what
+        // the promoted replicas must reproduce.
         let before: Vec<String> = sids.iter().map(|&sid| csv(&h, sid)).collect();
         // Everything clean and placed: a second round ships nothing.
         assert_eq!(h.replicate_now(), 0);
@@ -2157,6 +2027,156 @@ mod tests {
         assert!(s.promotions > 0, "failover performed verified promotions");
         assert_eq!(s.sessions_live, sids.len() as u64);
         assert_eq!(s.shards.len(), 1);
+    }
+
+    /// The service whose shard listens on `addr`.
+    fn service_at<'a>(shards: &[(&'a Service, &str)], addr: &str) -> &'a Service {
+        shards
+            .iter()
+            .find(|(_, a)| *a == addr)
+            .map(|(service, _)| *service)
+            .expect("one of ours")
+    }
+
+    #[test]
+    fn single_and_batch_creates_walk_past_ids_the_shards_already_hold() {
+        let (s1, _t1, a1) = shard(7);
+        let (s2, _t2, a2) = shard(7);
+        let router = Router::start(RouterConfig::default());
+        let h = router.handle();
+        join(&h, &a1);
+        join(&h, &a2);
+        let shards = [(&s1, a1.as_str()), (&s2, a2.as_str())];
+        // Creates the router's next `n` ids directly on their owning
+        // shards, behind the router's back.
+        let occupy = |n: u64| -> Vec<SessionId> {
+            let next = h.inner.next_session.load(Ordering::Relaxed);
+            let ids: Vec<SessionId> = (next..next + n).collect();
+            for &id in &ids {
+                let owner = h.inner.topology.read().unwrap().route(id).unwrap();
+                let reply = service_at(&shards, &owner)
+                    .handle()
+                    .call(Command::CreateSessionAs {
+                        session: id,
+                        dataset: "census".into(),
+                        alpha: 0.05,
+                        policy: PolicySpec::Fixed { gamma: 10.0 },
+                    });
+                assert!(
+                    matches!(reply, Response::SessionCreated { .. }),
+                    "{reply:?}"
+                );
+            }
+            ids
+        };
+        let mut taken = occupy(3);
+        let mut fresh = vec![create(&h)];
+        taken.extend(occupy(3));
+        let make = Command::CreateSession {
+            dataset: "census".into(),
+            alpha: 0.05,
+            policy: PolicySpec::Fixed { gamma: 10.0 },
+        };
+        for reply in Dispatch::call_batch_mode(&h, vec![make; 3], BatchMode::Continue) {
+            match reply {
+                Response::SessionCreated { session, .. } => fresh.push(session),
+                other => panic!("a batch create must walk past held ids: {other:?}"),
+            }
+        }
+        let mut distinct = fresh.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4, "{fresh:?}");
+        assert!(
+            fresh.iter().all(|id| !taken.contains(id)),
+            "{fresh:?} vs {taken:?}"
+        );
+        assert_eq!(h.live_sessions(), 4);
+        for &sid in &fresh {
+            assert!(h.call(viz(sid)).is_ok(), "session {sid} must serve");
+        }
+    }
+
+    #[test]
+    fn reads_are_forwarded_once_and_never_served_from_a_replica() {
+        let (s1, _t1, a1) = shard(7);
+        let (s2, t2, a2) = shard(7);
+        let router = Router::start(RouterConfig {
+            replicas: 1,
+            ..RouterConfig::default()
+        });
+        let h = router.handle();
+        join(&h, &a1);
+        join(&h, &a2);
+        let shards = [(&s1, a1.as_str()), (&s2, a2.as_str())];
+        let sids: Vec<SessionId> = (0..12).map(|_| create(&h)).collect();
+        for &sid in &sids {
+            assert!(h.call(viz(sid)).is_ok());
+        }
+        assert!(
+            stats_of(&h).shards.iter().all(|sh| sh.sessions_live > 0),
+            "both shards should hold primaries"
+        );
+        // Clean and fully shipped: every replica holds the latest image.
+        assert_eq!(h.replicate_now(), sids.len() as u64);
+        assert_eq!(h.replication_lag(), 0);
+
+        let forwarded = || h.inner.metrics.get(Stat::forwarded);
+        let reads = |session| {
+            vec![
+                Command::Gauge { session },
+                Command::Transcript {
+                    session,
+                    format: TranscriptFormat::Csv,
+                },
+            ]
+        };
+        let mut before: Vec<Vec<Response>> = Vec::new();
+        for &sid in &sids {
+            let primary = h.inner.topology.read().unwrap().route(sid).unwrap();
+            let holders: Vec<String> = h.inner.sessions.lock().unwrap()[&sid]
+                .replicas
+                .iter()
+                .map(|(addr, _)| addr.clone())
+                .collect();
+            assert_eq!(holders.len(), 1);
+            assert_ne!(holders[0], primary);
+            let mut alone = Vec::new();
+            for cmd in reads(sid) {
+                let at = forwarded();
+                let reply = h.call(cmd.clone());
+                assert_eq!(forwarded(), at + 1, "one read, one forward");
+                assert_eq!(reply, service_at(&shards, &primary).handle().call(cmd));
+                alone.push(reply);
+            }
+            let at = forwarded();
+            let batched = Dispatch::call_batch_mode(&h, reads(sid), BatchMode::Continue);
+            assert_eq!(forwarded(), at + 2);
+            assert_eq!(batched, alone);
+            // The replica holder answers as for a session it does not hold.
+            for cmd in reads(sid) {
+                assert_eq!(
+                    service_at(&shards, &holders[0]).handle().call(cmd),
+                    Response::Error(ServeError::unknown_session(sid))
+                );
+            }
+            before.push(alone);
+        }
+
+        // The replicas still promote byte-identically.
+        drop(t2);
+        s2.shutdown();
+        h.probe_now();
+        h.probe_now();
+        assert_eq!(h.shards(), vec![a1.clone()]);
+        assert!(stats_of(&h).promotions > 0);
+        for (i, &sid) in sids.iter().enumerate() {
+            let after: Vec<Response> = reads(sid).into_iter().map(|cmd| h.call(cmd)).collect();
+            assert_eq!(
+                after, before[i],
+                "session {sid} changed across the failover"
+            );
+        }
     }
 
     #[test]

@@ -329,8 +329,9 @@ fn frozen_shard_blows_the_deadline_then_fails_over_like_a_dead_one() {
     shards[victim_index].0.freeze();
 
     // Mutations against the frozen shard must come back `unavailable`
-    // within ~2× the deadline budget — a mutation is never hedged and
-    // never retried, so the bound is one blown deadline plus margin.
+    // within ~2× the deadline budget — a mutation goes to its primary
+    // once and is never retried, so the bound is one blown deadline
+    // plus margin.
     // The two forbidden answers are `unknown_session` and success with
     // a fresh ledger; both would mean the deadline path minted state.
     let mut stranded: Vec<usize> = Vec::new();

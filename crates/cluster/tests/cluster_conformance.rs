@@ -768,11 +768,10 @@ fn sigkilled_primary_fails_over_and_transcripts_match_single_process_replay() {
     // Automatic failover: suspect → confirm → promote. No operator
     // action; the only client-visible artifact is a brief
     // `unavailable` window while death is being confirmed. Gauges
-    // alone don't prove promotion (a hedged read can be served from
-    // the replica while the primary is still being confirmed dead), so
-    // first wait for the router to finish the failover — dead shard
-    // out of the ring, promotions recorded — then for every session to
-    // answer.
+    // alone don't prove promotion (a session whose primary survived
+    // answers either way), so first wait for the router to finish the
+    // failover — dead shard out of the ring, promotions recorded —
+    // then for every session to answer.
     wait_for(|| {
         let stats = cluster_stats(router_addr);
         (stats.shards.len() == 2 && stats.promotions > 0).then_some(())

@@ -1497,9 +1497,9 @@ scalar_table! {
     /// Only a router sees the acks; always 0 on a plain serve.
     replication_lag_max_epochs: Lenient, RouterOwned, Gauge, "Worst replication staleness across sessions, in epochs.";
     promotions: Lenient, Sum, Counter, "Replica images promoted to live sessions by failover.";
-    /// The router races the command against a caught-up replica; the
-    /// first valid answer wins.
-    hedged_reads: Lenient, Sum, Counter, "Read-only commands answered from a replica image.";
+    /// Retired with hedged reads: always 0. The slot stays so the wire
+    /// layout and exposition do not move.
+    hedged_reads: Lenient, Sum, Counter, "Retired (always 0): replicas are standby images that only promotion reads, so no read is answered from one.";
     /// Connect, read, or write timeout. Counted in a router's shard
     /// pools; always 0 on a plain serve, but a shard that is itself a
     /// router (tiered topologies) sums through.

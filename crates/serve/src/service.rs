@@ -1437,11 +1437,10 @@ fn lookup_or_restore(inner: &Inner, id: SessionId) -> Result<Arc<SessionEntry>, 
     Ok(inner.registry.insert(id, session, meta))
 }
 
-/// Serves the read-only commands (`gauge`, `transcript`). A session
-/// this shard only holds a *replica* of is served from the replica
-/// image — materialized per request through the full restore validator
-/// and never installed in the registry, so a hedged read off a replica
-/// can never fork the ledger into a second serveable copy.
+/// Serves the read-only commands (`gauge`, `transcript`) from the
+/// live (or restored) session. A replica image held here is not a
+/// session: it answers the same refusal an unknown id does, and only
+/// promotion reads it.
 fn with_session(
     inner: &Inner,
     id: SessionId,
@@ -1449,40 +1448,7 @@ fn with_session(
 ) -> Response {
     match lookup_or_restore(inner, id) {
         Ok(entry) => f(&mut entry.session.lock().unwrap()),
-        Err(refusal) => match read_from_replica(inner, id, f) {
-            Some(response) => response,
-            None => refusal,
-        },
-    }
-}
-
-/// The replica half of [`with_session`]: `None` when no replica image
-/// of `id` is held here (the caller's primary-path refusal stands).
-fn read_from_replica(
-    inner: &Inner,
-    id: SessionId,
-    f: impl FnOnce(&mut crate::registry::ServedSession) -> Response,
-) -> Option<Response> {
-    let mem_bytes = {
-        let replicas = inner.replicas.lock().unwrap();
-        replicas.get(&id)?.image.clone()
-    };
-    let bytes = match mem_bytes {
-        Some(bytes) => bytes,
-        None => inner.store.as_ref()?.load_replica(id)?.1,
-    };
-    match validate_image(inner, id, &bytes) {
-        Ok((mut session, _meta)) => {
-            inner.metrics.inc(Stat::hedged_reads);
-            Some(f(&mut session))
-        }
-        Err(e) => Some(Response::Error(ServeError {
-            code: ErrorCode::CorruptSnapshot,
-            message: format!(
-                "replica image of session {id} failed validation on read: {}",
-                e.message
-            ),
-        })),
+        Err(refusal) => refusal,
     }
 }
 
@@ -2686,9 +2652,8 @@ mod tests {
     }
 
     /// Every memoised reply — warm, after a header-only change, after an
-    /// append, after a spill + restore, and off a replica image — equals
-    /// the from-scratch renderers on a `Session` replayed independently
-    /// of the service.
+    /// append, and after a spill + restore — equals the from-scratch
+    /// renderers on a `Session` replayed independently of the service.
     #[test]
     fn memoised_replies_match_an_independent_replay() {
         let text_of = |h: &ServiceHandle, sid| match h.call(Command::Transcript {
@@ -2766,7 +2731,8 @@ mod tests {
             assert_eq!(csv_of(&h, sid), transcript::export_csv(&oracle));
         }
 
-        // A hedged read off a replica image (`read_from_replica`).
+        // Shipping the spilled session's image makes a replica, not a
+        // live session.
         let replica = test_service(ServiceConfig::default());
         let hr = replica.handle();
         assert!(hr
@@ -2776,10 +2742,6 @@ mod tests {
                 image,
             })
             .is_ok());
-        assert_eq!(gauge_of(&hr, sid), gauge::render(&oracle));
-        assert_eq!(csv_of(&hr, sid), transcript::export_csv(&oracle));
-        assert_eq!(text_of(&hr, sid), transcript::export_text(&oracle));
-        assert_eq!(stats_of(&hr).hedged_reads, 3);
         assert_eq!(hr.live_sessions(), 0);
 
         drop(h);
@@ -2925,11 +2887,8 @@ mod tests {
         }
         assert_eq!(stats_of(&hr).replicas_live, 1);
 
-        // A held replica answers reads byte-identically — without ever
-        // becoming a live session.
-        assert_eq!((gauge_of(&hr, sid), csv_of(&hr, sid)), reference);
+        // A held replica never becomes a live session.
         assert_eq!(hr.live_sessions(), 0);
-        assert!(stats_of(&hr).hedged_reads >= 2);
 
         // Epochs are monotone: a stale ship is refused, the current one
         // is an idempotent ack.
