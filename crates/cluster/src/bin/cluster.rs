@@ -14,9 +14,8 @@
 //!
 //! `--reactor` (either role) swaps the thread-per-connection front end
 //! for the epoll event loop in `aware-reactor`; the wire protocol is
-//! byte-identical either way. The router declines the hello `push`
-//! capability even under the reactor — push events originate in the
-//! shards' dispatchers, which the router does not surface.
+//! byte-identical either way, a hello's `push` request included: every
+//! front declines it, since no server pushes.
 //!
 //! Both roles share the observability quartet: the structured stderr
 //! logger (`--log-level`, `--log-json`), slow-query records past

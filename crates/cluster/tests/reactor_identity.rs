@@ -109,8 +109,6 @@ fn transcript(surface: usize, session: SessionId) -> Vec<u8> {
         id: Some(0),
         version: PROTOCOL_VERSION,
         encoding,
-        // Push grant is the one sanctioned front-end divergence;
-        // identity transcripts must decline it.
         push: false,
     };
     let binary = match surface {

@@ -21,7 +21,7 @@
 //!
 //! Protocol work never runs on the event loop. Each complete inbound
 //! message is handed to a small pool of dispatcher threads (pinned
-//! `token % dispatchers`, so one connection's messages stay ordered)
+//! `token % DISPATCHERS`, so one connection's messages stay ordered)
 //! that call into a [`ReactorService`] — `aware-serve` implements it
 //! over the same `Dispatch` trait the blocking front end uses, so
 //! batching and the α-investing ordering guarantees are untouched: the
@@ -29,12 +29,8 @@
 //! replies re-enter the loop through a completion queue and an
 //! `eventfd` wakeup.
 //!
-//! The loop also delivers **server-push**: events published through a
-//! [`PushHandle`] are broadcast to every subscribed connection as
-//! unsolicited outbound bytes (the serve layer frames them as id-0
-//! envelopes). This is what makes eviction notices and cache-reset
-//! announcements possible at all — a blocking reader/writer pair has
-//! nowhere to write from.
+//! The loop only moves bytes: everything it writes to a connection is
+//! the reply to a message that connection sent.
 
 pub mod decode;
 pub mod sys;
@@ -47,7 +43,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-connection protocol flags that travel with each message to the
@@ -57,8 +53,6 @@ use std::time::{Duration, Instant};
 pub struct ConnState {
     /// A binary connection has presented its hello frame.
     pub greeted: bool,
-    /// The connection negotiated the push capability.
-    pub push: bool,
 }
 
 /// What the service decided about one inbound message.
@@ -97,30 +91,30 @@ impl Outcome {
 /// The protocol layer behind the reactor. Implementations must be
 /// cheap to share (`&self` is called from every dispatcher thread).
 pub trait ReactorService: Send + Sync + 'static {
-    /// Server-push event type (use `()` when push is not supported).
-    type Push: Send + Clone + 'static;
-
     /// Handles one complete inbound message and returns the reply.
     /// Runs on a dispatcher thread, never on the event loop.
     fn handle(&self, state: &mut ConnState, inbound: Inbound) -> Outcome;
-
-    /// Encodes a push event for one subscribed connection (`frames`
-    /// says whether the connection is on the binary surface). `None`
-    /// skips the connection.
-    fn encode_push(&self, frames: bool, event: &Self::Push) -> Option<Vec<u8>>;
 
     /// Observability hooks (all optional).
     fn on_wakeup(&self) {}
     fn on_conn_open(&self) {}
     fn on_conn_close(&self) {}
-    fn on_push_frame(&self) {}
 }
+
+/// Dispatcher threads (protocol decode/encode + command execution).
+const DISPATCHERS: usize = 2;
+
+/// Input pause threshold: stop reading once this many unparsed bytes
+/// are buffered — whether or not a message is in flight — so the kernel
+/// window fills and the peer blocks (backpressure to TCP instead of
+/// unbounded memory). A single message legitimately larger than the cap
+/// still assembles: the effective ceiling is
+/// `max(IN_CAP, decoder.progress_bound())`.
+const IN_CAP: usize = 1 << 20;
 
 /// Event-loop tuning; defaults match the blocking front end's caps.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Dispatcher threads (protocol decode/encode + command execution).
-    pub dispatchers: usize,
     /// Reap connections idle (no bytes either way) this long.
     pub idle_timeout: Option<Duration>,
     /// Per-connection message caps.
@@ -128,58 +122,21 @@ pub struct ReactorConfig {
     /// Output buffer cap: a peer that never reads is disconnected once
     /// pending replies exceed this.
     pub out_cap: usize,
-    /// Input pause threshold: stop reading once this many unparsed
-    /// bytes are buffered — whether or not a message is in flight — so
-    /// the kernel window fills and the peer blocks (backpressure to TCP
-    /// instead of unbounded memory). A single message legitimately
-    /// larger than the cap still assembles: the effective ceiling is
-    /// `max(in_cap, decoder.progress_bound())`.
-    pub in_cap: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
-            dispatchers: 2,
             idle_timeout: None,
             decoder: DecoderConfig::default(),
             out_cap: 16 << 20,
-            in_cap: 1 << 20,
         }
     }
 }
 
-struct Control<P> {
+struct Control {
     stop: AtomicBool,
     wake: sys::WakeFd,
-    pushes: Mutex<Vec<P>>,
-}
-
-/// Cloneable publisher for server-push events. `send` returns false
-/// once the reactor is gone (callers should unsubscribe).
-pub struct PushHandle<P> {
-    ctl: Weak<Control<P>>,
-}
-
-impl<P> Clone for PushHandle<P> {
-    fn clone(&self) -> PushHandle<P> {
-        PushHandle {
-            ctl: self.ctl.clone(),
-        }
-    }
-}
-
-impl<P> PushHandle<P> {
-    pub fn send(&self, event: P) -> bool {
-        match self.ctl.upgrade() {
-            Some(ctl) => {
-                ctl.pushes.lock().expect("push queue poisoned").push(event);
-                ctl.wake.wake();
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 struct Work {
@@ -196,19 +153,20 @@ struct Done {
 
 /// A running reactor bound to an address. Dropping it stops the loop,
 /// closes every connection, and joins all threads.
-pub struct ReactorServer<P: Send + 'static> {
+pub struct ReactorServer {
     addr: SocketAddr,
-    ctl: Arc<Control<P>>,
+    ctl: Arc<Control>,
     reactor: Option<std::thread::JoinHandle<()>>,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl<P: Send + Clone + 'static> ReactorServer<P> {
+impl ReactorServer {
     /// Binds `addr` and starts the event loop plus dispatcher pool.
-    pub fn bind<S>(addr: &str, service: S, cfg: ReactorConfig) -> io::Result<ReactorServer<P>>
-    where
-        S: ReactorService<Push = P>,
-    {
+    pub fn bind<S: ReactorService>(
+        addr: &str,
+        service: S,
+        cfg: ReactorConfig,
+    ) -> io::Result<ReactorServer> {
         let poller = sys::Poller::new()?; // fails early on non-Linux
         let wake = sys::WakeFd::new()?;
         let listener = TcpListener::bind(addr)?;
@@ -218,15 +176,13 @@ impl<P: Send + Clone + 'static> ReactorServer<P> {
         let ctl = Arc::new(Control {
             stop: AtomicBool::new(false),
             wake,
-            pushes: Mutex::new(Vec::new()),
         });
         let service = Arc::new(service);
 
-        let dispatchers = cfg.dispatchers.max(1);
         let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let mut work_tx = Vec::with_capacity(dispatchers);
-        let mut dispatcher_threads = Vec::with_capacity(dispatchers);
-        for i in 0..dispatchers {
+        let mut work_tx = Vec::with_capacity(DISPATCHERS);
+        let mut dispatcher_threads = Vec::with_capacity(DISPATCHERS);
+        for i in 0..DISPATCHERS {
             let (tx, rx) = mpsc::channel::<Work>();
             work_tx.push(tx);
             let service = service.clone();
@@ -273,16 +229,9 @@ impl<P: Send + Clone + 'static> ReactorServer<P> {
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
-
-    /// Publisher for server-push events.
-    pub fn push_handle(&self) -> PushHandle<P> {
-        PushHandle {
-            ctl: Arc::downgrade(&self.ctl),
-        }
-    }
 }
 
-impl<P: Send + 'static> Drop for ReactorServer<P> {
+impl Drop for ReactorServer {
     fn drop(&mut self) {
         self.ctl.stop.store(true, Ordering::SeqCst);
         self.ctl.wake.wake();
@@ -301,7 +250,7 @@ fn dispatcher_loop<S: ReactorService>(
     rx: mpsc::Receiver<Work>,
     service: Arc<S>,
     done_tx: mpsc::Sender<Done>,
-    ctl: Arc<Control<S::Push>>,
+    ctl: Arc<Control>,
 ) {
     while let Ok(mut work) = rx.recv() {
         let inbound = work.inbound;
@@ -346,12 +295,6 @@ struct Conn {
     /// on a dispatcher (at most one per connection, which is what keeps
     /// per-session ordering intact).
     state: Option<ConnState>,
-    /// Loop-side mirror of the `ConnState` push flag (needed while the
-    /// state is traveling — e.g. a push event arriving mid-dispatch).
-    /// The wire surface is *not* mirrored: the decoder's mode is the
-    /// authoritative answer (a connection can be binary from its very
-    /// first byte, with no upgrade outcome ever setting a flag).
-    push: bool,
     out: Vec<u8>,
     sent: usize,
     read_closed: bool,
@@ -371,8 +314,8 @@ impl Conn {
     /// is in flight (a pipelined flood with nothing outstanding must
     /// not buffer unboundedly either). The decoder's progress bound
     /// keeps a single over-cap message assemblable.
-    fn input_paused(&self, in_cap: usize) -> bool {
-        self.decoder.buffered() > in_cap.max(self.decoder.progress_bound())
+    fn input_paused(&self) -> bool {
+        self.decoder.buffered() > IN_CAP.max(self.decoder.progress_bound())
     }
 }
 
@@ -412,7 +355,7 @@ struct Reactor<S: ReactorService> {
     /// throughout — the loop never sleeps inline.
     listener_paused_until: Option<Instant>,
     service: Arc<S>,
-    ctl: Arc<Control<S::Push>>,
+    ctl: Arc<Control>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     work_tx: Vec<mpsc::Sender<Work>>,
@@ -478,7 +421,6 @@ impl<S: ReactorService> Reactor<S> {
                 }
             }
             self.drain_completions();
-            self.drain_pushes();
             if let Some(deadline) = self.listener_paused_until {
                 if Instant::now() >= deadline {
                     self.listener_paused_until = None;
@@ -535,7 +477,6 @@ impl<S: ReactorService> Reactor<S> {
                             fd,
                             decoder: StreamDecoder::new(self.cfg.decoder.clone()),
                             state: Some(ConnState::default()),
-                            push: false,
                             out: Vec::new(),
                             sent: 0,
                             read_closed: false,
@@ -552,7 +493,7 @@ impl<S: ReactorService> Reactor<S> {
                     // EMFILE and friends: take the listener off the
                     // poller and re-arm it after a short backoff
                     // (handled in `run`). Sleeping here would stall
-                    // reads, writes, completions, and pushes for every
+                    // reads, writes and completions for every
                     // established connection — an fd-exhaustion attack
                     // must not become a periodic full-loop stall.
                     let _ = self.poller.delete(self.listener_fd);
@@ -586,12 +527,12 @@ impl<S: ReactorService> Reactor<S> {
             // lost by stopping early.
             let mut budget = READ_BUDGET_PER_WAKEUP;
             loop {
-                // Input cap: buffering more than `in_cap` unparsed
+                // Input cap: buffering more than `IN_CAP` unparsed
                 // bytes stops reads — in flight or not — so the kernel
                 // window fills and the peer blocks, which is the
                 // backpressure we want. (`update_interest` drops
                 // EPOLLIN while paused; draining completions re-arms.)
-                if budget == 0 || conn.input_paused(self.cfg.in_cap) {
+                if budget == 0 || conn.input_paused() {
                     break;
                 }
                 match read_step(&mut conn.stream, &mut chunk) {
@@ -736,7 +677,7 @@ impl<S: ReactorService> Reactor<S> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let paused = conn.input_paused(self.cfg.in_cap);
+        let paused = conn.input_paused();
         let mut interest = 0;
         if !conn.read_closed && !conn.close_after_flush && !paused {
             interest |= sys::EPOLLIN | sys::EPOLLRDHUP;
@@ -764,7 +705,6 @@ impl<S: ReactorService> Reactor<S> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // connection died while its message was in flight
         };
-        conn.push = done.state.push;
         conn.state = Some(done.state);
         if !done.outcome.reply.is_empty() {
             conn.out.extend_from_slice(&done.outcome.reply);
@@ -802,45 +742,6 @@ impl<S: ReactorService> Reactor<S> {
         self.pump(token);
     }
 
-    fn drain_pushes(&mut self) {
-        let pending: Vec<S::Push> = {
-            let mut q = self.ctl.pushes.lock().expect("push queue poisoned");
-            std::mem::take(&mut *q)
-        };
-        if pending.is_empty() {
-            return;
-        }
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for event in pending {
-            for &token in &tokens {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    continue;
-                };
-                if !conn.push || conn.close_after_flush {
-                    continue;
-                }
-                // The decoder's mode — not an upgrade flag — decides the
-                // push encoding: a connection whose *first byte* was the
-                // frame magic is binary without ever passing through the
-                // JSON→binary upgrade outcome, and an NDJSON line
-                // spliced into its AWR2 stream would corrupt framing.
-                let frames = conn.decoder.is_frames();
-                let Some(bytes) = self.service.encode_push(frames, &event) else {
-                    continue;
-                };
-                conn.out.extend_from_slice(&bytes);
-                self.service.on_push_frame();
-                if conn.out_len() > self.cfg.out_cap {
-                    self.close(token);
-                    continue;
-                }
-                if self.flush(token) {
-                    self.update_interest(token);
-                }
-            }
-        }
-    }
-
     fn reap_idle(&mut self, idle: Duration) {
         let now = Instant::now();
         let stale: Vec<u64> = self
@@ -873,32 +774,22 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
 
-    /// A toy line protocol: `sub` subscribes to pushes, `quit` closes,
-    /// anything else echoes. Exercises the loop without aware-serve.
+    /// A toy line protocol: `quit` closes, anything else echoes.
+    /// Exercises the loop without aware-serve.
     struct Echo;
 
     impl ReactorService for Echo {
-        type Push = String;
-
-        fn handle(&self, state: &mut ConnState, inbound: Inbound) -> Outcome {
+        fn handle(&self, _state: &mut ConnState, inbound: Inbound) -> Outcome {
             match inbound {
-                Inbound::Line(l) if l == "sub" => {
-                    state.push = true;
-                    Outcome::reply(b"subscribed\n".to_vec())
-                }
                 Inbound::Line(l) if l == "quit" => Outcome::close_with(b"bye\n".to_vec()),
                 Inbound::Line(l) => Outcome::reply(format!("echo {l}\n").into_bytes()),
                 Inbound::LineTooLong => Outcome::reply(b"too-long\n".to_vec()),
                 _ => Outcome::close_with(Vec::new()),
             }
         }
-
-        fn encode_push(&self, _frames: bool, event: &String) -> Option<Vec<u8>> {
-            Some(format!("push {event}\n").into_bytes())
-        }
     }
 
-    fn connect(server: &ReactorServer<String>) -> TcpStream {
+    fn connect(server: &ReactorServer) -> TcpStream {
         TcpStream::connect(server.local_addr()).unwrap()
     }
 
@@ -943,49 +834,6 @@ mod tests {
         assert_eq!(line, "bye\n");
         line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
-    }
-
-    #[test]
-    fn push_events_reach_only_subscribers() {
-        let server = ReactorServer::bind("127.0.0.1:0", Echo, ReactorConfig::default()).unwrap();
-        let push = server.push_handle();
-
-        let sub = connect(&server);
-        let mut sub_reader = BufReader::new(sub.try_clone().unwrap());
-        let mut sub_w = sub.try_clone().unwrap();
-        sub_w.write_all(b"sub\n").unwrap();
-        let mut line = String::new();
-        sub_reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "subscribed\n");
-
-        let bystander = connect(&server);
-        bystander
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        let mut bystander_reader = BufReader::new(bystander.try_clone().unwrap());
-
-        assert!(push.send("evicted".into()));
-        line.clear();
-        sub_reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "push evicted\n");
-
-        line.clear();
-        let err = bystander_reader.read_line(&mut line).unwrap_err();
-        assert!(
-            matches!(
-                err.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ),
-            "bystander unexpectedly got: {line:?} / {err:?}"
-        );
-    }
-
-    #[test]
-    fn push_send_fails_after_shutdown() {
-        let server = ReactorServer::bind("127.0.0.1:0", Echo, ReactorConfig::default()).unwrap();
-        let push = server.push_handle();
-        drop(server);
-        assert!(!push.send("late".into()));
     }
 
     #[test]

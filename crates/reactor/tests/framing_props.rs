@@ -14,7 +14,8 @@
 //!    blocking thread-per-connection front end and the reactor front
 //!    end over identically-seeded services — the reply byte streams
 //!    must match byte for byte, on every surface (v1 NDJSON, v2 JSON,
-//!    v2 binary, and the mid-stream upgrade). Both fronts drive one
+//!    v2 binary, and the mid-stream upgrade), whether or not the hello
+//!    requests server push (both fronts decline it). Both fronts drive one
 //!    protocol handler, so this layer checks the two transports; the
 //!    handler itself is checked against bytes captured before it was
 //!    shared, in `crates/serve/tests/connection_corpus.rs`.
@@ -290,18 +291,15 @@ impl Lcg {
 
 /// Builds one pipelined transcript: raw bytes to write, given the
 /// session ids this connection will create (ids are allocated
-/// sequentially per service, so the caller pre-computes them).
-fn build_transcript(rng: &mut Lcg, surface: Surface, first_session: u64) -> Vec<u8> {
+/// sequentially per service, so the caller pre-computes them). `push`
+/// sets the hello's push request, if the surface has a hello.
+fn build_transcript(rng: &mut Lcg, surface: Surface, push: bool, first_session: u64) -> Vec<u8> {
     let mut out = Vec::new();
     let hello = |encoding: Encoding| Envelope::Hello {
         id: Some(0),
         version: PROTOCOL_VERSION,
         encoding,
-        // Identity across front ends requires declining push: granting
-        // is the one deliberate behavioural difference (the reactor
-        // grants, the blocking front declines) and is pinned by a
-        // directed test in the serve crate instead.
-        push: false,
+        push,
     };
     let binary = match surface {
         Surface::V1 => false,
@@ -414,10 +412,7 @@ fn replay(addr: SocketAddr, chunks: &[Vec<u8>]) -> Vec<u8> {
 /// seeded.
 type FrontPair = (
     (Service, TcpServer),
-    (
-        Service,
-        aware_reactor::ReactorServer<aware_serve::proto::PushEvent>,
-    ),
+    (Service, aware_reactor::ReactorServer),
 );
 
 fn identical_pair() -> FrontPair {
@@ -456,12 +451,13 @@ proptest! {
             Surface::V2Binary,
             Surface::Upgrade,
         ][rng.pick(4)];
+        let push = rng.pick(2) == 0;
         // Up to 2 sessions are created per transcript; reserve both ids
         // whether or not the second create is drawn, so the prediction
         // can never drift from the services' global counters.
         let first_session =
             NEXT_SESSION.fetch_add(2, std::sync::atomic::Ordering::SeqCst);
-        let transcript = build_transcript(&mut rng, surface, first_session);
+        let transcript = build_transcript(&mut rng, surface, push, first_session);
 
         // Different chunkings per side on purpose: byte-boundary splits
         // must be unobservable in the reply stream.
@@ -474,8 +470,8 @@ proptest! {
         let got = replay(pair.1 .1.local_addr(), &reactor_chunks);
         prop_assert_eq!(
             &got, &expect,
-            "reply streams diverged (surface {:?}, seed {}, transcript {} bytes)",
-            surface, seed, transcript.len()
+            "reply streams diverged (surface {:?}, push {}, seed {}, transcript {} bytes)",
+            surface, push, seed, transcript.len()
         );
         prop_assert!(!expect.is_empty(), "transcript produced no replies");
     }

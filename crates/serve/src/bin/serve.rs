@@ -10,10 +10,9 @@
 //!
 //! `--reactor` swaps the thread-per-connection front end for the
 //! epoll-based event loop in `aware-reactor`: thousands of mostly-idle
-//! connections on a handful of threads, and server-push frames
-//! (eviction notices, cache resets) for clients that opt in via the
-//! hello `push` capability. The wire protocol is byte-identical
-//! either way.
+//! connections on a handful of threads. The wire protocol is
+//! byte-identical either way; both fronts decline a hello's `push`
+//! request, since no server pushes.
 //!
 //! Observability: `--log-level` (debug|info|warn|error, default info)
 //! and `--log-json` control the structured stderr logger; `--slow-ms`

@@ -13,9 +13,9 @@
 //! [`decoder_config`]: the thread-per-connection front
 //! ([`crate::tcp`]) pumps a blocking socket through it, and the reactor
 //! front ([`crate::reactor_front`]) hands it messages from the event
-//! loop. The one difference between them is the push capability, which
-//! a handler grants only when its transport can deliver unsolicited
-//! frames — see [`Handler::new`].
+//! loop. Neither transport sends anything but replies, so both answer
+//! every message alike — a hello's `push` request included, which the
+//! ack always declines.
 
 use crate::error::{ErrorCode, ServeError};
 use crate::frame::{self, HEADER_LEN, MAX_FRAME_BYTES};
@@ -43,17 +43,11 @@ pub(crate) fn decoder_config() -> DecoderConfig {
 /// The protocol handler over a [`Dispatch`].
 pub(crate) struct Handler<H> {
     handle: H,
-    push: bool,
 }
 
 impl<H: Dispatch> Handler<H> {
-    /// `push` says whether the transport can deliver frames nobody
-    /// asked for: a hello's push request is granted only then (and
-    /// only if the dispatcher emits events). The blocking front parks
-    /// a thread in a read between requests, so it has nowhere to push
-    /// from; the reactor front writes whenever its loop pleases.
-    pub(crate) fn new(handle: H, push: bool) -> Handler<H> {
-        Handler { handle, push }
+    pub(crate) fn new(handle: H) -> Handler<H> {
+        Handler { handle }
     }
 
     /// The dispatcher's counter block, for transport-level accounting.
@@ -96,11 +90,10 @@ impl<H: Dispatch> Handler<H> {
                 id,
                 version,
                 encoding,
-                push,
+                ..
             }) => match negotiate(version, encoding, surface) {
                 Ok(()) => {
                     state.greeted = true;
-                    state.push = push && self.push && self.handle.push_supported();
                     // The ack is the last JSON line of an upgrading
                     // connection; frames from here on, both directions.
                     upgrade_to_frames = surface == Encoding::Json && encoding == Encoding::Binary;
@@ -109,7 +102,8 @@ impl<H: Dispatch> Handler<H> {
                         version: PROTOCOL_VERSION,
                         encoding,
                         max_frame: MAX_FRAME_BYTES as u64,
-                        push: state.push,
+                        // No server pushes: a request for it is declined.
+                        push: false,
                     }
                 }
                 Err(e) => self.error(id, e),

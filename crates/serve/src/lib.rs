@@ -41,8 +41,8 @@
 //!   through `conn`) and a reference client with pipelined batches.
 //! * [`reactor_front`] — the same handler behind the `aware-reactor`
 //!   epoll event loop (`--reactor` on the binary): thousands of
-//!   mostly-idle connections on a handful of threads, plus server-push
-//!   frames (eviction notices, cache resets) to subscribed clients.
+//!   mostly-idle connections on a handful of threads, answering
+//!   exactly as the blocking front does.
 //! * [`snapshot`] — the durable `AWRS` session-snapshot codec
 //!   (versioned, length-prefixed, checksummed; reuses the wire's tag
 //!   codec) and [`store`] — the write-ahead snapshot directory

@@ -145,18 +145,11 @@ pub struct Batch {
 /// A v2 request envelope: everything a client can put on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Envelope {
-    /// Version/encoding negotiation. `push` opts into server-push
-    /// frames (id-0 envelopes); this server decodes it leniently — the
-    /// seventh no-version-bump extension. The leniency is asymmetric
-    /// across surfaces, though: on JSON, pre-push servers ignore the
-    /// unknown `"push"` field and simply never grant it, but on the
-    /// binary surface a pre-push server's strict `Reader::finish()`
-    /// rejects the trailing capability byte as "trailing bytes", so a
-    /// binary-native hello requesting push fails the whole handshake
-    /// against an older server. Clients that must interoperate with
-    /// old servers should request push over a JSON hello (upgrading to
-    /// binary via the ack), which is exactly what [`crate::tcp::Client`]
-    /// does.
+    /// Version/encoding negotiation. `push` is a retired request for
+    /// server-push frames: it is still decoded leniently (an optional
+    /// JSON field, an optional trailing binary byte) so hellos from
+    /// clients that set it keep working, and every server declines it
+    /// in its ack. [`crate::tcp::Client`] never sets it.
     Hello {
         id: Option<u64>,
         version: u32,
@@ -182,9 +175,8 @@ pub enum Reply {
         version: u32,
         encoding: Encoding,
         max_frame: u64,
-        /// True when the server granted the push capability (requires
-        /// both the client asking and a front end that can deliver
-        /// unsolicited frames — the reactor).
+        /// Whether the server granted server push. Always false: no
+        /// front end pushes; the field stays for wire compatibility.
         push: bool,
     },
     /// Ordered responses, one per batch item, with item ids echoed.
@@ -1099,9 +1091,9 @@ message_table! {
         19 "gossip" Gossip { from: String, generation: u64, members: Vec<MemberInfo> },
     }
     responses {
-        /// An unsolicited server-push notification, delivered as an id-0
-        /// envelope to connections that negotiated the push capability.
-        /// Never sent in answer to a command.
+        /// A retired server-push notification (an id-0 envelope). No
+        /// server emits it any more; the row keeps its codec so captured
+        /// corpora still decode, and tag 18 is never reused.
         18 "push" Push(push: PushEvent),
         7 "stats" Stats(stats: Box<StatsSnapshot>),
         /// The complete `AWRS` snapshot image of a just-exported (and now
@@ -1509,7 +1501,9 @@ scalar_table! {
     /// 0 under thread-per-connection.
     reactor_connections: Lenient, Sum, Gauge, "Connections currently open on the reactor front end.";
     reactor_wakeups: Lenient, Sum, Counter, "Readiness wakeups the reactor event loop has serviced.";
-    push_frames: Lenient, Sum, Counter, "Server-push frames delivered to subscribed connections.";
+    /// Retired with server push: always 0. The slot stays so the wire
+    /// layout and exposition do not move.
+    push_frames: Lenient, Sum, Counter, "Retired (always 0): no front end pushes frames; every hello's push request is declined.";
     /// Retired with the worker pool's deficit round-robin: always 0.
     /// The slot stays so the wire layout and exposition do not move.
     drr_deferrals: Lenient, Sum, Counter, "Retired (always 0): commands now run on their caller's thread, with no worker queue to defer.";
@@ -1538,7 +1532,8 @@ impl StatsSnapshot {
     }
 }
 
-/// What a push-subscribed connection can be told without asking.
+/// The payload of the retired [`Response::Push`] row; kept only so its
+/// codec still decodes captured frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PushEvent {
     /// A session was evicted from memory (`reason` is `"idle"` or

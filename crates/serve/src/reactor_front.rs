@@ -4,41 +4,19 @@
 //! One protocol handler, two transports: the loop decodes each
 //! connection's bytes with the same decoder the blocking front feeds
 //! and hands every message to the same `conn::Handler`,
-//! so both fronts answer alike by construction. This module is only
-//! the glue — `ReactorService` for the handler, the config, binding,
-//! and push delivery.
-//!
-//! Push is the one sanctioned difference: this loop can write to a
-//! connection at any time, so its handler is built to *grant* the hello
-//! `push` capability (when the dispatcher supports it), while the
-//! blocking front's declines it. Granted connections receive eviction
-//! notices and cache-reset announcements as id-0 envelopes — see
-//! [`crate::proto::PushEvent`].
+//! so both fronts answer alike by construction, a hello's `push`
+//! request included (both decline it). This module is only the glue —
+//! `ReactorService` for the handler, the config and binding.
 
-use crate::conn::{decoder_config, encode_reply, Handler};
-use crate::proto::{Encoding, PushEvent, Reply, Response, Stat};
+use crate::conn::{decoder_config, Handler};
+use crate::proto::Stat;
 use crate::service::Dispatch;
 use crate::tcp::TcpServer;
 use aware_reactor::{ConnState, Inbound, Outcome, ReactorConfig, ReactorServer, ReactorService};
 
 impl<H: Dispatch + Send + Sync + 'static> ReactorService for Handler<H> {
-    type Push = PushEvent;
-
     fn handle(&self, state: &mut ConnState, inbound: Inbound) -> Outcome {
         self.respond(state, inbound)
-    }
-
-    fn encode_push(&self, frames: bool, event: &PushEvent) -> Option<Vec<u8>> {
-        let surface = if frames {
-            Encoding::Binary
-        } else {
-            Encoding::Json
-        };
-        let reply = Reply::Single {
-            id: Some(0),
-            response: Response::Push(event.clone()),
-        };
-        Some(encode_reply(surface, &reply))
     }
 
     fn on_wakeup(&self) {
@@ -52,10 +30,6 @@ impl<H: Dispatch + Send + Sync + 'static> ReactorService for Handler<H> {
     fn on_conn_close(&self) {
         self.metrics().reactor_conn_closed();
     }
-
-    fn on_push_frame(&self) {
-        self.metrics().inc(Stat::push_frames);
-    }
 }
 
 /// The reactor config carrying the protocol limits both fronts
@@ -67,11 +41,10 @@ pub fn proto_reactor_config() -> ReactorConfig {
     }
 }
 
-/// Binds the reactor front end on `addr` and wires the dispatcher's
-/// push events through to subscribed connections.
-pub fn bind_reactor<H>(addr: &str, handle: H) -> std::io::Result<ReactorServer<PushEvent>>
+/// Binds the reactor front end on `addr` over the dispatcher.
+pub fn bind_reactor<H>(addr: &str, handle: H) -> std::io::Result<ReactorServer>
 where
-    H: Dispatch + Clone + Send + Sync + 'static,
+    H: Dispatch + Send + Sync + 'static,
 {
     bind_reactor_with(addr, handle, proto_reactor_config())
 }
@@ -82,20 +55,11 @@ pub fn bind_reactor_with<H>(
     addr: &str,
     handle: H,
     cfg: ReactorConfig,
-) -> std::io::Result<ReactorServer<PushEvent>>
+) -> std::io::Result<ReactorServer>
 where
-    H: Dispatch + Clone + Send + Sync + 'static,
+    H: Dispatch + Send + Sync + 'static,
 {
-    // The sink has to be registered *after* binding — the push handle
-    // only exists once the server does. Events emitted in the gap are
-    // dropped, which is fine: no connection can have subscribed yet.
-    let subscriber = handle.clone();
-    let server = ReactorServer::bind(addr, Handler::new(handle, true), cfg)?;
-    if subscriber.push_supported() {
-        let push = server.push_handle();
-        subscriber.subscribe_push(Box::new(move |event: &PushEvent| push.send(event.clone())));
-    }
-    Ok(server)
+    ReactorServer::bind(addr, Handler::new(handle), cfg)
 }
 
 /// Either front end behind one type, so binaries can pick at runtime
@@ -104,7 +68,7 @@ pub enum ServerFront {
     /// Thread-per-connection (the default): [`crate::tcp::TcpServer`].
     Thread(TcpServer),
     /// Readiness-based event loop: [`ReactorServer`].
-    Reactor(ReactorServer<PushEvent>),
+    Reactor(ReactorServer),
 }
 
 impl ServerFront {
@@ -136,7 +100,7 @@ impl ServerFront {
 mod tests {
     use super::*;
     use crate::frame::MAX_FRAME_BYTES;
-    use crate::proto::{Command, Envelope, PolicySpec};
+    use crate::proto::{Command, Encoding, Envelope, PolicySpec, Reply, Response};
     use crate::service::{Service, ServiceConfig};
     use crate::tcp::Client;
     use crate::wire;
@@ -196,61 +160,68 @@ mod tests {
         }
     }
 
+    /// Sends `hello` (a JSON line or a binary-native frame) on a fresh
+    /// connection and returns the raw bytes of the one reply.
+    fn hello_reply_bytes(addr: std::net::SocketAddr, hello: &Envelope, frames: bool) -> Vec<u8> {
+        use std::io::{BufRead, BufReader, Write};
+        let mut sock = std::net::TcpStream::connect(addr).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(sock.try_clone().expect("clone"));
+        if frames {
+            crate::frame::write_frame(&mut sock, &wire::encode_envelope(hello))
+                .expect("write hello frame");
+            match crate::frame::read_frame(&mut reader, MAX_FRAME_BYTES).expect("read frame") {
+                crate::frame::FrameRead::Frame(payload) => payload,
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        } else {
+            sock.write_all(format!("{}\n", hello.encode_line()).as_bytes())
+                .expect("write hello line");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read ack line");
+            line.into_bytes()
+        }
+    }
+
     #[test]
-    fn reactor_grants_push_and_blocking_declines_it() {
+    fn both_fronts_decline_push() {
+        use crate::proto::PROTOCOL_VERSION;
         let service = test_service(ServiceConfig::default());
         let handle = service.handle();
         let reactor = bind_reactor("127.0.0.1:0", handle.clone()).expect("bind reactor");
         let thread = TcpServer::bind("127.0.0.1:0", handle).expect("bind thread front");
 
-        for encoding in [Encoding::Json, Encoding::Binary] {
-            let mut c = Client::connect(reactor.local_addr()).expect("connect");
-            assert!(
-                c.hello_push(encoding).expect("hello"),
-                "reactor front grants push ({encoding:?})"
-            );
-
-            // Not requested → not granted, even where it could be.
-            let mut c = Client::connect(reactor.local_addr()).expect("connect");
-            c.hello(encoding).expect("hello");
-            assert!(!c.push_granted(), "push must be opt-in ({encoding:?})");
-
-            let mut c = Client::connect(thread.local_addr()).expect("connect");
-            assert!(
-                !c.hello_push(encoding).expect("hello"),
-                "blocking front declines push ({encoding:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn subscribed_connection_receives_idle_eviction_pushes() {
-        let service = test_service(ServiceConfig {
-            idle_timeout: Duration::from_millis(1),
-            sweep_interval: Some(Duration::from_millis(10)),
-            ..ServiceConfig::default()
-        });
-        let server = bind_reactor("127.0.0.1:0", service.handle()).expect("bind reactor");
-
-        for encoding in [Encoding::Json, Encoding::Binary] {
-            let mut c = Client::connect(server.local_addr()).expect("connect");
-            assert!(c.hello_push(encoding).expect("hello"));
-            let sid = create(&mut c);
-            // The session goes idle immediately; the sweeper evicts it
-            // and the eviction notice arrives as an id-0 push frame.
-            let event = c.recv_push().expect("push event");
-            match event {
-                PushEvent::SessionEvicted { session, reason } => {
-                    assert_eq!(session, sid);
-                    assert_eq!(reason, "idle");
-                }
-                other => panic!("unexpected push: {other:?}"),
+        for (encoding, frames) in [(Encoding::Json, false), (Encoding::Binary, true)] {
+            let hello = Envelope::Hello {
+                id: Some(9),
+                version: PROTOCOL_VERSION,
+                encoding,
+                push: true,
+            };
+            let from_reactor = hello_reply_bytes(reactor.local_addr(), &hello, frames);
+            let from_thread = hello_reply_bytes(thread.local_addr(), &hello, frames);
+            assert_eq!(from_reactor, from_thread, "same ack bytes ({encoding:?})");
+            let ack = if frames {
+                wire::decode_reply(&from_reactor)
+            } else {
+                let line = String::from_utf8(from_reactor).unwrap();
+                assert!(!line.contains("push"), "{line}");
+                Reply::decode_line(&line)
+            };
+            match ack.expect("decode ack") {
+                Reply::HelloAck {
+                    id: Some(9),
+                    push: false,
+                    ..
+                } => {}
+                other => panic!("expected a push-declining ack, got {other:?}"),
             }
         }
     }
 
     #[test]
-    fn binary_native_subscriber_receives_pushes_as_frames() {
+    fn declined_push_connection_reads_only_replies_after_an_idle_eviction() {
         use crate::proto::PROTOCOL_VERSION;
         use std::io::BufReader;
 
@@ -261,42 +232,37 @@ mod tests {
         });
         let server = bind_reactor("127.0.0.1:0", service.handle()).expect("bind reactor");
 
-        // The hello itself goes out as an AWR2 frame — the connection
-        // is binary from its first byte, so it never passes through the
-        // JSON→binary upgrade path. Pushes must still arrive framed:
-        // an NDJSON line spliced into this stream would corrupt framing
-        // ("bad frame magic") and kill the connection.
+        // Binary from its first byte: the hello itself is an AWR2 frame,
+        // asking for push.
         let sock = std::net::TcpStream::connect(server.local_addr()).expect("connect");
         sock.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut writer = sock.try_clone().expect("clone");
         let mut reader = BufReader::new(sock);
-        let hello = wire::encode_envelope(&Envelope::Hello {
-            id: Some(1),
-            version: PROTOCOL_VERSION,
-            encoding: Encoding::Binary,
-            push: true,
-        });
-        crate::frame::write_frame(&mut writer, &hello).expect("write hello frame");
-
-        let read_reply =
-            |reader: &mut BufReader<std::net::TcpStream>| match crate::frame::read_frame(
-                reader,
-                MAX_FRAME_BYTES,
-            )
-            .expect("read frame")
-            {
+        let mut send = |envelope: &Envelope| {
+            crate::frame::write_frame(&mut writer, &wire::encode_envelope(envelope))
+                .expect("write frame")
+        };
+        let mut read_reply =
+            || match crate::frame::read_frame(&mut reader, MAX_FRAME_BYTES).expect("read frame") {
                 crate::frame::FrameRead::Frame(payload) => {
                     wire::decode_reply(&payload).expect("decode reply")
                 }
                 other => panic!("expected a frame, got {other:?}"),
             };
-        match read_reply(&mut reader) {
-            Reply::HelloAck { push: true, .. } => {}
-            other => panic!("expected push-granting ack, got {other:?}"),
+
+        send(&Envelope::Hello {
+            id: Some(1),
+            version: PROTOCOL_VERSION,
+            encoding: Encoding::Binary,
+            push: true,
+        });
+        match read_reply() {
+            Reply::HelloAck { push: false, .. } => {}
+            other => panic!("expected a push-declining ack, got {other:?}"),
         }
 
-        let payload = wire::encode_envelope(&Envelope::Single {
+        send(&Envelope::Single {
             id: Some(2),
             cmd: Command::CreateSession {
                 dataset: "census".into(),
@@ -304,8 +270,7 @@ mod tests {
                 policy: PolicySpec::Fixed { gamma: 10.0 },
             },
         });
-        crate::frame::write_frame(&mut writer, &payload).expect("write create");
-        let created = match read_reply(&mut reader) {
+        let created = match read_reply() {
             Reply::Single {
                 id: Some(2),
                 response: Response::SessionCreated { session, .. },
@@ -313,18 +278,35 @@ mod tests {
             other => panic!("create failed: {other:?}"),
         };
 
-        // The idle sweeper evicts the session; the notice must arrive
-        // as a well-formed id-0 *frame* on this never-upgraded binary
-        // connection.
-        match read_reply(&mut reader) {
-            Reply::Single {
-                id: Some(0),
-                response: Response::Push(PushEvent::SessionEvicted { session, reason }),
-            } => {
-                assert_eq!(session, created);
-                assert_eq!(reason, "idle");
+        // Wait, on another connection, until the sweeper has evicted the
+        // session.
+        let mut watcher = Client::connect(server.local_addr()).expect("connect");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            match watcher.call(&Command::Stats).expect("stats") {
+                Response::Stats(s) if s.sessions_evicted >= 1 => break,
+                Response::Stats(_) => {}
+                other => panic!("{other:?}"),
             }
-            other => panic!("expected framed eviction push, got {other:?}"),
+            assert!(
+                std::time::Instant::now() < deadline,
+                "session never evicted"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // Nothing was queued for this connection in between: the next
+        // frame it reads answers its next request.
+        send(&Envelope::Single {
+            id: Some(3),
+            cmd: Command::Gauge { session: created },
+        });
+        match read_reply() {
+            Reply::Single {
+                id: Some(3),
+                response: Response::Error(e),
+            } => assert_eq!(e.code, crate::error::ErrorCode::UnknownSession, "{e:?}"),
+            other => panic!("expected the answer to request 3, got {other:?}"),
         }
     }
 
@@ -347,7 +329,6 @@ mod tests {
             Response::Stats(s) => assert!(s.sessions_evicted >= 1),
             other => panic!("{other:?}"),
         }
-        assert!(c.take_pushes().is_empty());
     }
 
     #[test]

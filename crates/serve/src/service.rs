@@ -239,26 +239,7 @@ struct Inner {
     /// advertising healthy stats — which is what lets a cluster
     /// router's health probe see an in-process shard death.
     shutting_down: AtomicBool,
-    /// Server-push sinks registered by push-capable front ends (the
-    /// reactor). Each sink delivers one event toward one subscribed
-    /// connection and returns `false` when that connection is gone, at
-    /// which point the sink is dropped. Emission is best-effort and
-    /// out of every hot path: only evictions and dataset replacement
-    /// fan out here.
-    push_sinks: Mutex<Vec<PushSink>>,
     config: ServiceConfig,
-}
-
-/// One registered server-push sink: delivers an event toward one
-/// subscribed connection, returning `false` once that connection is
-/// gone.
-pub type PushSink = Box<dyn Fn(&crate::proto::PushEvent) -> bool + Send + Sync>;
-
-/// Fans one push event out to every registered sink, dropping sinks
-/// whose connection has gone away.
-fn emit_push(inner: &Inner, event: &crate::proto::PushEvent) {
-    let mut sinks = inner.push_sinks.lock().unwrap();
-    sinks.retain(|sink| sink(event));
 }
 
 impl Inner {
@@ -413,7 +394,7 @@ pub trait Dispatch {
     fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response>;
     /// The counter block the wire front ends record into: messages
     /// per surface, protocol errors, reply encode time, and the
-    /// reactor's connection/wakeup/push accounting.
+    /// reactor's connection/wakeup accounting.
     fn metrics(&self) -> &Metrics;
     /// [`Dispatch::call_traced`] under a freshly minted trace id.
     fn call(&self, cmd: Command) -> Response {
@@ -422,20 +403,6 @@ pub trait Dispatch {
     /// [`Dispatch::call_batch_traced`] under a freshly minted trace id.
     fn call_batch_mode(&self, cmds: Vec<Command>, mode: BatchMode) -> Vec<Response> {
         self.call_batch_traced(cmds, mode, aware_obs::trace::next_trace_id())
-    }
-    /// Whether this dispatcher can emit server-push events. The hello
-    /// `push` capability is only granted when the front end can deliver
-    /// frames asynchronously *and* this returns true. Default: no —
-    /// a dispatcher (like a cluster router) that never pushes keeps
-    /// compiling unchanged.
-    fn push_supported(&self) -> bool {
-        false
-    }
-    /// Registers a sink for push events. The sink returns `false` when
-    /// its connection is gone and should be dropped. The default drops
-    /// the sink immediately, matching `push_supported() == false`.
-    fn subscribe_push(&self, sink: Box<dyn Fn(&crate::proto::PushEvent) -> bool + Send + Sync>) {
-        drop(sink);
     }
 }
 
@@ -457,14 +424,6 @@ impl Dispatch for ServiceHandle {
 
     fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response> {
         ServiceHandle::call_batch_traced(self, cmds, mode, trace)
-    }
-
-    fn push_supported(&self) -> bool {
-        true
-    }
-
-    fn subscribe_push(&self, sink: Box<dyn Fn(&crate::proto::PushEvent) -> bool + Send + Sync>) {
-        self.inner.push_sinks.lock().unwrap().push(sink);
     }
 }
 
@@ -679,29 +638,14 @@ impl ServiceHandle {
     /// ever re-scanning the data).
     pub fn register_shared(&self, name: impl Into<String>, table: Arc<Table>) {
         let fingerprint = table.fingerprint();
-        let name = name.into();
-        let replaced = self
-            .inner
-            .datasets
-            .write()
-            .unwrap()
-            .insert(
-                name.clone(),
-                Dataset {
-                    table,
-                    cache: Arc::new(EvalCache::new()),
-                    fingerprint,
-                },
-            )
-            .is_some();
-        // Replacing a dataset resets its evaluation cache; subscribed
-        // clients holding warm assumptions about it get told.
-        if replaced {
-            emit_push(
-                &self.inner,
-                &crate::proto::PushEvent::CacheReset { dataset: name },
-            );
-        }
+        self.inner.datasets.write().unwrap().insert(
+            name.into(),
+            Dataset {
+                table,
+                cache: Arc::new(EvalCache::new()),
+                fingerprint,
+            },
+        );
     }
 
     /// Registered dataset names, sorted.
@@ -921,7 +865,6 @@ impl Service {
             replicas: Mutex::new(replicas),
             gossip: Mutex::new((0, Vec::new())),
             shutting_down: AtomicBool::new(false),
-            push_sinks: Mutex::new(Vec::new()),
             config,
         });
 
@@ -1024,13 +967,6 @@ fn sweep_idle(inner: &Inner) -> usize {
         // merely stale, and overwritten on its next spill).
         if spill_to_disk(inner, id, || inner.registry.remove_if_idle(id, cutoff)) {
             inner.metrics.inc(Stat::sessions_evicted);
-            emit_push(
-                inner,
-                &crate::proto::PushEvent::SessionEvicted {
-                    session: id,
-                    reason: "idle".into(),
-                },
-            );
             evicted += 1;
         }
     }
@@ -1379,8 +1315,7 @@ fn ensure_capacity(inner: &Inner) -> Result<(), Response> {
     let mut attempts = 0;
     while inner.registry.len() >= inner.config.max_sessions {
         attempts += 1;
-        let victim_info = inner.registry.lru_candidate();
-        let evicted = match victim_info {
+        let evicted = match inner.registry.lru_candidate() {
             Some((victim, observed_seq)) => {
                 // Spill before unlinking: LRU eviction parks the
                 // victim's wealth on disk. A session touched (and
@@ -1395,15 +1330,6 @@ fn ensure_capacity(inner: &Inner) -> Result<(), Response> {
         };
         if evicted {
             inner.metrics.inc(Stat::sessions_evicted);
-            if let Some((victim, _)) = victim_info {
-                emit_push(
-                    inner,
-                    &crate::proto::PushEvent::SessionEvicted {
-                        session: victim,
-                        reason: "lru".into(),
-                    },
-                );
-            }
         } else if attempts >= 16 {
             inner.metrics.inc(Stat::overloaded);
             return Err(Response::Error(ServeError {
@@ -3479,90 +3405,5 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
-    }
-
-    #[test]
-    fn push_sinks_see_idle_evictions_and_are_dropped_when_dead() {
-        let service = test_service(ServiceConfig {
-            idle_timeout: Duration::from_millis(1),
-            sweep_interval: None,
-            ..ServiceConfig::default()
-        });
-        let h = service.handle();
-        let sid = create(&h);
-
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let sink_events = events.clone();
-        h.subscribe_push(Box::new(move |e| {
-            sink_events.lock().unwrap().push(e.clone());
-            true
-        }));
-        // A second sink that reports itself dead on first delivery.
-        let dead_calls = Arc::new(AtomicU64::new(0));
-        let dead_count = dead_calls.clone();
-        h.subscribe_push(Box::new(move |_| {
-            dead_count.fetch_add(1, Ordering::SeqCst);
-            false
-        }));
-        assert_eq!(h.inner.push_sinks.lock().unwrap().len(), 2);
-
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(h.sweep_idle(), 1);
-        let seen = events.lock().unwrap().clone();
-        assert!(
-            seen.iter().any(|e| matches!(
-                e,
-                crate::proto::PushEvent::SessionEvicted { session, reason }
-                    if *session == sid && reason == "idle"
-            )),
-            "{seen:?}"
-        );
-        // The dead sink was called once and dropped.
-        assert_eq!(dead_calls.load(Ordering::SeqCst), 1);
-        assert_eq!(h.inner.push_sinks.lock().unwrap().len(), 1);
-
-        // Replacing a dataset announces a cache reset to the survivor.
-        h.register_table("census", CensusGenerator::new(7).generate(100));
-        let seen = events.lock().unwrap().clone();
-        assert!(
-            seen.iter().any(|e| matches!(
-                e,
-                crate::proto::PushEvent::CacheReset { dataset } if dataset == "census"
-            )),
-            "{seen:?}"
-        );
-        assert_eq!(
-            dead_calls.load(Ordering::SeqCst),
-            1,
-            "dead sink stays dropped"
-        );
-    }
-
-    #[test]
-    fn lru_eviction_pushes_a_session_evicted_event() {
-        let service = test_service(ServiceConfig {
-            max_sessions: 2,
-            ..ServiceConfig::default()
-        });
-        let h = service.handle();
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let sink_events = events.clone();
-        h.subscribe_push(Box::new(move |e| {
-            sink_events.lock().unwrap().push(e.clone());
-            true
-        }));
-        let first = create(&h);
-        let _second = create(&h);
-        // Capacity is full: the third creation evicts the LRU (first).
-        let _third = create(&h);
-        let seen = events.lock().unwrap().clone();
-        assert!(
-            seen.iter().any(|e| matches!(
-                e,
-                crate::proto::PushEvent::SessionEvicted { session, reason }
-                    if *session == first && reason == "lru"
-            )),
-            "{seen:?}"
-        );
     }
 }

@@ -7,9 +7,7 @@
 //! socket and runs its commands through the [`ServiceHandle`]: a blocking
 //! read feeds the same incremental decoder the reactor front uses,
 //! each decoded message goes through the shared handler, and each
-//! reply leaves in one `write_all`. The one thing this transport cannot
-//! do is push: a thread parked in a read has nowhere to write from, so
-//! its handler declines the capability.
+//! reply leaves in one `write_all`.
 //!
 //! [`ServiceHandle`]: crate::service::ServiceHandle
 
@@ -17,7 +15,7 @@ use crate::conn::{decoder_config, Handler};
 use crate::error::{ErrorCode, ServeError};
 use crate::frame::{self, FrameRead, MAX_FRAME_BYTES};
 use crate::proto::{
-    Batch, BatchMode, Command, Encoding, Envelope, PushEvent, Reply, Response, PROTOCOL_VERSION,
+    Batch, BatchMode, Command, Encoding, Envelope, Reply, Response, PROTOCOL_VERSION,
 };
 use crate::service::Dispatch;
 use crate::wire;
@@ -105,7 +103,7 @@ where
                 // with delayed ACKs costs tens of ms on multi-segment
                 // batch replies.
                 let _ = stream.set_nodelay(true);
-                let handler = Handler::new(handle.clone(), false);
+                let handler = Handler::new(handle.clone());
                 let _ = std::thread::Builder::new()
                     .name("aware-serve-conn".into())
                     .spawn(move || {
@@ -170,8 +168,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     next_id: u64,
     encoding: Encoding,
-    push_granted: bool,
-    pushes: std::collections::VecDeque<PushEvent>,
 }
 
 fn io_err(e: std::io::Error) -> ServeError {
@@ -207,8 +203,6 @@ impl Client {
             writer: BufWriter::new(stream),
             next_id: 0,
             encoding: Encoding::Json,
-            push_granted: false,
-            pushes: std::collections::VecDeque::new(),
         })
     }
 
@@ -229,8 +223,6 @@ impl Client {
             writer: BufWriter::new(stream),
             next_id: 0,
             encoding: Encoding::Json,
-            push_granted: false,
-            pushes: std::collections::VecDeque::new(),
         })
     }
 
@@ -263,26 +255,13 @@ impl Client {
     /// Negotiates protocol v2 with the given encoding. The hello goes
     /// out on the connection's current surface.
     pub fn hello(&mut self, encoding: Encoding) -> Result<(), ServeError> {
-        self.hello_opts(encoding, false).map(|_| ())
-    }
-
-    /// [`Client::hello`] that also requests the server-push capability.
-    /// Returns whether the server granted it (the thread-per-connection
-    /// front end declines; the reactor front end grants). A declined
-    /// request is not an error — the connection works normally, it just
-    /// won't receive unsolicited id-0 frames.
-    pub fn hello_push(&mut self, encoding: Encoding) -> Result<bool, ServeError> {
-        self.hello_opts(encoding, true)
-    }
-
-    fn hello_opts(&mut self, encoding: Encoding, push: bool) -> Result<bool, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
         let hello = Envelope::Hello {
             id: Some(id),
             version: PROTOCOL_VERSION,
             encoding,
-            push,
+            push: false,
         };
         self.send_envelope(&hello)?;
         match self.read_reply()? {
@@ -290,7 +269,6 @@ impl Client {
                 id: echoed,
                 version,
                 encoding: granted,
-                push: push_granted,
                 ..
             } => {
                 if echoed != Some(id) || version != PROTOCOL_VERSION || granted != encoding {
@@ -300,8 +278,7 @@ impl Client {
                     });
                 }
                 self.encoding = encoding;
-                self.push_granted = push_granted;
-                Ok(push_granted)
+                Ok(())
             }
             Reply::Single {
                 response: Response::Error(e),
@@ -310,41 +287,6 @@ impl Client {
             other => Err(ServeError {
                 code: ErrorCode::BadRequest,
                 message: format!("unexpected hello reply: {other:?}"),
-            }),
-        }
-    }
-
-    /// Whether the server granted the push capability on this
-    /// connection's hello.
-    pub fn push_granted(&self) -> bool {
-        self.push_granted
-    }
-
-    /// Push events received so far, drained in arrival order. Pushes
-    /// are interleaved with replies on the wire; [`Client::read_reply`]
-    /// stashes any id-0 push frame it encounters while waiting for a
-    /// response, so this is where they surface.
-    pub fn take_pushes(&mut self) -> Vec<PushEvent> {
-        self.pushes.drain(..).collect()
-    }
-
-    /// Blocks until a push event arrives (or the socket's read timeout
-    /// fires, for clients built with `connect_deadline`). Any stashed
-    /// event is returned immediately.
-    pub fn recv_push(&mut self) -> Result<PushEvent, ServeError> {
-        if let Some(event) = self.pushes.pop_front() {
-            return Ok(event);
-        }
-        match self.read_reply_raw()? {
-            Reply::Single {
-                id: Some(0),
-                response: Response::Push(event),
-            } => Ok(event),
-            // A non-push reply here means the server answered a request
-            // we never sent.
-            other => Err(ServeError {
-                code: ErrorCode::BadRequest,
-                message: format!("unsolicited non-push reply while waiting for a push: {other:?}"),
             }),
         }
     }
@@ -484,24 +426,8 @@ impl Client {
         self.writer.flush().map_err(io_err)
     }
 
-    /// Reads the next reply to a request, stashing any server-push
-    /// frames that arrive in between. Push frames always carry envelope
-    /// id 0 and a `Push` response — a shape no request reply can take
-    /// (the id-0 hello is acked with a `HelloAck`), so the dispatch is
-    /// unambiguous.
+    /// Reads the next reply off the connection.
     fn read_reply(&mut self) -> Result<Reply, ServeError> {
-        loop {
-            match self.read_reply_raw()? {
-                Reply::Single {
-                    id: Some(0),
-                    response: Response::Push(event),
-                } => self.pushes.push_back(event),
-                reply => return Ok(reply),
-            }
-        }
-    }
-
-    fn read_reply_raw(&mut self) -> Result<Reply, ServeError> {
         match self.encoding {
             Encoding::Json => {
                 let mut line = String::new();
@@ -798,7 +724,7 @@ mod tests {
         service
             .handle()
             .register_table("census", CensusGenerator::new(11).generate(500));
-        let handler = Handler::new(service.handle(), false);
+        let handler = Handler::new(service.handle());
         (service, handler)
     }
 

@@ -58,15 +58,9 @@ pub fn encode_envelope(envelope: &Envelope) -> Vec<u8> {
             w.opt_varint(*id);
             w.varint(*version as u64);
             w.u8(encoding_tag(*encoding));
-            // Optional trailing capability byte — written only when the
-            // client opts into push, so hellos from older clients keep
-            // their exact historical bytes. Beware the asymmetry with
-            // the JSON surface: a pre-push *server* decodes binary
-            // hellos with a strict `Reader::finish()` and rejects this
-            // byte as trailing garbage, failing the handshake — do not
-            // request push in a binary-native hello against old
-            // servers (request it over a JSON hello instead, as
-            // `tcp::Client` does).
+            // Optional trailing capability byte — written only when set,
+            // so a hello without it keeps its historical bytes. Push is
+            // retired: every server declines the request.
             if *push {
                 w.u8(1);
             }
@@ -116,7 +110,7 @@ pub(crate) fn encode_reply_after(prefix: Vec<u8>, reply: &Reply) -> Vec<u8> {
             w.u8(encoding_tag(*encoding));
             w.varint(*max_frame);
             // Mirror of the hello capability byte: present only when
-            // the server granted push.
+            // push was granted, which no server does any more.
             if *push {
                 w.u8(1);
             }
@@ -1273,33 +1267,6 @@ mod tests {
         assert_eq!(
             framed,
             [0x41, 0x57, 0x52, 0x32, 0x02, 0, 0, 0, 5, 0x03, 0x01, 0x05, 0x04, 0x07]
-        );
-    }
-
-    #[test]
-    fn readme_push_frame_example_is_accurate() {
-        // The README's worked server-push example (the "Reactor"
-        // chapter) must match the codec bytes: an id-0 single carrying
-        // an idle-eviction notice for session 7.
-        let payload = encode_reply(&Reply::Single {
-            id: Some(0),
-            response: Response::Push(PushEvent::SessionEvicted {
-                session: 7,
-                reason: "idle".into(),
-            }),
-        });
-        assert_eq!(
-            payload,
-            [0x83, 0x01, 0x00, 0x12, 0x01, 0x07, 0x04, 0x69, 0x64, 0x6c, 0x65]
-        );
-        let mut framed = Vec::new();
-        crate::frame::write_frame(&mut framed, &payload).unwrap();
-        assert_eq!(
-            framed,
-            [
-                0x41, 0x57, 0x52, 0x32, 0x02, 0, 0, 0, 11, 0x83, 0x01, 0x00, 0x12, 0x01, 0x07,
-                0x04, 0x69, 0x64, 0x6c, 0x65
-            ]
         );
     }
 

@@ -27,9 +27,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-type ReactorFront = aware_reactor::ReactorServer<aware_serve::proto::PushEvent>;
-
-fn served(cfg: ReactorConfig) -> (Service, ReactorFront) {
+fn served(cfg: ReactorConfig) -> (Service, aware_reactor::ReactorServer) {
     let service = Service::start(ServiceConfig::default());
     service
         .handle()

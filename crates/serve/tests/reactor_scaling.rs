@@ -302,9 +302,6 @@ fn transcript(surface: usize, session: SessionId) -> Vec<u8> {
         id: Some(0),
         version: PROTOCOL_VERSION,
         encoding,
-        // Push is the one deliberate divergence between the fronts
-        // (the reactor grants it, the blocking front declines), so
-        // identity transcripts must not request it.
         push: false,
     };
     let binary = match surface {
