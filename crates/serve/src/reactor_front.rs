@@ -220,10 +220,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn declined_push_connection_reads_only_replies_after_an_idle_eviction() {
+    /// Opens a raw connection that asks for push in its hello (an AWR2
+    /// frame when `frames`, else a JSON line), creates a session, waits
+    /// on another connection until the sweeper has evicted it, and checks
+    /// that nothing was queued for this connection in between: the next
+    /// reply it reads answers its next request.
+    fn declined_push_connection_reads_only_replies(frames: bool) {
         use crate::proto::PROTOCOL_VERSION;
-        use std::io::BufReader;
+        use std::io::{BufRead, BufReader, Write};
 
         let service = test_service(ServiceConfig {
             idle_timeout: Duration::from_millis(1),
@@ -232,29 +236,45 @@ mod tests {
         });
         let server = bind_reactor("127.0.0.1:0", service.handle()).expect("bind reactor");
 
-        // Binary from its first byte: the hello itself is an AWR2 frame,
-        // asking for push.
         let sock = std::net::TcpStream::connect(server.local_addr()).expect("connect");
         sock.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut writer = sock.try_clone().expect("clone");
         let mut reader = BufReader::new(sock);
         let mut send = |envelope: &Envelope| {
-            crate::frame::write_frame(&mut writer, &wire::encode_envelope(envelope))
-                .expect("write frame")
+            if frames {
+                crate::frame::write_frame(&mut writer, &wire::encode_envelope(envelope))
+                    .expect("write frame")
+            } else {
+                writer
+                    .write_all(format!("{}\n", envelope.encode_line()).as_bytes())
+                    .expect("write line")
+            }
         };
-        let mut read_reply =
-            || match crate::frame::read_frame(&mut reader, MAX_FRAME_BYTES).expect("read frame") {
-                crate::frame::FrameRead::Frame(payload) => {
-                    wire::decode_reply(&payload).expect("decode reply")
+        let mut read_reply = || {
+            if frames {
+                match crate::frame::read_frame(&mut reader, MAX_FRAME_BYTES).expect("read frame") {
+                    crate::frame::FrameRead::Frame(payload) => {
+                        wire::decode_reply(&payload).expect("decode reply")
+                    }
+                    other => panic!("expected a frame, got {other:?}"),
                 }
-                other => panic!("expected a frame, got {other:?}"),
-            };
+            } else {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read line");
+                Reply::decode_line(&line).expect("decode reply")
+            }
+        };
 
+        let encoding = if frames {
+            Encoding::Binary
+        } else {
+            Encoding::Json
+        };
         send(&Envelope::Hello {
             id: Some(1),
             version: PROTOCOL_VERSION,
-            encoding: Encoding::Binary,
+            encoding,
             push: true,
         });
         match read_reply() {
@@ -278,8 +298,6 @@ mod tests {
             other => panic!("create failed: {other:?}"),
         };
 
-        // Wait, on another connection, until the sweeper has evicted the
-        // session.
         let mut watcher = Client::connect(server.local_addr()).expect("connect");
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
@@ -295,8 +313,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        // Nothing was queued for this connection in between: the next
-        // frame it reads answers its next request.
         send(&Envelope::Single {
             id: Some(3),
             cmd: Command::Gauge { session: created },
@@ -308,6 +324,17 @@ mod tests {
             } => assert_eq!(e.code, crate::error::ErrorCode::UnknownSession, "{e:?}"),
             other => panic!("expected the answer to request 3, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn binary_native_push_request_reads_only_reply_frames() {
+        // Binary from its first byte: the hello itself is an AWR2 frame.
+        declined_push_connection_reads_only_replies(true);
+    }
+
+    #[test]
+    fn json_push_request_reads_only_reply_lines() {
+        declined_push_connection_reads_only_replies(false);
     }
 
     #[test]

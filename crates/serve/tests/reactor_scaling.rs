@@ -11,6 +11,12 @@
 //! O(threads) — a thread-per-connection front end would burn a stack
 //! per socket).
 //!
+//! Each tier's throughput is measured back to back with that of a twin
+//! `--reactor` server that never carries idle connections, and the bar
+//! applies to that pair. CPU taken by other processes on the host then
+//! slows both sides of a comparison alike, instead of only the tiers
+//! measured after a baseline taken while the host was quiet.
+//!
 //! The identity test replays one deterministic exploration transcript
 //! per protocol surface (v1 NDJSON, v2 JSON lines, v2 binary frames,
 //! and the JSON→binary hello upgrade) against two freshly-spawned
@@ -117,6 +123,35 @@ const ACTIVE_CLIENTS: usize = 8;
 const SESSIONS_PER_CLIENT: usize = 8;
 const GAUGES_PER_SESSION: usize = 8;
 
+/// `ACTIVE_CLIENTS` binary-framed clients on `addr`, each holding
+/// `SESSIONS_PER_CLIENT` sessions with one visualization apiece.
+fn active_clients(addr: SocketAddr) -> Vec<(Client, Vec<SessionId>)> {
+    (0..ACTIVE_CLIENTS)
+        .map(|_| {
+            let mut client = Client::connect_with(addr, Encoding::Binary).unwrap();
+            let sids = (0..SESSIONS_PER_CLIENT)
+                .map(|_| {
+                    let sid = create_session(&mut client);
+                    let reply = client
+                        .call(&Command::AddVisualization {
+                            session: sid,
+                            attribute: "education".into(),
+                            filter: FilterSpec::Cmp {
+                                column: "salary_over_50k".into(),
+                                op: CmpOp::Eq,
+                                value: Value::Bool(true),
+                            },
+                        })
+                        .unwrap();
+                    assert!(reply.is_ok(), "{reply:?}");
+                    sid
+                })
+                .collect();
+            (client, sids)
+        })
+        .collect()
+}
+
 /// One measured round: every client submits one pipelined batch of
 /// gauges across its sessions. Returns commands issued.
 fn run_round(clients: &mut [(Client, Vec<SessionId>)]) -> usize {
@@ -199,35 +234,17 @@ fn idle_connection_tiers_leave_active_throughput_intact() {
     let limit = aware_reactor::sys::raise_nofile_limit(65_536);
     let (guard, addr) = spawn_serve(true);
     let pid = guard.0.id();
+    // The no-idle-load baseline: a twin server that never gets an idle
+    // connection, measured next to every tier.
+    let (_control_guard, control_addr) = spawn_serve(true);
 
-    let mut clients: Vec<(Client, Vec<SessionId>)> = (0..ACTIVE_CLIENTS)
-        .map(|_| {
-            let mut client = Client::connect_with(addr, Encoding::Binary).unwrap();
-            let sids = (0..SESSIONS_PER_CLIENT)
-                .map(|_| {
-                    let sid = create_session(&mut client);
-                    let reply = client
-                        .call(&Command::AddVisualization {
-                            session: sid,
-                            attribute: "education".into(),
-                            filter: FilterSpec::Cmp {
-                                column: "salary_over_50k".into(),
-                                op: CmpOp::Eq,
-                                value: Value::Bool(true),
-                            },
-                        })
-                        .unwrap();
-                    assert!(reply.is_ok(), "{reply:?}");
-                    sid
-                })
-                .collect();
-            (client, sids)
-        })
-        .collect();
+    let mut clients = active_clients(addr);
+    let mut control = active_clients(control_addr);
 
-    let baseline = best_throughput(&mut clients);
+    // Prime the measured server before its RSS baseline is read, so the
+    // sweep's growth is the idle connections' alone.
+    assert!(best_throughput(&mut clients) > 0.0);
     let rss_baseline = rss_kib(pid);
-    assert!(baseline > 0.0);
 
     let mut idle: Vec<TcpStream> = Vec::new();
     for target in [1_000usize, 5_000, 10_000] {
@@ -243,15 +260,21 @@ fn idle_connection_tiers_leave_active_throughput_intact() {
         // tier is measured, so the samples price carrying the
         // connections, not racing the accept loop.
         await_connection_gauge(&mut clients[0].0, (idle.len() + ACTIVE_CLIENTS) as u64);
-        // Throughput under load, retried: a tight bar on a shared
-        // runner deserves more than one roll of the scheduler dice,
-        // and the claim under test is "the tier CAN sustain the bar".
-        let mut tier = 0.0f64;
+        // Throughput under load against the twin's, retried: a tight
+        // bar on a shared runner deserves more than one roll of the
+        // scheduler dice, and the claim under test is "the tier CAN
+        // sustain the bar". The pair with the best ratio is kept.
+        let (mut tier, mut baseline) = (0.0f64, f64::INFINITY);
         for attempt in 0..5 {
             if attempt > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(150));
             }
-            tier = tier.max(best_throughput(&mut clients));
+            let base = best_throughput(&mut control);
+            let load = best_throughput(&mut clients);
+            assert!(base > 0.0);
+            if load / base > tier / baseline {
+                (tier, baseline) = (load, base);
+            }
             if tier >= bar * baseline {
                 break;
             }
