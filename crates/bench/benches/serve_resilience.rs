@@ -26,7 +26,6 @@
 //! weather. The JSON rows keep the shim's exact shape so the awk guard
 //! and the artifact trajectory stay uniform across benches.
 
-use aware_cluster::breaker::BreakerConfig;
 use aware_cluster::router::{Router, RouterConfig, RouterHandle};
 use aware_data::census::CensusGenerator;
 use aware_data::predicate::CmpOp;
@@ -68,7 +67,6 @@ fn start_cluster(table: &Arc<Table>, shard_timeout: Option<Duration>) -> Cluster
     }
     let router = Router::start(RouterConfig {
         shard_timeout,
-        breaker: BreakerConfig::default(),
         ..RouterConfig::default()
     });
     let handle = router.handle();

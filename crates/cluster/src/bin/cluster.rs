@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cluster router [--addr 127.0.0.1:7878] [--shard HOST:PORT]...
-//!                [--vnodes 64] [--probe-secs 5] [--replicas R]
+//!                [--probe-secs 5] [--replicas R]
 //!                [--shard-timeout-ms MS]
 //!                [--log-level LEVEL] [--log-json] [--slow-ms MS]
 //!                [--metrics-addr HOST:PORT] [--reactor]
@@ -61,7 +61,7 @@ fn die(message: &str) -> ! {
 
 fn usage() -> ! {
     println!(
-        "cluster router [--addr HOST:PORT] [--shard HOST:PORT]... [--vnodes N] [--probe-secs S] \
+        "cluster router [--addr HOST:PORT] [--shard HOST:PORT]... [--probe-secs S] \
          [--replicas R] [--shard-timeout-ms MS] \
          [--log-level debug|info|warn|error] [--log-json] [--slow-ms MS] [--metrics-addr HOST:PORT] \
          [--reactor]\n\
@@ -160,11 +160,6 @@ fn run_router(mut args: impl Iterator<Item = String>) {
         match flag.as_str() {
             "--addr" => addr = next_value(&mut args, "--addr"),
             "--shard" => shards.push(next_value(&mut args, "--shard")),
-            "--vnodes" => {
-                config.vnodes = next_value(&mut args, "--vnodes")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--vnodes: {e}")))
-            }
             "--probe-secs" => {
                 let secs: u64 = next_value(&mut args, "--probe-secs")
                     .parse()

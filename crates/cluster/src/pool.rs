@@ -127,7 +127,8 @@ impl Default for PoolConfig {
 pub struct ShardPool {
     addr: String,
     parsed: SocketAddr,
-    config: PoolConfig,
+    /// Per-socket-operation deadline ([`PoolConfig::timeout`]).
+    timeout: Option<Duration>,
     breaker: CircuitBreaker,
     idle: Mutex<Vec<Client>>,
     healthy: AtomicBool,
@@ -158,11 +159,12 @@ impl ShardPool {
         let parsed: SocketAddr = addr
             .parse()
             .map_err(|e| ServeError::invalid(format!("shard address '{addr}': {e}")))?;
-        let breaker = CircuitBreaker::new(&addr, config.breaker);
+        let PoolConfig { timeout, breaker } = config;
+        let breaker = CircuitBreaker::new(&addr, breaker);
         Ok(ShardPool {
             addr,
             parsed,
-            config,
+            timeout,
             breaker,
             idle: Mutex::new(Vec::new()),
             healthy: AtomicBool::new(false),
@@ -228,7 +230,7 @@ impl ShardPool {
     }
 
     fn connect(&self) -> Result<Client, PoolError> {
-        let connected = match self.config.timeout {
+        let connected = match self.timeout {
             Some(timeout) => Client::connect_with_deadline(self.parsed, Encoding::Binary, timeout),
             None => Client::connect_with(self.parsed, Encoding::Binary),
         };

@@ -235,7 +235,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Accepted size specifications for [`vec`]: a fixed length or a
+    /// Accepted size specifications for [`vec()`]: a fixed length or a
     /// half-open range of lengths.
     #[derive(Debug, Clone)]
     pub struct SizeRange {

@@ -1,6 +1,6 @@
 //! Synthetic census generator — the stand-in for the UCI Adult dataset.
 //!
-//! The paper's Exp.2 replays user workflows over the Census dataset [25].
+//! The paper's Exp.2 replays user workflows over the Census dataset \[25\].
 //! That file is not available offline, and more importantly it has no ground
 //! truth: the authors had to approximate truth with a Bonferroni pass over
 //! the full data. This generator solves both problems: it produces an

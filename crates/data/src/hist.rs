@@ -16,9 +16,9 @@
 //!
 //! Because the bucket universe is a per-column invariant, so is the
 //! partition of the rows into buckets. Each column lazily gets a
-//! [`BucketIndex`] — one bitmap per bucket, each bucket's total, the
+//! `BucketIndex` — one bitmap per bucket, each bucket's total, the
 //! numeric bounds and, for numeric columns of few distinct values, the
-//! rank bit-slices that answer range filters (see [`crate::rank`]) — and
+//! rank bit-slices that answer range filters (see `crate::rank`) — and
 //! a histogram under a selection is then `k` passes of
 //! `popcount(selection & bucket)` over `n/64` words instead of a walk
 //! over the selected rows. The walk remains for what the index cannot
@@ -26,7 +26,7 @@
 //! own bins or bounds, dictionaries so large that the index would
 //! outweigh the column, and the crosstab's two-column bucket space. The
 //! choice is made per call from `k`, `n`, `|selection|` and what one
-//! walked row costs alone (see [`count_selected`]); counts are exact
+//! walked row costs alone (see `count_selected`); counts are exact
 //! integers either way, so every downstream p-value is bit-identical
 //! whichever kernel ran.
 

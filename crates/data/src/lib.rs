@@ -8,7 +8,7 @@
 //! UCI Adult dataset (see DESIGN.md §4 for the substitution rationale).
 //!
 //! * [`table`] — immutable, typed, column-oriented tables.
-//! * [`column`] — `Int64` / `Float64` / `Bool` / dictionary-encoded
+//! * [`column`](mod@column) — `Int64` / `Float64` / `Bool` / dictionary-encoded
 //!   `Categorical` column storage.
 //! * [`bitmap`] — packed selection vectors with fast boolean algebra; every
 //!   filter evaluates to one of these.

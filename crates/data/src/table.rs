@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 /// Tables are cheap to share (`Arc<Table>` upstream) and all exploration
 /// operations — filtering, histograms, sampling — are non-destructive reads.
 ///
-/// Each column carries a lazily built [`BucketIndex`]. It is derived
+/// Each column carries a lazily built `BucketIndex`. It is derived
 /// state: equality, [`Table::fingerprint`], `Debug` and the tables
 /// [`Table::filter`]/[`Table::project`] return never see it, and a clone
 /// shares the indexes already built.

@@ -1,5 +1,5 @@
 //! Generalized α-investing (Aharoni & Rosset 2014) — the paper's
-//! reference [1], implemented as an extension.
+//! reference \[1\], implemented as an extension.
 //!
 //! Foster & Stine's procedure couples three quantities rigidly: the test
 //! level `αⱼ`, the acceptance charge `αⱼ/(1−αⱼ)`, and the rejection payout

@@ -80,7 +80,7 @@ pub enum ProcedureSpec {
     /// LORD++ online FDR (extension, post-paper).
     LordPlusPlus,
     /// Generalized α-investing with the linear-penalty schedule
-    /// (extension; Aharoni & Rosset, the paper's ref [1]).
+    /// (extension; Aharoni & Rosset, the paper's ref \[1\]).
     GaiLinearPenalty {
         /// Budget-spreading factor, as in γ-fixed.
         gamma: f64,

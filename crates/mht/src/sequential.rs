@@ -3,7 +3,7 @@
 //! * [`AlphaSpending`] — the streaming Bonferroni variant that tests the
 //!   j-th hypothesis at `α·2⁻ʲ`. Interactive (decisions are final) but the
 //!   threshold decays exponentially, so power dies within a dozen tests.
-//! * [`ForwardStop`] — the Sequential FDR rule of G'Sell et al. [15]:
+//! * [`ForwardStop`] — the Sequential FDR rule of G'Sell et al. \[15\]:
 //!   reject the longest prefix whose average surprisal
 //!   `(1/k)·Σᵢ≤ₖ −ln(1−pᵢ)` stays at or below α. Incremental but
 //!   **non-interactive**: a small p-value arriving late can pull the

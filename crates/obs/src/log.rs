@@ -8,7 +8,7 @@
 //! `grep trace=0000000100ab12cd router.log shard.log` reconstructs a
 //! command's path.
 //!
-//! Call sites use [`logline!`]: it checks [`enabled`] before building
+//! Call sites use [`logline!`](crate::logline): it checks [`enabled`] before building
 //! any field strings, so filtered-out levels cost one relaxed atomic
 //! load.
 
@@ -61,7 +61,7 @@ pub fn enabled(level: Level) -> bool {
     level as u8 >= LEVEL.load(Ordering::Relaxed)
 }
 
-/// Emits one record unconditionally. Prefer [`logline!`], which
+/// Emits one record unconditionally. Prefer [`logline!`](crate::logline), which
 /// checks [`enabled`] before formatting fields.
 pub fn emit(level: Level, event: &str, fields: &[(&str, String)]) {
     let ts = SystemTime::now()

@@ -3,7 +3,7 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7878] [--rows 20000]
 //!       [--max-sessions N] [--idle-timeout-secs S] [--seed K]
-//!       [--max-pending N] [--data-dir DIR] [--snapshot-every SECS]
+//!       [--data-dir DIR] [--snapshot-every SECS]
 //!       [--log-level LEVEL] [--log-json] [--slow-ms MS]
 //!       [--metrics-addr HOST:PORT] [--reactor]
 //! ```
@@ -51,7 +51,6 @@ struct Args {
     max_sessions: u64,
     idle_timeout: Duration,
     seed: u64,
-    max_pending: usize,
     data_dir: Option<PathBuf>,
     snapshot_every: Duration,
     log_level: aware_obs::log::Level,
@@ -68,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
         max_sessions: 65_536,
         idle_timeout: Duration::from_secs(15 * 60),
         seed: 2017,
-        max_pending: 4096,
         data_dir: None,
         snapshot_every: Duration::from_secs(30),
         log_level: aware_obs::log::Level::Info,
@@ -106,11 +104,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
-            "--max-pending" => {
-                args.max_pending = value("--max-pending")?
-                    .parse()
-                    .map_err(|e| format!("--max-pending: {e}"))?
-            }
             "--data-dir" => args.data_dir = Some(PathBuf::from(value("--data-dir")?)),
             "--snapshot-every" => {
                 args.snapshot_every = Duration::from_secs(
@@ -138,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "serve [--addr HOST:PORT] [--rows N] \
                      [--max-sessions N] [--idle-timeout-secs S] [--seed K] \
-                     [--max-pending N] [--data-dir DIR] [--snapshot-every SECS] \
+                     [--data-dir DIR] [--snapshot-every SECS] \
                      [--log-level debug|info|warn|error] [--log-json] \
                      [--slow-ms MS] [--metrics-addr HOST:PORT] [--reactor]"
                 );
@@ -165,11 +158,9 @@ fn main() {
         max_sessions: args.max_sessions,
         idle_timeout: args.idle_timeout,
         sweep_interval: Some(Duration::from_secs(5)),
-        max_pending_per_session: args.max_pending,
         data_dir: args.data_dir.clone(),
         snapshot_every: args.data_dir.as_ref().map(|_| args.snapshot_every),
         slow_ms: args.slow_ms,
-        ..ServiceConfig::default()
     };
 
     eprintln!(

@@ -27,7 +27,7 @@ pub enum ErrorCode {
     /// stream failed inside a fail-fast batch.
     Aborted,
     /// The server refused the work: session capacity exhausted and
-    /// nothing evictable, or the session's pending-command cap is full.
+    /// nothing evictable.
     Overloaded,
     /// The session was spilled to disk but every on-disk snapshot
     /// generation failed validation; the session cannot be restored.

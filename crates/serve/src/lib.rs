@@ -30,8 +30,8 @@
 //! * [`service`] — the dispatcher, which runs every command on its
 //!   caller's thread under a per-session stripe
 //!   ([`service::ServiceHandle::call_batch`]: same-session commands as
-//!   one unit), per-session pending-command caps, session admission
-//!   with sampled-LRU eviction, and idle-timeout sweeps.
+//!   one unit; a single command is a batch of one), session
+//!   admission with sampled-LRU eviction, and idle-timeout sweeps.
 //! * [`registry`] — the sharded session registry
 //!   (`RwLock<HashMap<…>>` shards of `Mutex<Session>` entries).
 //! * `conn` — the connection protocol, written once: hello

@@ -608,7 +608,7 @@ fn value_from_json(v: &Json) -> Result<Value, ServeError> {
 
 impl FilterSpec {
     /// Converts an engine predicate back into the wire AST — the exact
-    /// inverse of [`FilterSpec::into_predicate`] (both ASTs mirror each
+    /// inverse of `FilterSpec::into_predicate` (both ASTs mirror each
     /// other node for node). The snapshot codec leans on this so
     /// persisted sessions reuse the hardened wire filter codec instead
     /// of growing a second predicate serializer.
@@ -1454,7 +1454,7 @@ scalar_table! {
     /// A single `call` counts as a batch of one.
     batches: Lenient, Sum, Counter, "Dispatch units accepted.";
     batch_commands: Lenient, Sum, Counter, "Commands carried inside those dispatch units.";
-    /// Session capacity or a session's pending-command cap.
+    /// Session capacity exhausted with nothing evictable.
     overloaded: Lenient, Sum, Counter, "Work refused by backpressure.";
     ndjson_requests: Lenient, Sum, Counter, "Wire messages received on the NDJSON surface.";
     binary_frames: Lenient, Sum, Counter, "Wire frames received on the binary surface.";

@@ -1,6 +1,6 @@
 //! The sharded session registry.
 //!
-//! Sessions live behind `N` shards of `RwLock<HashMap<SessionId,
+//! Sessions live behind [`SHARDS`] shards of `RwLock<HashMap<SessionId,
 //! Arc<SessionEntry>>>`, so lookups from many connection threads contend
 //! only on the shard they hash to, and an eviction sweep never stops
 //! the world. The entry's `Mutex<Session>` serializes *statistical*
@@ -106,9 +106,13 @@ impl SessionEntry {
 /// entries is cheaper than worrying about sample coverage.
 pub const LRU_EXACT_THRESHOLD: u64 = 64;
 
+/// Registry shard count (a constant, not a knob: it only spreads lock
+/// contention, and the sampled eviction scans one shard's population).
+pub const SHARDS: usize = 16;
+
 /// Sharded id → session map.
 pub struct Registry {
-    shards: Vec<RwLock<HashMap<SessionId, Arc<SessionEntry>>>>,
+    shards: [RwLock<HashMap<SessionId, Arc<SessionEntry>>>; SHARDS],
     epoch: Instant,
     seq: AtomicU64,
     live: AtomicU64,
@@ -116,24 +120,25 @@ pub struct Registry {
     rng: AtomicU64,
 }
 
-impl Registry {
-    /// Creates a registry with `shards` shards (rounded up to 1).
-    pub fn new(shards: usize) -> Registry {
-        let shards = shards.max(1);
+impl Default for Registry {
+    /// An empty registry.
+    fn default() -> Registry {
         Registry {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             epoch: Instant::now(),
             seq: AtomicU64::new(0),
             live: AtomicU64::new(0),
             rng: AtomicU64::new(0x9E3779B97F4A7C15),
         }
     }
+}
 
+impl Registry {
     fn shard(&self, id: SessionId) -> &RwLock<HashMap<SessionId, Arc<SessionEntry>>> {
         // Ids are sequential; a multiplicative hash spreads neighbours
         // across shards so one busy tenant block doesn't pile onto one lock.
         let h = id.wrapping_mul(0x9E3779B97F4A7C15) >> 32;
-        &self.shards[(h as usize) % self.shards.len()]
+        &self.shards[(h as usize) % SHARDS]
     }
 
     /// Milliseconds since the registry was created.
@@ -329,11 +334,11 @@ impl Registry {
     /// hot, whereas here a failed re-check just re-draws a shard. Falls
     /// back to the exact scan if the drawn shards are empty — possible
     /// only under heavy concurrent removal. (True O(1) sampling needs
-    /// an auxiliary dense index; see the ROADMAP backpressure notes.)
+    /// an auxiliary dense index.)
     fn lru_candidate_sampled(&self) -> Option<(SessionId, u64)> {
         for _ in 0..4 {
             let r = self.next_rand();
-            let shard = &self.shards[(r as usize >> 8) % self.shards.len()];
+            let shard = &self.shards[(r as usize >> 8) % SHARDS];
             let shard = shard.read().unwrap();
             let mut best: Option<(u64, SessionId)> = None;
             for entry in shard.values() {
@@ -403,7 +408,7 @@ mod tests {
     #[test]
     fn try_insert_refuses_a_live_id() {
         let table = Arc::new(CensusGenerator::new(9).generate(100));
-        let reg = Registry::new(4);
+        let reg = Registry::default();
         assert!(reg.try_insert(7, session(&table), meta()).is_some());
         assert!(reg.try_insert(7, session(&table), meta()).is_none());
         assert_eq!(reg.len(), 1);
@@ -414,7 +419,7 @@ mod tests {
     #[test]
     fn insert_get_remove_lifecycle() {
         let table = Arc::new(CensusGenerator::new(1).generate(200));
-        let reg = Registry::new(8);
+        let reg = Registry::default();
         assert!(reg.is_empty());
         reg.insert(0, session(&table), meta());
         reg.insert(1, session(&table), meta());
@@ -429,7 +434,7 @@ mod tests {
     #[test]
     fn sessions_share_one_table() {
         let table = Arc::new(CensusGenerator::new(2).generate(100));
-        let reg = Registry::new(4);
+        let reg = Registry::default();
         for id in 0..50 {
             reg.insert(id, session(&table), meta());
         }
@@ -440,7 +445,7 @@ mod tests {
     #[test]
     fn touch_sequence_orders_lru_exactly() {
         let table = Arc::new(CensusGenerator::new(3).generate(100));
-        let reg = Registry::new(4);
+        let reg = Registry::default();
         for id in 0..4 {
             reg.insert(id, session(&table), meta());
         }
@@ -463,7 +468,7 @@ mod tests {
     #[test]
     fn idle_scan_uses_wall_clock_ms() {
         let table = Arc::new(CensusGenerator::new(4).generate(100));
-        let reg = Registry::new(4);
+        let reg = Registry::default();
         for id in 0..3 {
             reg.insert(id, session(&table), meta());
         }
@@ -485,7 +490,7 @@ mod tests {
     #[test]
     fn sampled_eviction_avoids_the_hot_tail_and_respects_the_recheck() {
         let table = Arc::new(CensusGenerator::new(6).generate(100));
-        let reg = Registry::new(8);
+        let reg = Registry::default();
         let total: u64 = 4 * LRU_EXACT_THRESHOLD; // well into the sampled regime
         for id in 0..total {
             reg.insert(id, session(&table), meta());
@@ -497,7 +502,7 @@ mod tests {
         }
         let hottest: Vec<SessionId> = (total - 8..total).collect();
         // The candidate is the oldest entry of a random shard; landing
-        // in the hottest 8 of 256 would require a whole shard (~32
+        // in the hottest 8 of 256 would require a whole shard (~16
         // entries) to fit inside those 8 — impossible by pigeonhole.
         let (victim, seq) = reg.lru_candidate().unwrap();
         assert!(
@@ -520,7 +525,7 @@ mod tests {
     #[test]
     fn stale_lru_candidate_survives_removal() {
         let table = Arc::new(CensusGenerator::new(5).generate(100));
-        let reg = Registry::new(4);
+        let reg = Registry::default();
         reg.insert(0, session(&table), meta());
         let (victim, seq) = reg.lru_candidate().unwrap();
         // The session is touched after the scan (same millisecond is

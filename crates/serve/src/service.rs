@@ -5,17 +5,18 @@
 //! α-investing is a *sequential* guarantee: within one session, bids and
 //! decisions must happen in a single total order, and a decision once
 //! announced is final. Across sessions there is no coupling at all. The
-//! dispatcher encodes exactly that, with no threads of its own: every
-//! command runs through [`execute_unit`] on the thread that submitted
-//! it (a connection thread or a reactor dispatcher), holding its
+//! dispatcher encodes exactly that, with no threads of its own: a
+//! single command is a one-item batch, and every batch splits into
+//! per-session units that run on the thread that submitted it (a
+//! connection thread or a reactor dispatcher), each holding its
 //! session's stripe mutex. So, per session, one unit runs at a time —
 //! two restores of a spilled session cannot install two ledgers — and
 //! each command is atomic between its request and its reply. A batch's
 //! same-session items form one unit and run back-to-back in batch
-//! order. Commands from concurrent connections to one session run in
-//! the order they take the stripe; no FIFO across connections is
-//! promised, and no client can observe one (neither knows when the
-//! other's request arrived).
+//! order. Commands from concurrent connections to one session wait for
+//! its stripe and run in the order they take it; nothing is refused
+//! for waiting, no FIFO across connections is promised, and no client
+//! can observe one (neither knows when the other's request arrived).
 //!
 //! ## Eviction
 //!
@@ -70,8 +71,6 @@ use std::time::{Duration, Instant};
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Registry shard count.
-    pub shards: usize,
     /// Hard cap on live sessions; beyond it, creation evicts the LRU
     /// session.
     pub max_sessions: u64,
@@ -80,16 +79,6 @@ pub struct ServiceConfig {
     /// Interval of the background eviction sweeper; `None` (the default)
     /// means sweeps only happen when [`Service::sweep_idle`] is called.
     pub sweep_interval: Option<Duration>,
-    /// Backpressure: commands a single session may have admitted
-    /// (waiting for its stripe or executing) before further submissions
-    /// are refused with [`ErrorCode::Overloaded`]. A whole batch unit
-    /// counts at once, so a same-session batch larger than this cap is
-    /// always refused — which is why the default equals
-    /// [`crate::proto::MAX_BATCH_ITEMS`]: any protocol-legal batch fits
-    /// on an idle server. Operators lowering it constrain the usable
-    /// same-session batch size too. One chatty client saturates its own
-    /// session, never another.
-    pub max_pending_per_session: usize,
     /// Snapshot directory for durable sessions. `None` (the default)
     /// keeps every session in memory only — the pre-persistence
     /// behaviour. `Some(dir)` enables eviction spill, lazy restore, and
@@ -112,11 +101,9 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            shards: 16,
             max_sessions: 65_536,
             idle_timeout: Duration::from_secs(15 * 60),
             sweep_interval: None,
-            max_pending_per_session: crate::proto::MAX_BATCH_ITEMS,
             data_dir: None,
             snapshot_every: None,
             slow_ms: None,
@@ -124,72 +111,16 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Dispatch route (and pending-table key) for session-free commands
-/// that consume no session id (`list_datasets`, the router admin
-/// verbs). Reserved: the allocator counts up from 0 and could never
-/// reach it, so these commands share a pending cap and a stripe with
-/// each other but never with a real session — a roster poll must not
-/// be able to push session `0` into `overloaded`.
+/// Dispatch route for session-free commands that consume no session id
+/// (`list_datasets`, the router admin verbs). Reserved: the allocator
+/// counts up from 0 and could never reach it, so these commands share a
+/// stripe with each other but never with a real session — a roster
+/// poll never waits behind session `0`.
 const SESSION_FREE_ROUTE: u64 = u64::MAX;
 
 /// Route exclusion stripes (a constant, not a knob: a collision only
 /// makes one route's command wait for another's).
 const ROUTE_STRIPES: usize = 256;
-
-/// Fibonacci hash of a route, shared by the pending shards and stripes.
-fn spread(key: u64) -> usize {
-    (key.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize
-}
-
-/// Pending-command accounting per session stream, sharded like the
-/// registry. A count covers a command from admission until it executed
-/// (including any wait for its stripe); an entry disappears as soon as
-/// its stream drains to zero, so the map stays proportional to
-/// *actively loaded* sessions, not live ones.
-struct PendingTable {
-    shards: Vec<Mutex<HashMap<u64, usize>>>,
-}
-
-impl PendingTable {
-    fn new(shards: usize) -> PendingTable {
-        PendingTable {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, usize>> {
-        &self.shards[spread(key) % self.shards.len()]
-    }
-
-    /// Reserves `n` pending slots for `key`; `false` (no effect) past
-    /// `cap`.
-    fn try_acquire(&self, key: u64, n: usize, cap: usize) -> bool {
-        let mut shard = self.shard(key).lock().unwrap();
-        let count = shard.entry(key).or_insert(0);
-        if *count + n > cap {
-            if *count == 0 {
-                shard.remove(&key);
-            }
-            return false;
-        }
-        *count += n;
-        true
-    }
-
-    /// Releases `n` slots for `key` (after execution, or for a unit
-    /// refused at shutdown).
-    fn release(&self, key: u64, n: usize) {
-        let mut shard = self.shard(key).lock().unwrap();
-        if let Some(count) = shard.get_mut(&key) {
-            *count = count.saturating_sub(n);
-            if *count == 0 {
-                shard.remove(&key);
-            }
-        }
-    }
-}
 
 /// A registered dataset: the immutable table plus its shared evaluation
 /// cache. Every session opened on the dataset gets both, so 1k sessions
@@ -220,7 +151,6 @@ struct Inner {
     metrics: Metrics,
     datasets: RwLock<HashMap<String, Dataset>>,
     next_session: AtomicU64,
-    pending: PendingTable,
     /// Per-route exclusion, held by a unit while it executes.
     stripes: [Mutex<()>; ROUTE_STRIPES],
     /// Units admitted past the shutdown check and not yet finished
@@ -249,7 +179,8 @@ impl Inner {
     }
 
     fn stripe(&self, route: u64) -> &Mutex<()> {
-        &self.stripes[spread(route) % ROUTE_STRIPES]
+        // Fibonacci hash: sequential ids land on distinct stripes.
+        &self.stripes[(route.wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize % ROUTE_STRIPES]
     }
 }
 
@@ -418,12 +349,31 @@ impl Dispatch for ServiceHandle {
         &self.inner.metrics
     }
 
+    /// A one-item run of the batch path.
     fn call_traced(&self, cmd: Command, trace: u64) -> Response {
-        ServiceHandle::call_traced(self, cmd, trace)
+        let mut replies = self.call_batch_traced(vec![cmd], BatchMode::Continue, trace);
+        replies.pop().expect("one reply per command")
     }
 
+    /// Same-session commands execute as one unit — back-to-back, in
+    /// batch order, never interleaved with commands from other clients
+    /// — so the α-investing decision sequence a batch observes is
+    /// exactly the sequence a v1 client would have produced with N
+    /// round trips. Units run one after another on the calling thread,
+    /// in order of each route's first appearance; every unit the batch
+    /// splits into carries `trace`.
     fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response> {
-        ServiceHandle::call_batch_traced(self, cmds, mode, trace)
+        self.inner.metrics.batch(cmds.len());
+        let mut slots: Vec<Option<Response>> = Vec::new();
+        slots.resize_with(cmds.len(), || None);
+        // One unit, hence one stripe, at a time: no lock ordering.
+        for (route, items) in self.units(cmds, &mut slots) {
+            self.run_unit(route, items, mode, trace, &mut slots);
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every item answered"))
+            .collect()
     }
 }
 
@@ -434,61 +384,16 @@ fn shutdown_error() -> Response {
     })
 }
 
-fn overloaded(route: u64, cap: usize) -> Response {
-    Response::Error(ServeError {
-        code: ErrorCode::Overloaded,
-        message: format!("session stream {route} has reached its pending-command cap ({cap})"),
-    })
-}
-
-/// Answers every item of a unit that will not run with `error()`.
-fn refuse(
-    inner: &Inner,
-    items: Vec<UnitItem>,
-    error: impl Fn() -> Response,
-) -> Vec<(usize, Response)> {
-    items
-        .into_iter()
-        .map(|item| {
-            inner.metrics.inc(Stat::errors);
-            (item.index, error())
-        })
-        .collect()
-}
-
 impl ServiceHandle {
-    /// Executes one command to completion and returns its response —
-    /// semantically a one-element [`ServiceHandle::call_batch`]
-    /// (identical metrics, routing, and backpressure), but a one-item
-    /// unit with no slot vector and no route map: the dominant v1
-    /// traffic shape should not pay for machinery a single command
-    /// cannot use.
+    /// Executes one command to completion and returns its response: a
+    /// one-element [`ServiceHandle::call_batch`].
     pub fn call(&self, cmd: Command) -> Response {
-        self.call_traced(cmd, aware_obs::trace::next_trace_id())
-    }
-
-    /// [`ServiceHandle::call`] attributed to an explicit trace id (the
-    /// TCP front end stamps the one it adopted from — or minted for —
-    /// the envelope).
-    pub fn call_traced(&self, cmd: Command, trace: u64) -> Response {
-        self.inner.metrics.batch(1);
-        let (route, item) = match self.route(0, cmd) {
-            Ok(routed) => routed,
-            Err(answer) => return answer,
-        };
-        let mut replies = self.run_unit(route, vec![item], BatchMode::Continue, trace);
-        replies.pop().expect("one reply per item").1
+        Dispatch::call(self, cmd)
     }
 
     /// Executes an ordered batch of commands and returns their
-    /// responses in submission order, errors reported per item.
-    ///
-    /// Same-session commands execute as one unit — back-to-back, in
-    /// batch order, never interleaved with commands from other clients
-    /// — so the α-investing decision sequence a batch observes is
-    /// exactly the sequence a v1 client would have produced with N
-    /// round trips. Units run one after another on the calling thread,
-    /// in order of each session's first appearance.
+    /// responses in submission order, errors reported per item (see
+    /// [`Dispatch::call_batch_traced`] for the unit semantics).
     pub fn call_batch(&self, cmds: Vec<Command>) -> Vec<Response> {
         self.call_batch_mode(cmds, BatchMode::Continue)
     }
@@ -499,49 +404,44 @@ impl ServiceHandle {
     /// other sessions are untouched — sessions share no statistical
     /// state, so there is nothing coherent to abort across them.
     pub fn call_batch_mode(&self, cmds: Vec<Command>, mode: BatchMode) -> Vec<Response> {
-        self.call_batch_traced(cmds, mode, aware_obs::trace::next_trace_id())
+        Dispatch::call_batch_mode(self, cmds, mode)
     }
 
-    /// [`ServiceHandle::call_batch_mode`] attributed to an explicit
-    /// trace id; every unit the batch splits into carries it.
-    pub fn call_batch_traced(
+    /// Counts each command and splits the batch into per-route units,
+    /// in order of each route's first appearance, batch order kept
+    /// within a unit. A `stats` is answered into its slot here. Items
+    /// of the first route never touch the route map, so a single
+    /// command or a one-session batch hashes nothing.
+    fn units(
         &self,
         cmds: Vec<Command>,
-        mode: BatchMode,
-        trace: u64,
-    ) -> Vec<Response> {
-        let n = cmds.len();
-        self.inner.metrics.batch(n);
-        let mut slots: Vec<Option<Response>> = Vec::new();
-        slots.resize_with(n, || None);
-
-        // Partition into per-route units, preserving batch order within
-        // each route. `order` keeps unit execution deterministic.
-        let mut order: Vec<u64> = Vec::new();
-        let mut units: HashMap<u64, Vec<UnitItem>> = HashMap::new();
+        slots: &mut [Option<Response>],
+    ) -> Vec<(u64, Vec<UnitItem>)> {
+        let mut units: Vec<(u64, Vec<UnitItem>)> = Vec::new();
+        // Unit index of every route but the first.
+        let mut later: HashMap<u64, usize> = HashMap::new();
         for (index, cmd) in cmds.into_iter().enumerate() {
-            match self.route(index, cmd) {
-                Ok((route, item)) => units
-                    .entry(route)
-                    .or_insert_with(|| {
-                        order.push(route);
-                        Vec::new()
-                    })
-                    .push(item),
-                Err(answer) => slots[index] = Some(answer),
-            }
+            let (route, item) = match self.route(index, cmd) {
+                Ok(routed) => routed,
+                Err(answer) => {
+                    slots[index] = Some(answer);
+                    continue;
+                }
+            };
+            let unit = match units.first() {
+                Some((first, _)) if *first == route => 0,
+                Some(_) => *later.entry(route).or_insert_with(|| {
+                    units.push((route, Vec::new()));
+                    units.len() - 1
+                }),
+                None => {
+                    units.push((route, Vec::new()));
+                    0
+                }
+            };
+            units[unit].1.push(item);
         }
-        // One unit, hence one stripe, at a time: no lock ordering.
-        for route in order {
-            let items = units.remove(&route).expect("unit recorded in order");
-            for (index, response) in self.run_unit(route, items, mode, trace) {
-                slots[index] = Some(response);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every item answered"))
-            .collect()
+        units
     }
 
     /// Counts one command and assigns its route: its session, a fresh
@@ -585,31 +485,29 @@ impl ServiceHandle {
         ))
     }
 
-    /// Runs one unit to completion on the calling thread: takes its
-    /// pending slots (or answers `overloaded`), counts itself in flight
-    /// (or answers `shutdown`), then executes under its route's stripe.
-    /// Time spent waiting for a busy stripe is the unit's queue wait; a
-    /// free stripe records 0 µs without reading the clock.
+    /// Runs one unit to completion on the calling thread, answering
+    /// into `slots`: counts itself in flight (or answers `shutdown`),
+    /// then executes under its route's stripe. Time spent waiting for a
+    /// busy stripe is the unit's queue wait; a free stripe records 0 µs
+    /// without reading the clock.
     fn run_unit(
         &self,
         route: u64,
         items: Vec<UnitItem>,
         mode: BatchMode,
         trace: u64,
-    ) -> Vec<(usize, Response)> {
+        slots: &mut [Option<Response>],
+    ) {
         let inner = &self.inner;
-        let cap = inner.config.max_pending_per_session;
-        if !inner.pending.try_acquire(route, items.len(), cap) {
-            inner.metrics.inc(Stat::overloaded);
-            return refuse(inner, items, || overloaded(route, cap));
-        }
         // SeqCst: shutdown either sees this unit in flight or we see its
         // flag. A unit counted here finishes before the shutdown flush,
         // even one still waiting for its stripe.
         inner.in_flight.fetch_add(1, Ordering::SeqCst);
-        let replies = if inner.shutting_down.load(Ordering::SeqCst) {
-            inner.pending.release(route, items.len());
-            refuse(inner, items, shutdown_error)
+        if inner.shutting_down.load(Ordering::SeqCst) {
+            for item in items {
+                inner.metrics.inc(Stat::errors);
+                slots[item.index] = Some(shutdown_error());
+            }
         } else {
             let stripe = inner.stripe(route);
             let (_held, queue_us) = match stripe.try_lock() {
@@ -621,10 +519,9 @@ impl ServiceHandle {
                     (held, start.elapsed().as_micros() as u64)
                 }
             };
-            execute_unit(inner, items, mode, route, queue_us, trace)
-        };
+            execute_unit(inner, items, mode, queue_us, trace, slots);
+        }
         inner.in_flight.fetch_sub(1, Ordering::SeqCst);
-        replies
     }
 
     /// Registers (or replaces) a dataset under `name`.
@@ -854,11 +751,10 @@ impl Service {
             })
             .unwrap_or_default();
         let inner = Arc::new(Inner {
-            registry: Registry::new(config.shards),
+            registry: Registry::default(),
             metrics: Metrics::new(),
             datasets: RwLock::new(HashMap::new()),
             next_session: AtomicU64::new(first_free_id),
-            pending: PendingTable::new(config.shards),
             stripes: std::array::from_fn(|_| Mutex::new(())),
             in_flight: AtomicUsize::new(0),
             store,
@@ -985,23 +881,22 @@ fn snapshotter_loop(inner: Weak<Inner>, interval: Duration) {
 
 /// Executes one dispatch unit to completion on the calling thread —
 /// back-to-back, under its route's stripe held by the caller, so a
-/// batched stream decides exactly as N sequential round trips. Releases
-/// one pending slot of `route` per item.
+/// batched stream decides exactly as N sequential round trips. Each
+/// reply lands in its item's slot.
 fn execute_unit(
     inner: &Inner,
     items: Vec<UnitItem>,
     mode: BatchMode,
-    route: u64,
     queue_us: u64,
     trace: u64,
-) -> Vec<(usize, Response)> {
+    slots: &mut [Option<Response>],
+) {
     // Queue wait: one span per unit (the unit waited for its stripe as a
     // whole; 0 when the stripe was free). Each command's end-to-end
     // latency is that wait plus its own execute time.
     inner.metrics.observe(Stage::QueueWait, queue_us);
     let slow_us = inner.config.slow_ms.map(|ms| ms.saturating_mul(1000));
     let mut aborted = false;
-    let mut replies = Vec::with_capacity(items.len());
     for item in items {
         let UnitItem {
             index,
@@ -1054,16 +949,14 @@ fn execute_unit(
             }
             response
         };
-        inner.pending.release(route, 1);
         if matches!(response, Response::Error(_)) {
             inner.metrics.inc(Stat::errors);
             if mode == BatchMode::FailFast {
                 aborted = true;
             }
         }
-        replies.push((index, response));
+        slots[index] = Some(response);
     }
-    replies
 }
 
 /// Context for a potential slow-query record, captured before the
@@ -2235,12 +2128,11 @@ mod tests {
             _ => None,
         };
 
-        // One fail_fast unit, run directly by the executor both paths
-        // share: whatever its length and however it ends, it answers
-        // with one vector — the submitter's one wake-up when queued —
-        // holding every item's response (`aborted` for the tail) under
-        // the index it was submitted with. Reassembly by that index is
-        // what `batches_mix_sessions_and_preserve_submission_order` and
+        // One fail_fast unit, run directly by the executor: however it
+        // ends, it answers every item (`aborted` for the tail) in the
+        // slot of the index it was submitted with, and no other slot.
+        // Reassembly by that index is what
+        // `batches_mix_sessions_and_preserve_submission_order` and
         // `fail_fast_aborts_only_the_failing_session_stream` check.
         let items = [
             (5, Command::Gauge { session: a }),
@@ -2255,7 +2147,8 @@ mod tests {
             (9, Command::Gauge { session: a }),
             (0, Command::Gauge { session: a }),
         ];
-        let unit = execute_unit(
+        let mut slots: Vec<Option<Response>> = vec![None; 10];
+        execute_unit(
             &h.inner,
             items
                 .into_iter()
@@ -2266,21 +2159,22 @@ mod tests {
                 })
                 .collect(),
             BatchMode::FailFast,
-            a,
             0,
             0,
+            &mut slots,
         );
+        let answered: Vec<(usize, Option<ErrorCode>)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|r| (i, code(r))))
+            .collect();
         assert_eq!(
-            unit.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            [5, 2, 9, 0]
-        );
-        assert_eq!(
-            unit.iter().map(|(_, r)| code(r)).collect::<Vec<_>>(),
+            answered,
             [
-                None,
-                Some(ErrorCode::SessionError),
-                Some(ErrorCode::Aborted),
-                Some(ErrorCode::Aborted),
+                (0, Some(ErrorCode::Aborted)),
+                (2, Some(ErrorCode::SessionError)),
+                (5, None),
+                (9, Some(ErrorCode::Aborted)),
             ]
         );
     }
@@ -2363,30 +2257,76 @@ mod tests {
     }
 
     #[test]
-    fn pending_cap_refuses_oversized_session_streams() {
-        let service = test_service(ServiceConfig {
-            max_pending_per_session: 4,
-            ..ServiceConfig::default()
-        });
+    fn a_session_waits_for_its_stripe_behind_a_full_batch_instead_of_overloading() {
+        let service = test_service(ServiceConfig::default());
         let h = service.handle();
         let sid = create(&h);
-        // A same-session unit larger than the cap is refused whole…
-        let responses = h.call_batch(vec![Command::Gauge { session: sid }; 5]);
-        for r in &responses {
-            match r {
-                Response::Error(e) => assert_eq!(e.code, ErrorCode::Overloaded),
-                other => panic!("{other:?}"),
-            }
+        let stripe = h.inner.stripe(sid).lock().unwrap();
+        // A protocol-maximum same-session batch waits for the stripe…
+        let batcher = h.clone();
+        let batch = std::thread::spawn(move || {
+            batcher.call_batch(vec![
+                Command::Gauge { session: sid };
+                crate::proto::MAX_BATCH_ITEMS
+            ])
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.inner.in_flight.load(Ordering::SeqCst) != 1 {
+            assert!(
+                Instant::now() < deadline,
+                "the batch never reached its stripe"
+            );
+            std::thread::yield_now();
         }
-        // …while one at the cap sails through, and the cap releases as
-        // commands execute (the stream is reusable afterwards).
-        for _ in 0..3 {
-            let responses = h.call_batch(vec![Command::Gauge { session: sid }; 4]);
-            assert!(responses.iter().all(Response::is_ok));
+        // …and one more command of that session waits behind it rather
+        // than being refused: it is admitted (a second unit in flight)
+        // before the stripe is released.
+        let caller = h.clone();
+        let single = std::thread::spawn(move || caller.call(Command::Gauge { session: sid }));
+        while h.inner.in_flight.load(Ordering::SeqCst) != 2 && !single.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "the command never reached its stripe"
+            );
+            std::thread::yield_now();
         }
-        match h.call(Command::Stats) {
-            Response::Stats(s) => assert!(s.overloaded >= 1),
+        drop(stripe);
+        let replies = batch.join().unwrap();
+        assert_eq!(replies.len(), crate::proto::MAX_BATCH_ITEMS);
+        for reply in replies.iter().chain([&single.join().unwrap()]) {
+            assert!(
+                matches!(reply, Response::GaugeText { session, .. } if *session == sid),
+                "{reply:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_call_is_a_one_item_batch() {
+        let service = test_service(ServiceConfig::default());
+        let h = service.handle();
+        let sid = create(&h);
+        let counters = |h: &ServiceHandle| match h.call(Command::Stats) {
+            Response::Stats(s) => (s.commands, s.batch_size_hist),
             other => panic!("{other:?}"),
+        };
+        for cmd in [
+            Command::Gauge { session: sid },
+            Command::Gauge { session: sid + 1 },
+            Command::ListDatasets,
+        ] {
+            let (commands_0, hist_0) = counters(&h);
+            let single = h.call(cmd.clone());
+            let (commands_1, hist_1) = counters(&h);
+            let batch = h.call_batch(vec![cmd]);
+            let (commands_2, hist_2) = counters(&h);
+            assert_eq!(batch, vec![single]);
+            // Each `counters` read is itself one command in one batch.
+            assert_eq!(commands_1 - commands_0, commands_2 - commands_1);
+            let delta = |a: [u64; 5], b: [u64; 5]| -> Vec<u64> {
+                a.iter().zip(b).map(|(a, b)| b - a).collect()
+            };
+            assert_eq!(delta(hist_0, hist_1), delta(hist_1, hist_2));
         }
     }
 

@@ -3,7 +3,7 @@
 //! One protocol handler, two transports: the protocol itself — surface
 //! detection by first byte, hello negotiation, batches, error replies,
 //! the JSON→binary upgrade — lives in `conn.rs`, and this front
-//! only moves bytes. Each connection gets a thread that [`pump`]s its
+//! only moves bytes. Each connection gets a thread that `pump`s its
 //! socket and runs its commands through the [`ServiceHandle`]: a blocking
 //! read feeds the same incremental decoder the reactor front uses,
 //! each decoded message goes through the shared handler, and each
@@ -45,7 +45,7 @@ impl TcpServer {
     /// starts accepting connections, each served on its own thread.
     ///
     /// Generic over [`Dispatch`]: the same front end serves an
-    /// in-process [`ServiceHandle`] and a cluster router.
+    /// in-process [`crate::service::ServiceHandle`] and a cluster router.
     pub fn bind<H>(addr: &str, handle: H) -> std::io::Result<TcpServer>
     where
         H: Dispatch + Clone + Send + 'static,

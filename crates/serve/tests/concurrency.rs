@@ -221,10 +221,7 @@ fn concurrent_sessions_replay_byte_identically() {
     // --- Concurrent run: 12 threads × 6 sessions each, command-major
     // interleaving within each thread so its sessions' commands mix on
     // the route stripes.
-    let service = Service::start(ServiceConfig {
-        shards: 16,
-        ..Default::default()
-    });
+    let service = Service::start(ServiceConfig::default());
     let handle = service.handle();
     handle.register_shared("census", table.clone());
     let commands = Arc::new(AtomicU64::new(0));
@@ -311,10 +308,7 @@ fn concurrent_sessions_replay_byte_identically() {
 
     // --- Sequential replay: one thread, one session at a time, same
     // table bytes, same scripts.
-    let replay_service = Service::start(ServiceConfig {
-        shards: 1,
-        ..Default::default()
-    });
+    let replay_service = Service::start(ServiceConfig::default());
     let replay = replay_service.handle();
     replay.register_shared("census", table);
     let replay_commands = AtomicU64::new(0);
@@ -356,10 +350,7 @@ fn batched_mixed_session_replay_matches_v1() {
     const CHUNK_STEPS: usize = 5;
 
     let table = shared_table();
-    let service = Service::start(ServiceConfig {
-        shards: 8,
-        ..Default::default()
-    });
+    let service = Service::start(ServiceConfig::default());
     let handle = service.handle();
     handle.register_shared("census", table.clone());
 
@@ -439,10 +430,7 @@ fn batched_mixed_session_replay_matches_v1() {
     service.shutdown();
 
     // v1 replay: one thread, single `call`s, one session at a time.
-    let replay_service = Service::start(ServiceConfig {
-        shards: 1,
-        ..Default::default()
-    });
+    let replay_service = Service::start(ServiceConfig::default());
     let replay = replay_service.handle();
     replay.register_shared("census", table);
     let replay_commands = AtomicU64::new(0);
@@ -491,7 +479,6 @@ fn lru_spill_under_load_restores_byte_identical_state() {
     let _ = std::fs::remove_dir_all(&dir);
     let table = shared_table();
     let service = Service::start(ServiceConfig {
-        shards: 8,
         max_sessions: CAPACITY,
         data_dir: Some(dir.clone()),
         ..Default::default()
@@ -733,7 +720,6 @@ fn route_exclusion_keeps_one_ledger_per_session_under_spill_churn() {
     let dir = temp_data_dir("route-exclusion");
     let start = || {
         let service = Service::start(ServiceConfig {
-            shards: 8,
             max_sessions: 2,
             data_dir: Some(dir.clone()),
             ..Default::default()

@@ -3,7 +3,7 @@
 //!
 //! LOND and LORD++ grew directly out of the α-investing line and control
 //! the *actual* FDR (not only mFDR) online; generalized α-investing
-//! (Aharoni & Rosset — the paper's own ref [1]) relaxes the
+//! (Aharoni & Rosset — the paper's own ref \[1\]) relaxes the
 //! penalty/payout coupling. This experiment runs all of them on the
 //! Exp.1b workloads so the paper's rules can be read side by side with
 //! their successors.

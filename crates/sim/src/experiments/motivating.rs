@@ -4,8 +4,8 @@
 //! true, with per-test α = 0.05 and power 0.8. The user will find ≈ 13
 //! correlations of which ≈ 5 (≈ 40%) are bogus."
 //!
-//! Expected values: E[R] = 10·0.8 + 90·0.05 = 12.5 discoveries,
-//! E[V] = 4.5, so the expected false share is 4.5/12.5 = 36% — the paper
+//! Expected values: E\[R\] = 10·0.8 + 90·0.05 = 12.5 discoveries,
+//! E\[V\] = 4.5, so the expected false share is 4.5/12.5 = 36% — the paper
 //! rounds to "≈ 40%". The experiment simulates the setting with one-sided
 //! z-tests calibrated to power 0.8 and reports theoretical vs measured,
 //! plus what Bonferroni and BH would have done on the same streams.
