@@ -6,7 +6,7 @@
 //! default), `reactor` (the epoll event loop behind `--reactor`), and
 //! `reactor_1k_idle` (the same reactor carrying 1,000 extra connected
 //! but silent sockets — the "mostly-idle dashboards" regime the
-//! reactor exists for). The workload is the resilience bench's
+//! reactor exists for). The workload is the replication bench's
 //! steady-state 64-item batch — gauges with a policy swap per session
 //! per iteration — over 8 primed sessions per lane.
 //!
@@ -17,8 +17,9 @@
 //! same bar at 10K idle against the real binary).
 //!
 //! Measurement is *paired*: samples rotate thread/reactor/idle batch
-//! by batch inside one window (see serve_resilience.rs for why — a
-//! shared runner's drift across sequential windows swamps a 5% bar).
+//! by batch inside one window, because a shared runner's drift across
+//! sequential windows (frequency scaling, noisy neighbours) bills
+//! itself to whichever lane runs second and swamps a 5% bar.
 //! JSON rows keep the shim's exact shape so the awk guard and artifact
 //! trajectory stay uniform across benches.
 
@@ -88,7 +89,7 @@ fn prime_sessions(client: &mut Client) -> Vec<SessionId> {
 }
 
 /// One steady-state iteration: 7 gauges + 1 policy swap per session
-/// (same mix as the resilience and replication benches, so rows are
+/// (same mix as the replication bench, so rows are
 /// comparable across artifacts).
 fn steady_state_batch(sids: &[SessionId], round: u64) -> Vec<Command> {
     let mut cmds = Vec::with_capacity(BATCH);

@@ -36,10 +36,11 @@
 //! both.
 //!
 //! `--shard-timeout-ms MS` caps every router→shard round trip
-//! (connect, read, write; default 10 000 ms). A blown deadline answers
-//! `unavailable`, counts toward the shard's circuit breaker and SWIM
-//! suspicion, and — with `--replicas R` — a frozen shard converges to
-//! confirmed-dead and fails over exactly like a crashed one.
+//! (connect, read, write; default 10 000 ms; must be positive — there
+//! is no blocking mode). A blown deadline answers `unavailable`, counts
+//! toward the shard's circuit breaker and its probe misses, and — with
+//! `--replicas R` — a frozen shard converges to confirmed-dead and
+//! fails over exactly like a crashed one.
 //!
 //! Both roles announce `… listening on ADDR …` on stderr once bound,
 //! and both drain gracefully on SIGTERM/SIGINT: stop accepting, flush
@@ -175,8 +176,10 @@ fn run_router(mut args: impl Iterator<Item = String>) {
                 let ms: u64 = next_value(&mut args, "--shard-timeout-ms")
                     .parse()
                     .unwrap_or_else(|e| die(&format!("--shard-timeout-ms: {e}")));
-                // 0 disables the deadline (back to blocking sockets).
-                config.shard_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+                if ms == 0 {
+                    die("--shard-timeout-ms must be positive: every shard round trip carries a deadline");
+                }
+                config.shard_timeout = Duration::from_millis(ms);
             }
             "--reactor" => reactor = true,
             "--help" | "-h" => usage(),

@@ -16,8 +16,8 @@
 //! reproducible — the property the chaos conformance suite leans on.
 //!
 //! The breaker never invents health: it only counts what the pool
-//! observed, and the pool's health flag / SWIM suspicion remain the
-//! membership truth. Shed calls are reported to the caller so a shed
+//! observed, and the pool's health flag and probe-miss count remain
+//! the health truth. Shed calls are reported to the caller so a shed
 //! probe still registers as a missed probe for failure detection.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -33,10 +33,11 @@
 //!   promotes the highest *acked* epoch — after the target shard
 //!   re-validates the image, so a diverged replica is refused, never
 //!   adopted;
-//! * [`gossip`] — SWIM-lite membership: suspect/confirm failure
-//!   detection (one missed probe never flaps the ring) with an
-//!   incarnation per member and a generation per view, disseminated to
-//!   shards over the existing wire protocol.
+//! * [`breaker`] — the per-shard circuit breaker that sheds calls to a
+//!   failing shard. Failure detection itself is one counter per pool:
+//!   one missed probe only suspects a shard, and a second consecutive
+//!   miss confirms it dead ([`pool::SUSPECT_CONFIRM_MISSES`]), so a
+//!   single dropped packet never flaps the ring.
 //!
 //! The router implements [`aware_serve::service::Dispatch`], so
 //! `aware-serve`'s hardened TCP front end (NDJSON + AWR2 frames,
@@ -54,7 +55,6 @@
 //! budget.
 
 pub mod breaker;
-pub mod gossip;
 pub mod pool;
 pub mod replica;
 pub mod ring;

@@ -1,7 +1,10 @@
 //! Per-shard connection pools with health accounting, deadlines, and
 //! circuit breaking.
 //!
-//! The router keeps one [`ShardPool`] per backend shard. Connections
+//! The router keeps one [`ShardPool`] per backend shard, and it is the
+//! router's only health record for that shard: health flag, breaker,
+//! counters, and the probe-miss count that confirms a death
+//! ([`ShardPool::observe_probe`]). Connections
 //! are the binary-framed reference [`Client`] (the hello handshake is
 //! paid once per connection, not per command), checked out for one
 //! round trip and returned on success. A connection-level failure
@@ -32,7 +35,7 @@ use aware_serve::proto::{BatchMode, Command, Encoding, Response};
 use aware_serve::tcp::{is_deadline_error, Client};
 use aware_serve::ServeError;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -74,8 +77,8 @@ fn idempotent(cmd: &Command) -> bool {
         | Command::ListDatasets
         // Replication-plane reads: `snapshot_session` cuts an image
         // without removing anything, `list_sessions` is pure
-        // inventory, and `gossip` is a last-writer-wins merge —
-        // executing any of them twice changes nothing.
+        // inventory, and a retired `gossip` is refused — executing any
+        // of them twice changes nothing.
         | Command::SnapshotSession { .. }
         | Command::ListSessions
         | Command::Gossip { .. } => true,
@@ -100,13 +103,18 @@ fn idempotent(cmd: &Command) -> bool {
 /// round trips simply open (and afterwards drop) extra connections.
 const MAX_IDLE: usize = 8;
 
+/// Consecutive missed probe rounds that confirm a shard dead. One miss
+/// only suspects it: a single dropped packet or a GC-length stall must
+/// never flap the ring, because a failover moves a *wealth ledger*, not
+/// just traffic.
+pub const SUSPECT_CONFIRM_MISSES: u32 = 2;
+
 /// Deadline and breaker tunables for a pool.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Per-socket-operation deadline (connect, read, write). `None`
-    /// disables deadlines entirely (the pre-resilience behavior, kept
-    /// for tests that want to exercise raw blocking semantics).
-    pub timeout: Option<Duration>,
+    /// Per-socket-operation deadline (connect, read, write). Every
+    /// pooled connection carries one; there is no blocking mode.
+    pub timeout: Duration,
     /// Circuit-breaker tunables.
     pub breaker: BreakerConfig,
 }
@@ -117,7 +125,7 @@ impl Default for PoolConfig {
             // Generous by default: long enough that only a genuinely
             // wedged peer blows it, short enough that nothing hangs
             // forever.
-            timeout: Some(Duration::from_secs(10)),
+            timeout: Duration::from_secs(10),
             breaker: BreakerConfig::default(),
         }
     }
@@ -128,7 +136,7 @@ pub struct ShardPool {
     addr: String,
     parsed: SocketAddr,
     /// Per-socket-operation deadline ([`PoolConfig::timeout`]).
-    timeout: Option<Duration>,
+    timeout: Duration,
     breaker: CircuitBreaker,
     idle: Mutex<Vec<Client>>,
     healthy: AtomicBool,
@@ -140,6 +148,9 @@ pub struct ShardPool {
     timeouts: AtomicU64,
     /// Live sessions the shard reported on its last successful probe.
     last_live: AtomicU64,
+    /// Consecutive missed probe rounds; only [`ShardPool::observe_probe`]
+    /// moves it.
+    misses: AtomicU32,
 }
 
 impl ShardPool {
@@ -172,6 +183,7 @@ impl ShardPool {
             errors: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             last_live: AtomicU64::new(0),
+            misses: AtomicU32::new(0),
         })
     }
 
@@ -230,11 +242,8 @@ impl ShardPool {
     }
 
     fn connect(&self) -> Result<Client, PoolError> {
-        let connected = match self.timeout {
-            Some(timeout) => Client::connect_with_deadline(self.parsed, Encoding::Binary, timeout),
-            None => Client::connect_with(self.parsed, Encoding::Binary),
-        };
-        connected.map_err(|e| self.classify(&e))
+        Client::connect_with_deadline(self.parsed, Encoding::Binary, self.timeout)
+            .map_err(|e| self.classify(&e))
     }
 
     fn checkin(&self, client: Client) {
@@ -435,6 +444,23 @@ impl ShardPool {
         }
     }
 
+    /// Records one probe round's outcome for this shard and returns
+    /// true once [`SUSPECT_CONFIRM_MISSES`] consecutive misses confirm
+    /// it dead; a success resets the count. Only the probe round calls
+    /// this — a `stats` poll never advances suspicion — and a shed
+    /// probe counts as a miss.
+    pub fn observe_probe(&self, ok: bool) -> bool {
+        if ok {
+            self.misses.store(0, Ordering::Relaxed);
+            return false;
+        }
+        let misses = self
+            .misses
+            .fetch_add(1, Ordering::Relaxed)
+            .saturating_add(1);
+        misses >= SUSPECT_CONFIRM_MISSES
+    }
+
     /// The shard's health row for the router's `stats` breakdown.
     pub fn health(&self) -> aware_serve::proto::ShardHealth {
         aware_serve::proto::ShardHealth {
@@ -566,6 +592,19 @@ mod tests {
         );
     }
 
+    /// A success between two misses resets the count: death needs
+    /// consecutive misses, so a shard that answers in between is never
+    /// confirmed by misses spread across rounds.
+    #[test]
+    fn a_probe_success_resets_the_miss_count() {
+        // `ShardPool::new` opens no connection; the outcomes are fed in.
+        let pool = ShardPool::new("127.0.0.1:9").unwrap();
+        assert!(!pool.observe_probe(false), "one miss only suspects");
+        assert!(!pool.observe_probe(true));
+        assert!(!pool.observe_probe(false), "the success reset the count");
+        assert!(pool.observe_probe(false), "two consecutive misses confirm");
+    }
+
     /// A black-holed address (TEST-NET-1, no listener, packets dropped)
     /// must cost at most the connect deadline, not a kernel-default
     /// multi-minute SYN retry ladder.
@@ -574,7 +613,7 @@ mod tests {
         let pool = ShardPool::with_config(
             "192.0.2.1:9",
             PoolConfig {
-                timeout: Some(Duration::from_millis(300)),
+                timeout: Duration::from_millis(300),
                 breaker: BreakerConfig::default(),
             },
         )
@@ -621,7 +660,7 @@ mod tests {
         let pool = ShardPool::with_config(
             addr.to_string(),
             PoolConfig {
-                timeout: Some(Duration::from_millis(150)),
+                timeout: Duration::from_millis(150),
                 breaker: BreakerConfig {
                     failure_threshold: 2,
                     base_backoff: Duration::from_secs(5),

@@ -46,7 +46,7 @@ fn key_point(id: SessionId) -> u64 {
     mix(fnv1a(&id.to_le_bytes()))
 }
 
-/// An immutable consistent-hash ring. Membership changes build a new
+/// An immutable consistent-hash ring. Roster changes build a new
 /// ring (cheap — rebuilds are O(members · vnodes · log) and happen only
 /// on join/leave), which is exactly what the router's migration logic
 /// wants: the old and new rings side by side to diff placements.

@@ -61,9 +61,10 @@
 //! session's primary and ships it with a monotone epoch via
 //! `replicate_session` — replicas run the full restore validator and
 //! *refuse* any image that fails it, so a diverged replica is
-//! discarded and re-seeded, never adopted. Probe misses run the
-//! SWIM-lite suspect/confirm machine in [`crate::gossip`]; only a
-//! *confirmed* death triggers `fail_over`, which promotes the
+//! discarded and re-seeded, never adopted. Each shard's pool counts
+//! consecutive probe misses ([`ShardPool::observe_probe`]): one miss
+//! only suspects the shard, and only a death *confirmed* by a second
+//! consecutive miss triggers `fail_over`, which promotes the
 //! highest-acked-epoch replica (decode-validated again at promotion —
 //! a tampered image answers `corrupt_snapshot` and failover falls
 //! through to the next-best epoch), installs a placement override,
@@ -72,14 +73,13 @@
 //! promotion reads them. Every command, reads included, goes to the
 //! session's primary, mutations at most once.
 
-use crate::gossip::Membership;
 use crate::pool::{PoolError, ShardPool};
 use crate::replica::{self, SessState};
 use crate::ring::{Ring, DEFAULT_VNODES};
 use aware_serve::metrics::Metrics;
 use aware_serve::proto::{
-    BatchMode, Command, DatasetInfo, MemberStatus, Response, SessionId, Stat, StatsSnapshot,
-    COMMAND_KINDS, SCALARS,
+    BatchMode, Command, DatasetInfo, Response, SessionId, Stat, StatsSnapshot, COMMAND_KINDS,
+    SCALARS,
 };
 use aware_serve::service::Dispatch;
 use aware_serve::{ErrorCode, ServeError};
@@ -109,12 +109,11 @@ pub struct RouterConfig {
     /// Per-command deadline budget against a shard: TCP connect, every
     /// socket read, and every socket write each get this long before
     /// the round trip is abandoned and answered `unavailable` (never
-    /// `unknown_session`, never a fresh budget). `None` disables
-    /// deadlines (pre-resilience blocking behavior). Blown deadlines
-    /// feed the same SWIM suspicion as refused connections, so a
-    /// frozen shard converges to confirmed-dead and fails over exactly
-    /// like a SIGKILLed one.
-    pub shard_timeout: Option<Duration>,
+    /// `unknown_session`, never a fresh budget). Blown deadlines count
+    /// as probe misses just as refused connections do, so a frozen
+    /// shard converges to confirmed-dead and fails over exactly like a
+    /// SIGKILLed one.
+    pub shard_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -123,7 +122,7 @@ impl Default for RouterConfig {
             probe_interval: None,
             slow_ms: None,
             replicas: 0,
-            shard_timeout: Some(Duration::from_secs(10)),
+            shard_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -172,9 +171,6 @@ struct Inner {
     /// image: they answer this error (always `corrupt_snapshot` —
     /// never a fresh budget) until an operator intervenes.
     stranded: Mutex<HashMap<SessionId, ServeError>>,
-    /// SWIM-lite membership: suspect/confirm so one missed probe never
-    /// flaps the ring; the view is disseminated to shards via `gossip`.
-    membership: Mutex<Membership>,
     next_session: AtomicU64,
     /// Process start, for the router's own `uptime_seconds`.
     started: Instant,
@@ -221,7 +217,6 @@ impl Router {
             sessions: Mutex::new(HashMap::new()),
             pending_drops: Mutex::new(Vec::new()),
             stranded: Mutex::new(HashMap::new()),
-            membership: Mutex::new(Membership::new()),
             next_session: AtomicU64::new(0),
             started: Instant::now(),
             metrics: Metrics::new(),
@@ -262,43 +257,22 @@ fn prober_loop(inner: Weak<Inner>, interval: Duration) {
     }
 }
 
-/// One probe round: every shard is probed, misses run the SWIM-lite
-/// suspect/confirm machine, a *confirmed* death triggers failover (only
-/// when replication is on — with R = 0 there is nothing to promote and
-/// the shard keeps answering `unavailable`), and the membership view is
-/// disseminated to the surviving shards.
+/// One probe round: every shard is probed and its pool counts the
+/// miss or resets on success. A *confirmed* death triggers failover
+/// (only when replication is on — with R = 0 there is nothing to
+/// promote and the shard keeps answering `unavailable`).
 fn probe_round(inner: &Inner) {
     let mut confirmed_dead: Vec<String> = Vec::new();
     for pool in pools_sorted(inner) {
-        let addr = pool.addr().to_string();
-        match pool.probe() {
-            Ok(_) => inner.membership.lock().unwrap().observe_success(&addr),
-            Err(_) => {
-                let status = inner.membership.lock().unwrap().observe_miss(&addr);
-                if status == MemberStatus::Dead
-                    && inner.config.replicas > 0
-                    && inner.topology.read().unwrap().ring.contains(&addr)
-                {
-                    confirmed_dead.push(addr);
-                }
-            }
+        if pool.observe_probe(pool.probe().is_ok())
+            && inner.config.replicas > 0
+            && inner.topology.read().unwrap().ring.contains(pool.addr())
+        {
+            confirmed_dead.push(pool.addr().to_string());
         }
     }
     for addr in confirmed_dead {
         fail_over(inner, &addr);
-    }
-    // Disseminate the (possibly updated) view. Shards keep the highest
-    // generation they have seen, so late or reordered pushes are safe.
-    let (generation, members) = {
-        let membership = inner.membership.lock().unwrap();
-        (membership.generation(), membership.view())
-    };
-    for pool in pools_sorted(inner) {
-        let _ = pool.call(&Command::Gossip {
-            from: "router".to_string(),
-            generation,
-            members: members.clone(),
-        });
     }
 }
 
@@ -932,7 +906,6 @@ fn fail_over(inner: &Inner, dead: &str) {
             .retain(|id, addr| ring.route(*id) != Some(addr.as_str()));
         topo.ring = ring;
     }
-    inner.membership.lock().unwrap().leave(dead);
     inner.pools.write().unwrap().remove(dead);
     aware_obs::logline!(
         aware_obs::log::Level::Warn,
@@ -1353,7 +1326,9 @@ fn join_shard(inner: &Inner, addr: String) -> Response {
         .write()
         .unwrap()
         .insert(addr.clone(), pool.clone());
-    inner.membership.lock().unwrap().join(&addr);
+    // The roster round trip above was answered: a (re)join starts the
+    // shard's miss count at 0.
+    pool.observe_probe(true);
     // Router-restart recovery: adopt whatever the shard already holds
     // (persisted primaries and replica images) before rebalancing, so
     // the rebalance places recovered sessions exactly per the new ring.
@@ -1417,7 +1392,6 @@ fn leave_shard(inner: &Inner, addr: String) -> Response {
     // Nothing routes to the shard any more (ring flipped, overrides
     // retained only where they disagree with the new ring — none can
     // point at a departed member after a clean leave).
-    inner.membership.lock().unwrap().leave(&addr);
     inner.pools.write().unwrap().remove(&addr);
     Response::Rebalanced {
         addr,
@@ -1469,12 +1443,6 @@ fn answer_locally(inner: &Inner, cmd: Command) -> Result<Response, Command> {
 }
 
 impl Dispatch for RouterHandle {
-    fn call_traced(&self, cmd: Command, trace: u64) -> Response {
-        self.inner.metrics.batch(1);
-        let mut replies = route(&self.inner, vec![cmd], BatchMode::Continue, trace);
-        replies.pop().expect("one reply per command")
-    }
-
     /// A batch runs the same `route` a single command does. Items
     /// for one shard keep their submission order inside its sub-batch,
     /// so the shard's own batch unit semantics (one run under the
@@ -1515,10 +1483,9 @@ impl RouterHandle {
         replicate_round(&self.inner)
     }
 
-    /// Runs one probe round now: health-probes every shard, advances
-    /// the SWIM-lite suspect/confirm machine (two consecutive missed
-    /// rounds confirm death and trigger failover when replication is
-    /// on), and disseminates the membership view to surviving shards.
+    /// Runs one probe round now: health-probes every shard and counts
+    /// misses (two consecutive missed rounds confirm death and trigger
+    /// failover when replication is on).
     pub fn probe_now(&self) {
         probe_round(&self.inner);
     }
@@ -2250,6 +2217,32 @@ mod tests {
             matches!(&responses[0], Response::Error(e) if e.code == ErrorCode::InvalidArgument)
         );
         assert!(matches!(&responses[1], Response::GaugeText { .. }));
+    }
+
+    /// A probe round costs each shard exactly its `stats` probe: no
+    /// membership view rides along, and a shard refuses the retired
+    /// `gossip` command outright.
+    #[test]
+    fn a_probe_round_sends_only_stats_and_shards_refuse_gossip() {
+        let (s1, _t1, a1) = shard(7);
+        let (s2, _t2, a2) = shard(7);
+        let router = Router::start(RouterConfig::default());
+        let h = router.handle();
+        join(&h, &a1);
+        join(&h, &a2);
+        let commands = |s: &Service| s.handle().metrics().get(Stat::commands);
+        let before = [commands(&s1), commands(&s2)];
+        h.probe_now();
+        assert_eq!([commands(&s1), commands(&s2)], before.map(|n| n + 1));
+
+        match s1.handle().call(Command::Gossip {
+            from: "router".into(),
+            generation: 1,
+            members: Vec::new(),
+        }) {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::InvalidArgument),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -464,7 +464,7 @@ fn chaos_proxied_shard_strands_but_never_resets_and_heals_byte_identically() {
     );
 
     // Heal. The shard process never died, so once probes get through
-    // again SWIM revives it (incarnation bump) and the breaker's
+    // again a successful probe resets its miss count and the breaker's
     // half-open probe closes the circuit — no operator action.
     proxy.set_transparent(true);
     wait_for(|| {

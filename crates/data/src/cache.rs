@@ -148,7 +148,7 @@ fn canonical(pred: &Predicate) -> Vec<u8> {
             out
         }
         Predicate::In { column, values } => {
-            // Membership is a disjunction of equalities: sort and dedupe
+            // Set membership is a disjunction of equalities: sort and dedupe
             // the listed values so `{a,b}` and `{b,a,b}` share an entry.
             let mut encoded: Vec<Vec<u8>> = values
                 .iter()

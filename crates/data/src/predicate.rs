@@ -321,7 +321,7 @@ fn eval_cmp(table: &Table, column: &str, op: CmpOp, value: &Value) -> Result<Bit
     }
 }
 
-/// Membership kernel. Dictionary and bool columns OR the listed
+/// Set-membership kernel. Dictionary and bool columns OR the listed
 /// buckets of the column's index, numeric columns the listed values'
 /// rank equalities; a column without an index scans once against a
 /// pre-resolved value set.

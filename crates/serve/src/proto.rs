@@ -1085,9 +1085,10 @@ message_table! {
         /// restarting router scans shards with this to rebuild placement
         /// instead of starting blind.
         18 "list_sessions" ListSessions,
-        /// Membership gossip: the sender's roster view (ring generation +
-        /// per-shard health). The receiver merges the higher generation and
-        /// answers with its own view, so peers converge on the ring.
+        /// Retired membership gossip. Nothing sends it any more and a
+        /// shard refuses it with `invalid_argument`; the row keeps its
+        /// codec so captured corpora still decode, and tag 19 is never
+        /// reused.
         19 "gossip" Gossip { from: String, generation: u64, members: Vec<MemberInfo> },
     }
     responses {
@@ -1114,7 +1115,9 @@ message_table! {
         15 +"dropped" ReplicaDropped { session: SessionId },
         /// Every session the shard knows about (`list_sessions`).
         16 "sessions" Sessions { sessions: Vec<SessionEntry> },
-        /// The receiver's membership view after merging a `gossip`.
+        /// The retired answer to `gossip`. No server emits it any more;
+        /// the row keeps its codec so captured corpora still decode, and
+        /// tag 17 is never reused.
         17 "members" GossipView { generation: u64, members: Vec<MemberInfo> },
         /// The dataset roster plus the shard's next free session id.
         11 "datasets" Datasets { datasets: Vec<DatasetInfo>, next_session: u64 },
@@ -1259,8 +1262,9 @@ impl HypothesisReport {
 /// everything larger. The edges match the serve bench's batch sizes.
 pub const BATCH_SIZE_BUCKETS: [u64; 4] = [1, 8, 64, 256];
 
-/// Health of one cluster member as carried by `gossip` — SWIM-style
-/// three-state so one missed probe (suspect) doesn't flap the ring.
+/// Health of one cluster member as carried by the retired `gossip` and
+/// `members` rows. Nothing sends or emits them any more; the type keeps
+/// its codec so captured corpora still decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberStatus {
     Alive,
@@ -1302,7 +1306,8 @@ impl MemberStatus {
     }
 }
 
-/// One cluster member in a `gossip` exchange.
+/// One cluster member in the retired `gossip` and `members` rows,
+/// which nothing sends or emits any more; kept for its codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemberInfo {
     /// The member's address, as named at `join_shard` time.

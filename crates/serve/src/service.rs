@@ -160,10 +160,6 @@ struct Inner {
     store: Option<SnapshotStore>,
     /// Warm replica images held for sessions homed elsewhere, by id.
     replicas: Mutex<HashMap<SessionId, ReplicaHeld>>,
-    /// Last adopted membership view (`gossip`): ring generation plus
-    /// the roster. A restarted router can learn the cluster from any
-    /// shard that heard a gossip round.
-    gossip: Mutex<(u64, Vec<crate::proto::MemberInfo>)>,
     /// Set by shutdown before it waits for `in_flight`. Unit admission
     /// and the `stats` fast path check it, so a drained shard stops
     /// advertising healthy stats — which is what lets a cluster
@@ -317,9 +313,6 @@ struct UnitItem {
 /// the wire surface cannot drift between a shard and the router
 /// standing in front of it, nor between two fronts.
 pub trait Dispatch {
-    /// Executes one command to completion, attributed to a trace id
-    /// (stamped by the wire front end).
-    fn call_traced(&self, cmd: Command, trace: u64) -> Response;
     /// Executes an ordered batch, responses in submission order,
     /// attributed to a trace id.
     fn call_batch_traced(&self, cmds: Vec<Command>, mode: BatchMode, trace: u64) -> Vec<Response>;
@@ -327,6 +320,13 @@ pub trait Dispatch {
     /// per surface, protocol errors, reply encode time, and the
     /// reactor's connection/wakeup accounting.
     fn metrics(&self) -> &Metrics;
+    /// Executes one command to completion, attributed to a trace id
+    /// (stamped by the wire front end): a one-item run of
+    /// [`Dispatch::call_batch_traced`].
+    fn call_traced(&self, cmd: Command, trace: u64) -> Response {
+        let mut replies = self.call_batch_traced(vec![cmd], BatchMode::Continue, trace);
+        replies.pop().expect("one reply per command")
+    }
     /// [`Dispatch::call_traced`] under a freshly minted trace id.
     fn call(&self, cmd: Command) -> Response {
         self.call_traced(cmd, aware_obs::trace::next_trace_id())
@@ -347,12 +347,6 @@ pub struct ServiceHandle {
 impl Dispatch for ServiceHandle {
     fn metrics(&self) -> &Metrics {
         &self.inner.metrics
-    }
-
-    /// A one-item run of the batch path.
-    fn call_traced(&self, cmd: Command, trace: u64) -> Response {
-        let mut replies = self.call_batch_traced(vec![cmd], BatchMode::Continue, trace);
-        replies.pop().expect("one reply per command")
     }
 
     /// Same-session commands execute as one unit — back-to-back, in
@@ -759,7 +753,6 @@ impl Service {
             in_flight: AtomicUsize::new(0),
             store,
             replicas: Mutex::new(replicas),
-            gossip: Mutex::new((0, Vec::new())),
             shutting_down: AtomicBool::new(false),
             config,
         });
@@ -1093,11 +1086,10 @@ fn execute(inner: &Inner, cmd: Command, assigned: Option<SessionId>) -> Response
         Command::DropReplica { session } => drop_replica(inner, session),
         Command::SnapshotSession { session } => snapshot_session(inner, session),
         Command::ListSessions => list_sessions(inner),
-        Command::Gossip {
-            from,
-            generation,
-            members,
-        } => gossip(inner, from, generation, members),
+        Command::Gossip { .. } => Response::Error(ServeError::invalid(
+            "gossip is retired — no process reads a membership view; \
+             the router keeps shard health itself",
+        )),
     }
 }
 
@@ -1827,33 +1819,6 @@ fn list_sessions(inner: &Inner) -> Response {
     }
     sessions.sort_by_key(|s| (s.session, s.replica));
     Response::Sessions { sessions }
-}
-
-/// Merges a membership view: a higher ring generation replaces the
-/// held one (SWIM-style last-writer-wins on the generation), and the
-/// reply always carries the merged view so the sender learns what this
-/// shard knows.
-fn gossip(
-    inner: &Inner,
-    from: String,
-    generation: u64,
-    members: Vec<crate::proto::MemberInfo>,
-) -> Response {
-    let mut view = inner.gossip.lock().unwrap();
-    if generation > view.0 {
-        aware_obs::logline!(
-            aware_obs::log::Level::Debug,
-            "gossip_adopted",
-            from = from,
-            generation = generation,
-            members = members.len(),
-        );
-        *view = (generation, members);
-    }
-    Response::GossipView {
-        generation: view.0,
-        members: view.1.clone(),
-    }
 }
 
 // Compile-time proof that sessions may cross threads: the whole serving
@@ -2939,54 +2904,6 @@ mod tests {
         drop(hr);
         replica.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gossip_merges_by_generation_and_echoes_the_merged_view() {
-        use crate::proto::{MemberInfo, MemberStatus};
-        let service = test_service(ServiceConfig::default());
-        let h = service.handle();
-        let members = vec![
-            MemberInfo {
-                addr: "a:1".into(),
-                status: MemberStatus::Alive,
-                incarnation: 1,
-            },
-            MemberInfo {
-                addr: "b:2".into(),
-                status: MemberStatus::Suspect,
-                incarnation: 4,
-            },
-        ];
-        match h.call(Command::Gossip {
-            from: "router".into(),
-            generation: 7,
-            members: members.clone(),
-        }) {
-            Response::GossipView {
-                generation,
-                members: got,
-            } => {
-                assert_eq!(generation, 7);
-                assert_eq!(got, members);
-            }
-            other => panic!("{other:?}"),
-        }
-        // An older view does not regress the held one.
-        match h.call(Command::Gossip {
-            from: "router".into(),
-            generation: 3,
-            members: Vec::new(),
-        }) {
-            Response::GossipView {
-                generation,
-                members: got,
-            } => {
-                assert_eq!(generation, 7);
-                assert_eq!(got.len(), 2);
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
