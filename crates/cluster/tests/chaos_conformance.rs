@@ -7,8 +7,9 @@
 //!   a shard that accepts connections but never answers must blow the
 //!   `--shard-timeout-ms` deadline and answer `unavailable` within
 //!   ~2× the budget — never `unknown_session`, never a fresh budget —
-//!   and the timeouts must feed SWIM suspicion so the frozen shard
-//!   converges to confirmed-dead and fails over exactly like a
+//!   and the timeouts must count as missed probes in the shard pool
+//!   so the frozen shard converges to confirmed-dead and fails over
+//!   exactly like a
 //!   SIGKILLed one, with byte-identical continued transcripts.
 //! * **Chaos proxy** (`aware-chaos`): a seeded TCP fault proxy on the
 //!   router→shard hop drops, resets, stalls, and delays. Stranded
@@ -355,8 +356,8 @@ fn frozen_shard_blows_the_deadline_then_fails_over_like_a_dead_one() {
     assert!(!stranded.is_empty(), "the frozen shard held sessions");
 
     // The blown deadlines are visible: timeout counters while the
-    // frozen shard's pool is alive, or — if SWIM already confirmed it
-    // dead — a shrunk ring with promotions recorded.
+    // frozen shard's pool is alive, or — if its probe-miss count
+    // already confirmed it dead — a shrunk ring with promotions recorded.
     let stats = cluster_stats(router_addr);
     assert!(
         stats.shard_timeouts > 0 || stats.shards.len() == 2,

@@ -163,33 +163,9 @@ impl Registry {
     }
 
     /// Inserts a fresh (or freshly restored) session under `id`,
-    /// stamping it used-now.
-    pub fn insert(
-        &self,
-        id: SessionId,
-        session: ServedSession,
-        meta: SessionMeta,
-    ) -> Arc<SessionEntry> {
-        let entry = Arc::new(SessionEntry {
-            id,
-            session: Mutex::new(session),
-            meta: Mutex::new(meta),
-            dirty: AtomicBool::new(false),
-            last_used_ms: AtomicU64::new(0),
-            touch_seq: AtomicU64::new(0),
-        });
-        self.touch(&entry);
-        let prev = self.shard(id).write().unwrap().insert(id, entry.clone());
-        debug_assert!(prev.is_none(), "session ids are unique by construction");
-        self.live.fetch_add(1, Ordering::Relaxed);
-        entry
-    }
-
-    /// Inserts a session under a caller-chosen id, refusing (without
-    /// effect) when the id is already live — the import/preassigned-
-    /// create path, where the id arrives from outside the shard's own
-    /// allocator. The check and the insert happen under one shard
-    /// write lock, so two racing imports of the same id cannot both
+    /// stamping it used-now, or refuses (without effect) when the id is
+    /// already live. The check and the insert happen under one shard
+    /// write lock, so two racing installs of the same id cannot both
     /// win.
     pub fn try_insert(
         &self,
@@ -421,8 +397,8 @@ mod tests {
         let table = Arc::new(CensusGenerator::new(1).generate(200));
         let reg = Registry::default();
         assert!(reg.is_empty());
-        reg.insert(0, session(&table), meta());
-        reg.insert(1, session(&table), meta());
+        reg.try_insert(0, session(&table), meta()).unwrap();
+        reg.try_insert(1, session(&table), meta()).unwrap();
         assert_eq!(reg.len(), 2);
         assert!(reg.get(0).is_some());
         assert!(reg.get(99).is_none());
@@ -436,7 +412,7 @@ mod tests {
         let table = Arc::new(CensusGenerator::new(2).generate(100));
         let reg = Registry::default();
         for id in 0..50 {
-            reg.insert(id, session(&table), meta());
+            reg.try_insert(id, session(&table), meta()).unwrap();
         }
         // 50 sessions + this handle: 51 strong refs, one table.
         assert_eq!(Arc::strong_count(&table), 51);
@@ -447,7 +423,7 @@ mod tests {
         let table = Arc::new(CensusGenerator::new(3).generate(100));
         let reg = Registry::default();
         for id in 0..4 {
-            reg.insert(id, session(&table), meta());
+            reg.try_insert(id, session(&table), meta()).unwrap();
         }
         // Insertion order is the initial LRU order, even though all four
         // inserts very likely landed in the same millisecond.
@@ -470,7 +446,7 @@ mod tests {
         let table = Arc::new(CensusGenerator::new(4).generate(100));
         let reg = Registry::default();
         for id in 0..3 {
-            reg.insert(id, session(&table), meta());
+            reg.try_insert(id, session(&table), meta()).unwrap();
         }
         // Deterministic recency without sleeping: stamp ms by hand.
         for id in 0..3u64 {
@@ -493,7 +469,7 @@ mod tests {
         let reg = Registry::default();
         let total: u64 = 4 * LRU_EXACT_THRESHOLD; // well into the sampled regime
         for id in 0..total {
-            reg.insert(id, session(&table), meta());
+            reg.try_insert(id, session(&table), meta()).unwrap();
         }
         // Touch everything once in id order so recency is fully known;
         // the most recent 8 are the ids at the end.
@@ -526,7 +502,7 @@ mod tests {
     fn stale_lru_candidate_survives_removal() {
         let table = Arc::new(CensusGenerator::new(5).generate(100));
         let reg = Registry::default();
-        reg.insert(0, session(&table), meta());
+        reg.try_insert(0, session(&table), meta()).unwrap();
         let (victim, seq) = reg.lru_candidate().unwrap();
         // The session is touched after the scan (same millisecond is
         // fine — the sequence is what's compared)…

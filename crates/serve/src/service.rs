@@ -47,7 +47,15 @@
 //!   *before* its response is released (synchronous durability);
 //! * **restart** — a new service over the same directory resumes id
 //!   allocation above every persisted id and restores sessions on
-//!   first touch.
+//!   first touch;
+//! * **one install path** — every way a ledger enters the registry
+//!   under an id (a local or preassigned create, an import, a replica
+//!   promotion) goes through one function: it refuses an id this shard
+//!   already holds, live or persisted, revives a closed id so it
+//!   persists again, keeps the allocator above the id, and makes the
+//!   session durable under the same contract every mutation obeys. A
+//!   lazy restore reads the store's own image and is the one path that
+//!   inserts without it.
 
 use crate::error::{ErrorCode, ServeError};
 use crate::metrics::{Metrics, Stage};
@@ -55,7 +63,7 @@ use crate::proto::{
     BatchMode, Command, HypothesisReport, PolicySpec, Response, SessionId, Stat, TranscriptFormat,
     SCALARS,
 };
-use crate::registry::{Registry, SessionEntry, SessionMeta};
+use crate::registry::{Registry, ServedSession, SessionEntry, SessionMeta};
 use crate::snapshot::SessionImage;
 use crate::store::SnapshotStore;
 use aware_core::session::Session;
@@ -136,7 +144,8 @@ struct Dataset {
 }
 
 /// A warm replica image held for a session whose primary lives on
-/// another shard. With a store configured the bytes live on disk only
+/// another shard — the shard's one record of it (the store keeps no
+/// replica index). With a store configured the bytes live on disk only
 /// (`repl-<id>.e<epoch>.awrs`) and `image` is `None` — promotion
 /// re-reads the durable file as the authoritative copy; without one
 /// the shipped bytes are kept in memory.
@@ -185,13 +194,9 @@ impl Inner {
 /// process uptime, and the capped per-session risk telemetry.
 fn snapshot_with_caches(inner: &Inner) -> crate::proto::StatsSnapshot {
     let mut snapshot = inner.metrics.snapshot(inner.registry.len());
-    for dataset in inner.datasets.read().unwrap().values() {
-        // counters() reads two atomics — a stats poll never touches the
-        // cache's stripe locks, so it cannot stall hot-path evaluation.
-        let (hits, misses) = dataset.cache.counters();
-        snapshot.cache_hits += hits;
-        snapshot.cache_misses += misses;
-    }
+    let (hits, misses) = cache_totals(inner);
+    snapshot.cache_hits += hits;
+    snapshot.cache_misses += misses;
     if let Some(store) = &inner.store {
         snapshot.persisted = store.persisted();
     }
@@ -233,7 +238,7 @@ fn session_risk(inner: &Inner) -> Vec<crate::proto::SessionRisk> {
 
 /// Builds the durable image of a session; call with the session mutex
 /// held so the image is a consistent cut.
-fn image_of(entry: &SessionEntry, session: &crate::registry::ServedSession) -> SessionImage {
+fn image_of(entry: &SessionEntry, session: &ServedSession) -> SessionImage {
     let meta = entry.meta.lock().unwrap();
     SessionImage {
         id: entry.id,
@@ -268,6 +273,31 @@ fn save_image(inner: &Inner, image: &SessionImage) -> bool {
             );
             false
         }
+    }
+}
+
+/// The first half of the durability contract every mutation and every
+/// install obeys: mark the entry dirty and, in synchronous-snapshot
+/// mode, cut its image now. Call with the session mutex held, then
+/// hand the cut to [`write_cut`] once the mutex is released.
+fn mark_dirty_and_cut(
+    inner: &Inner,
+    entry: &SessionEntry,
+    session: &ServedSession,
+) -> Option<SessionImage> {
+    entry.mark_dirty();
+    inner.sync_snapshots().then(|| {
+        entry.clear_dirty();
+        image_of(entry, session)
+    })
+}
+
+/// The second half: writes a synchronous cut before the reply is
+/// released. A failed write re-marks the entry dirty, so the shutdown
+/// flush and the next spill keep trying.
+fn write_cut(inner: &Inner, entry: &SessionEntry, cut: Option<SessionImage>) {
+    if cut.is_some_and(|image| !save_image(inner, &image)) {
+        entry.mark_dirty();
     }
 }
 
@@ -716,8 +746,18 @@ impl Service {
     /// directory cannot be created or scanned — running "durable" with
     /// a broken store would be a silent lie.
     pub fn start(config: ServiceConfig) -> Service {
+        // Replica images survive a shard restart: re-seed the held map
+        // from the store's replica namespace so a restarted shard still
+        // answers `list_sessions`/`promote_replica` for them.
+        let mut replicas: HashMap<SessionId, ReplicaHeld> = HashMap::new();
         let store = config.data_dir.as_ref().map(|dir| {
-            SnapshotStore::open(dir).unwrap_or_else(|e| {
+            let store = SnapshotStore::open(dir).and_then(|store| {
+                for (id, epoch) in store.replica_entries()? {
+                    replicas.insert(id, ReplicaHeld { epoch, image: None });
+                }
+                Ok(store)
+            });
+            store.unwrap_or_else(|e| {
                 panic!(
                     "aware-serve: cannot open snapshot directory {}: {e}",
                     dir.display()
@@ -732,18 +772,6 @@ impl Service {
             .as_ref()
             .and_then(SnapshotStore::max_session_id)
             .map_or(0, |max| max + 1);
-        // Replica images survive a shard restart: re-seed the held map
-        // from the store's replica namespace so a restarted shard still
-        // answers `list_sessions`/`promote_replica` for them.
-        let replicas: HashMap<SessionId, ReplicaHeld> = store
-            .as_ref()
-            .map(|s| {
-                s.replica_entries()
-                    .into_iter()
-                    .map(|(id, epoch)| (id, ReplicaHeld { epoch, image: None }))
-                    .collect()
-            })
-            .unwrap_or_default();
         let inner = Arc::new(Inner {
             registry: Registry::default(),
             metrics: Metrics::new(),
@@ -1031,21 +1059,17 @@ fn execute(inner: &Inner, cmd: Command, assigned: Option<SessionId>) -> Response
             dataset,
             alpha,
             policy,
-        } => create_session(
-            inner,
-            assigned.expect("create is pre-assigned"),
-            dataset,
-            alpha,
-            policy,
-            false,
-        ),
+        } => {
+            let id = assigned.expect("create is pre-assigned");
+            create_session(inner, id, dataset, alpha, policy)
+        }
         Command::CreateSessionAs {
             session,
             dataset,
             alpha,
             policy,
-        } => create_session(inner, session, dataset, alpha, policy, true),
-        Command::ExportSession { session } => export_session(inner, session),
+        } => create_session(inner, session, dataset, alpha, policy),
+        Command::ExportSession { session } => export_session(inner, session, true),
         Command::ImportSession { session, image } => import_session(inner, session, image),
         Command::ListDatasets => list_datasets(inner),
         Command::JoinShard { .. } | Command::LeaveShard { .. } => {
@@ -1084,7 +1108,7 @@ fn execute(inner: &Inner, cmd: Command, assigned: Option<SessionId>) -> Response
         } => replicate_session(inner, session, epoch, image),
         Command::PromoteReplica { session } => promote_replica(inner, session),
         Command::DropReplica { session } => drop_replica(inner, session),
-        Command::SnapshotSession { session } => snapshot_session(inner, session),
+        Command::SnapshotSession { session } => export_session(inner, session, false),
         Command::ListSessions => list_sessions(inner),
         Command::Gossip { .. } => Response::Error(ServeError::invalid(
             "gossip is retired — no process reads a membership view; \
@@ -1099,7 +1123,6 @@ fn create_session(
     dataset: String,
     alpha: f64,
     policy: PolicySpec,
-    preassigned: bool,
 ) -> Response {
     let Some((table, cache, fingerprint)) = inner
         .datasets
@@ -1117,29 +1140,12 @@ fn create_session(
         Ok(p) => p,
         Err(e) => return Response::Error(e),
     };
-    // A preassigned id comes from outside this shard's allocator (a
-    // cluster router); refuse collisions with anything this shard
-    // already knows — live or spilled — and keep the local allocator
-    // above it so locally created sessions can never collide either.
-    if preassigned {
-        if inner.store.as_ref().is_some_and(|s| s.contains(id)) {
-            return Response::Error(ServeError::invalid(format!(
-                "session id {id} is already in use (persisted on this shard)"
-            )));
-        }
-        inner.next_session.fetch_max(id + 1, Ordering::Relaxed);
-    }
     // All sessions on one dataset share its evaluation cache: filter
     // chains and global histograms warmed by any session serve them all.
     let session = match Session::shared_with_cache(table, alpha, boxed, cache) {
         Ok(s) => s,
         Err(e) => return Response::Error(ServeError::invalid(format!("cannot open session: {e}"))),
     };
-
-    if let Err(refusal) = ensure_capacity(inner) {
-        return refusal;
-    }
-
     let wealth = session.wealth();
     let policy_name = session.policy_name();
     let meta = SessionMeta {
@@ -1148,41 +1154,57 @@ fn create_session(
         policy,
         policy_since: 0,
     };
-    let entry = if preassigned {
-        match inner.registry.try_insert(id, session, meta) {
-            Some(entry) => entry,
-            None => {
-                return Response::Error(ServeError::invalid(format!(
-                    "session id {id} is already in use (live on this shard)"
-                )))
-            }
-        }
-    } else {
-        inner.registry.insert(id, session, meta)
-    };
-    inner.metrics.inc(Stat::sessions_created);
-    // A created session is durable the moment the client learns its id:
-    // in synchronous mode the initial snapshot is on disk before this
-    // response is released; otherwise the dirty flag queues it for the
-    // next periodic pass.
-    entry.mark_dirty();
-    if inner.sync_snapshots() {
-        let image = {
-            let session = entry.session.lock().unwrap();
-            entry.clear_dirty();
-            image_of(&entry, &session)
-        };
-        if !save_image(inner, &image) {
-            // The write-before-reply promise broke; leave the session
-            // dirty so the shutdown flush (and any later spill) retries.
-            entry.mark_dirty();
-        }
+    if let Err(refusal) = install(inner, id, session, meta) {
+        return refusal;
     }
+    inner.metrics.inc(Stat::sessions_created);
     Response::SessionCreated {
         session: id,
         wealth,
         policy: policy_name,
     }
+}
+
+/// The refusal of an id this shard already holds.
+fn id_in_use(id: SessionId, held: &str) -> Response {
+    Response::Error(ServeError::invalid(format!(
+        "session id {id} is already in use ({held} on this shard)"
+    )))
+}
+
+/// The one way a ledger enters the registry under an id: a create
+/// (local or preassigned), an import, a promotion. An id that arrives
+/// from outside this shard's allocator (a cluster router, a migration,
+/// a failover) must not collide with anything this shard holds, live
+/// or persisted; a locally allocated id passes every check trivially.
+/// The installed session is durable under the same contract a mutation
+/// is: in synchronous mode its first snapshot is on disk before the
+/// caller's reply is released.
+#[allow(clippy::result_large_err)] // cold path, the Err is the reply
+fn install(
+    inner: &Inner,
+    id: SessionId,
+    session: ServedSession,
+    meta: SessionMeta,
+) -> Result<Arc<SessionEntry>, Response> {
+    if let Some(store) = &inner.store {
+        if store.contains(id) {
+            return Err(id_in_use(id, "persisted"));
+        }
+        // The id may carry a tombstone from an earlier close or export
+        // off this shard; a session that enters again must persist.
+        store.revive(id);
+    }
+    ensure_capacity(inner)?;
+    let entry = inner
+        .registry
+        .try_insert(id, session, meta)
+        .ok_or_else(|| id_in_use(id, "live"))?;
+    // Never hand an id from another allocator out locally again.
+    inner.next_session.fetch_max(id + 1, Ordering::Relaxed);
+    let cut = mark_dirty_and_cut(inner, &entry, &entry.session.lock().unwrap());
+    write_cut(inner, &entry, cut);
+    Ok(entry)
 }
 
 /// Makes room for one more session, spilling (with a store) or dropping
@@ -1230,7 +1252,9 @@ fn ensure_capacity(inner: &Inner) -> Result<(), Response> {
 /// store when it was spilled (or the server restarted). The restore
 /// derives no selection: the first later test that needs one derives it
 /// through the dataset's shared evaluation cache — snapshots carry no
-/// bitmaps.
+/// bitmaps. It reinstalls the store's own image, so unlike [`install`]
+/// it checks no collision, revives nothing and writes nothing; it runs
+/// under the session's stripe, so the id cannot turn live meanwhile.
 #[allow(clippy::result_large_err)] // cold path, the Err is the reply
 fn lookup_or_restore(inner: &Inner, id: SessionId) -> Result<Arc<SessionEntry>, Response> {
     if let Some(entry) = inner.registry.get(id) {
@@ -1245,7 +1269,10 @@ fn lookup_or_restore(inner: &Inner, id: SessionId) -> Result<Arc<SessionEntry>, 
     let image = store.load(id).map_err(Response::Error)?;
     let (session, meta) = restore_image(inner, image).map_err(Response::Error)?;
     ensure_capacity(inner)?;
-    Ok(inner.registry.insert(id, session, meta))
+    inner
+        .registry
+        .try_insert(id, session, meta)
+        .ok_or_else(|| id_in_use(id, "live"))
 }
 
 /// Serves the read-only commands (`gauge`, `transcript`) from the
@@ -1255,7 +1282,7 @@ fn lookup_or_restore(inner: &Inner, id: SessionId) -> Result<Arc<SessionEntry>, 
 fn with_session(
     inner: &Inner,
     id: SessionId,
-    f: impl FnOnce(&mut crate::registry::ServedSession) -> Response,
+    f: impl FnOnce(&mut ServedSession) -> Response,
 ) -> Response {
     match lookup_or_restore(inner, id) {
         Ok(entry) => f(&mut entry.session.lock().unwrap()),
@@ -1263,17 +1290,18 @@ fn with_session(
     }
 }
 
-/// [`with_session`] for state-mutating commands: marks the entry dirty
-/// and, in synchronous-snapshot mode, writes the session's snapshot to
-/// disk before the response escapes (the write happens outside the
-/// session mutex; the image was cut under it).
+/// [`with_session`] for state-mutating commands, under the durability
+/// contract: the entry is marked dirty and, in synchronous-snapshot
+/// mode, the session's snapshot is on disk before the response escapes
+/// (the write happens outside the session mutex; the image was cut
+/// under it).
 fn with_session_mut(
     inner: &Inner,
     id: SessionId,
-    f: impl FnOnce(&mut crate::registry::ServedSession, &SessionEntry) -> Response,
+    f: impl FnOnce(&mut ServedSession, &SessionEntry) -> Response,
 ) -> Response {
     let mut f = Some(f);
-    let (entry, response, image) = loop {
+    loop {
         let entry = match lookup_or_restore(inner, id) {
             Ok(entry) => entry,
             Err(refusal) => return refusal,
@@ -1286,24 +1314,11 @@ fn with_session_mut(
             continue;
         }
         let response = f.take().expect("runs once")(&mut session, &entry);
-        entry.mark_dirty();
-        let image = if inner.sync_snapshots() {
-            entry.clear_dirty();
-            Some(image_of(&entry, &session))
-        } else {
-            None
-        };
+        let cut = mark_dirty_and_cut(inner, &entry, &session);
         drop(session);
-        break (entry, response, image);
-    };
-    if let Some(image) = image {
-        if !save_image(inner, &image) {
-            // Synchronous durability failed: re-mark dirty so the
-            // shutdown flush and eviction spill keep trying.
-            entry.mark_dirty();
-        }
+        write_cut(inner, &entry, cut);
+        return response;
     }
-    response
 }
 
 fn add_visualization(
@@ -1399,34 +1414,36 @@ fn close_session(inner: &Inner, id: SessionId) -> Response {
     }
 }
 
-/// Exports a session for migration: quiesce (this runs under the
-/// session's stripe, after every earlier command), snapshot, remove from
-/// memory *and* disk, and hand the complete `AWRS` image to the caller.
-/// After the response leaves, the wealth ledger exists only in those
-/// bytes — which is the point: a migrated session must never be
+/// Cuts the complete `AWRS` image of a session, quiesced (this runs
+/// under the session's stripe, after every earlier command), and hands
+/// it to the caller. Without `remove` (`snapshot_session`) the session
+/// keeps serving: the router's replication cadence lives on this. With
+/// it (`export_session`, a migration) the session also leaves memory
+/// *and* disk, so after the response the wealth ledger exists only in
+/// those bytes — which is the point: a migrated session must never be
 /// serveable from two shards at once (that would double its α-budget).
-fn export_session(inner: &Inner, id: SessionId) -> Response {
+fn export_session(inner: &Inner, id: SessionId, remove: bool) -> Response {
     let entry = match lookup_or_restore(inner, id) {
         Ok(entry) => entry,
         Err(refusal) => return refusal,
     };
-    let image = {
-        let session = entry.session.lock().unwrap();
-        image_of(&entry, &session)
-    };
+    let image = image_of(&entry, &entry.session.lock().unwrap());
     let bytes = crate::snapshot::encode(&image);
-    // Decode-validate our own bytes before destroying the live session:
-    // shipping an image the far side must refuse would strand the
-    // wealth in transit.
+    // Decode-validate our own bytes before shipping them: an image the
+    // far side must refuse would strand an export's wealth in transit,
+    // and waste a replica ship's round trip.
     if let Err(e) = crate::snapshot::decode(&bytes) {
+        let what = if remove { "export" } else { "snapshot" };
         return Response::Error(ServeError {
             code: ErrorCode::CorruptSnapshot,
-            message: format!("session {id} produced an unreadable export image: {e}"),
+            message: format!("session {id} produced an unreadable {what} image: {e}"),
         });
     }
-    inner.registry.remove(id);
-    if let Some(store) = &inner.store {
-        store.remove(id);
+    if remove {
+        inner.registry.remove(id);
+        if let Some(store) = &inner.store {
+            store.remove(id);
+        }
     }
     Response::SessionExported {
         session: id,
@@ -1435,50 +1452,19 @@ fn export_session(inner: &Inner, id: SessionId) -> Response {
 }
 
 /// Imports an exported `AWRS` image: full snapshot validation (see
-/// [`validate_image`]), id allocator bumped above the imported id.
+/// [`validate_image`]), then [`install`].
 fn import_session(inner: &Inner, id: SessionId, bytes: Vec<u8>) -> Response {
     let (session, meta) = match validate_image(inner, id, &bytes) {
         Ok(restored) => restored,
         Err(e) => return Response::Error(e),
     };
-    if let Some(store) = &inner.store {
-        if store.contains(id) {
-            return Response::Error(ServeError::invalid(format!(
-                "session id {id} is already in use (persisted on this shard)"
-            )));
-        }
-        // The id may carry a tombstone from an earlier export off this
-        // shard (or a close); an imported session must be able to
-        // persist here again.
-        store.revive(id);
-    }
-    if let Err(refusal) = ensure_capacity(inner) {
-        return refusal;
-    }
     let wealth = session.wealth();
-    let Some(entry) = inner.registry.try_insert(id, session, meta) else {
-        return Response::Error(ServeError::invalid(format!(
-            "session id {id} is already in use (live on this shard)"
-        )));
-    };
-    // Imported ids come from another allocator; never hand them out
-    // locally again.
-    inner.next_session.fetch_max(id + 1, Ordering::Relaxed);
-    // The import is durable under the same contract a create is.
-    entry.mark_dirty();
-    if inner.sync_snapshots() {
-        let image = {
-            let session = entry.session.lock().unwrap();
-            entry.clear_dirty();
-            image_of(&entry, &session)
-        };
-        if !save_image(inner, &image) {
-            entry.mark_dirty();
-        }
-    }
-    Response::SessionImported {
-        session: id,
-        wealth,
+    match install(inner, id, session, meta) {
+        Ok(_) => Response::SessionImported {
+            session: id,
+            wealth,
+        },
+        Err(refusal) => refusal,
     }
 }
 
@@ -1514,7 +1500,7 @@ fn validate_image(
     inner: &Inner,
     id: SessionId,
     bytes: &[u8],
-) -> Result<(crate::registry::ServedSession, SessionMeta), ServeError> {
+) -> Result<(ServedSession, SessionMeta), ServeError> {
     let image = crate::snapshot::decode(bytes)?;
     if image.id != id {
         return Err(ServeError::invalid(format!(
@@ -1532,7 +1518,7 @@ fn validate_image(
 fn restore_image(
     inner: &Inner,
     image: SessionImage,
-) -> Result<(crate::registry::ServedSession, SessionMeta), ServeError> {
+) -> Result<(ServedSession, SessionMeta), ServeError> {
     let id = image.id;
     let Some((table, cache, fingerprint)) = inner
         .datasets
@@ -1591,9 +1577,9 @@ fn restore_image(
 
 /// Forgets the held replica image of `id` (map entry and durable file).
 fn discard_replica(inner: &Inner, id: SessionId) {
-    inner.replicas.lock().unwrap().remove(&id);
-    if let Some(store) = &inner.store {
-        store.remove_replica(id);
+    let held = inner.replicas.lock().unwrap().remove(&id);
+    if let (Some(store), Some(held)) = (&inner.store, held) {
+        store.remove_replica(id, held.epoch);
     }
 }
 
@@ -1617,20 +1603,20 @@ fn replicate_session(inner: &Inner, id: SessionId, epoch: u64, bytes: Vec<u8>) -
     }
     // The dispatcher serializes commands per session, so no concurrent
     // replicate/promote/drop races this epoch check.
-    if let Some(held) = inner.replicas.lock().unwrap().get(&id) {
-        if epoch < held.epoch {
+    let held = inner.replicas.lock().unwrap().get(&id).map(|h| h.epoch);
+    if let Some(held) = held {
+        if epoch < held {
             return Response::Error(ServeError::invalid(format!(
-                "stale replication epoch {epoch} for session {id} (holding epoch {})",
-                held.epoch
+                "stale replication epoch {epoch} for session {id} (holding epoch {held})"
             )));
         }
-        if epoch == held.epoch {
+        if epoch == held {
             // Idempotent re-ship of the current epoch: ack, don't rewrite.
             return Response::SessionReplicated { session: id, epoch };
         }
     }
     let image = if let Some(store) = &inner.store {
-        if let Err(e) = store.save_replica(id, epoch, &bytes) {
+        if let Err(e) = store.save_replica(id, epoch, held, &bytes) {
             return Response::Error(ServeError {
                 code: ErrorCode::Unavailable,
                 message: format!("cannot persist replica image of session {id}: {e}"),
@@ -1648,10 +1634,12 @@ fn replicate_session(inner: &Inner, id: SessionId, epoch: u64, bytes: Vec<u8>) -
     Response::SessionReplicated { session: id, epoch }
 }
 
-/// Installs the held replica image as the live session. The bytes are
-/// re-read from their durable home and re-validated from scratch — a
-/// tampered or diverged image answers `corrupt_snapshot` and the
-/// replica is discarded, never adopted as a ledger.
+/// Installs the held replica image as the live session (through
+/// [`install`], so a promotion never replaces a primary this shard
+/// holds). The bytes are re-read from their durable home and
+/// re-validated from scratch — a tampered or diverged image answers
+/// `corrupt_snapshot` and the replica is discarded, never adopted as a
+/// ledger.
 fn promote_replica(inner: &Inner, id: SessionId) -> Response {
     let held = inner
         .replicas
@@ -1659,33 +1647,22 @@ fn promote_replica(inner: &Inner, id: SessionId) -> Response {
         .unwrap()
         .get(&id)
         .map(|h| (h.epoch, h.image.clone()));
-    let Some((epoch, mem_bytes)) = held else {
+    let Some((epoch, held_bytes)) = held else {
         return Response::Error(ServeError {
             code: ErrorCode::UnknownSession,
             message: format!("no replica image held for session {id}"),
         });
     };
     let bytes = match &inner.store {
-        Some(store) => match store.load_replica(id) {
-            Some((_, bytes)) => bytes,
-            None => {
-                discard_replica(inner, id);
-                return Response::Error(ServeError {
-                    code: ErrorCode::CorruptSnapshot,
-                    message: format!("replica image of session {id} is missing from disk"),
-                });
-            }
-        },
-        None => match mem_bytes {
-            Some(bytes) => bytes,
-            None => {
-                discard_replica(inner, id);
-                return Response::Error(ServeError {
-                    code: ErrorCode::CorruptSnapshot,
-                    message: format!("replica image of session {id} has no bytes"),
-                });
-            }
-        },
+        Some(store) => store.load_replica(id, epoch),
+        None => held_bytes,
+    };
+    let Some(bytes) = bytes else {
+        discard_replica(inner, id);
+        return Response::Error(ServeError {
+            code: ErrorCode::CorruptSnapshot,
+            message: format!("replica image of session {id} is missing from disk"),
+        });
     };
     let (session, meta) = match validate_image(inner, id, &bytes) {
         Ok(v) => v,
@@ -1709,33 +1686,11 @@ fn promote_replica(inner: &Inner, id: SessionId) -> Response {
             });
         }
     };
-    if let Err(refusal) = ensure_capacity(inner) {
+    let wealth = session.wealth();
+    if let Err(refusal) = install(inner, id, session, meta) {
         return refusal;
     }
-    if let Some(store) = &inner.store {
-        // The id may carry a tombstone from an earlier export/close.
-        store.revive(id);
-    }
-    let wealth = session.wealth();
-    let Some(entry) = inner.registry.try_insert(id, session, meta) else {
-        return Response::Error(ServeError::invalid(format!(
-            "session id {id} is already in use (live on this shard)"
-        )));
-    };
-    inner.next_session.fetch_max(id + 1, Ordering::Relaxed);
-    // The promoted session is durable under the same contract an
-    // import is; the replica file goes — this shard is the primary now.
-    entry.mark_dirty();
-    if inner.sync_snapshots() {
-        let image = {
-            let session = entry.session.lock().unwrap();
-            entry.clear_dirty();
-            image_of(&entry, &session)
-        };
-        if !save_image(inner, &image) {
-            entry.mark_dirty();
-        }
-    }
+    // This shard is the primary now: the replica file goes.
     discard_replica(inner, id);
     inner.metrics.inc(Stat::promotions);
     aware_obs::logline!(
@@ -1755,33 +1710,6 @@ fn promote_replica(inner: &Inner, id: SessionId) -> Response {
 fn drop_replica(inner: &Inner, id: SessionId) -> Response {
     discard_replica(inner, id);
     Response::ReplicaDropped { session: id }
-}
-
-/// The non-destructive half of `export_session`: snapshot the session
-/// (quiesced under its stripe) and return the image, leaving the
-/// session serving. The router's replication cadence lives on this.
-fn snapshot_session(inner: &Inner, id: SessionId) -> Response {
-    let entry = match lookup_or_restore(inner, id) {
-        Ok(entry) => entry,
-        Err(refusal) => return refusal,
-    };
-    let image = {
-        let session = entry.session.lock().unwrap();
-        image_of(&entry, &session)
-    };
-    let bytes = crate::snapshot::encode(&image);
-    // Decode-validate our own bytes: shipping an image the replica must
-    // refuse would waste the round trip and mask encoder bugs.
-    if let Err(e) = crate::snapshot::decode(&bytes) {
-        return Response::Error(ServeError {
-            code: ErrorCode::CorruptSnapshot,
-            message: format!("session {id} produced an unreadable snapshot image: {e}"),
-        });
-    }
-    Response::SessionExported {
-        session: id,
-        image: bytes,
-    }
 }
 
 /// Everything this shard knows about: live and persisted primaries,
@@ -1825,7 +1753,7 @@ fn list_sessions(inner: &Inner) -> Response {
 // design rests on it.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<crate::registry::ServedSession>();
+    assert_send::<ServedSession>();
 };
 
 #[cfg(test)]
@@ -2935,6 +2863,106 @@ mod tests {
         // The local allocator was bumped past the preassigned id.
         let fresh = create(&h);
         assert!(fresh > 1_000, "local allocation must resume above: {fresh}");
+    }
+
+    fn create_as(h: &ServiceHandle, session: SessionId) -> Response {
+        h.call(Command::CreateSessionAs {
+            session,
+            dataset: "census".into(),
+            alpha: 0.05,
+            policy: fixed_policy(),
+        })
+    }
+
+    fn add_education(h: &ServiceHandle, session: SessionId) {
+        assert!(h
+            .call(Command::AddVisualization {
+                session,
+                attribute: "education".into(),
+                filter: salary_filter(),
+            })
+            .is_ok());
+    }
+
+    /// Closing an id tombstones it against late snapshotter saves; a
+    /// create under that id again must clear the tombstone, or the new
+    /// ledger is acked but never written — and the first eviction or
+    /// restart destroys it.
+    #[test]
+    fn a_recreated_closed_id_is_durable() {
+        let dir = temp_data_dir("recreate");
+        let config = || ServiceConfig {
+            max_sessions: 1,
+            data_dir: Some(dir.clone()),
+            snapshot_every: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        };
+        let service = test_service(config());
+        let h = service.handle();
+        assert!(create_as(&h, 5).is_ok());
+        assert!(h.call(Command::CloseSession { session: 5 }).is_ok());
+        assert!(create_as(&h, 5).is_ok());
+        add_education(&h, 5);
+        let reference = gauge_of(&h, 5);
+        // Creating session 6 evicts 5: the spill parks its ledger.
+        assert!(create_as(&h, 6).is_ok());
+        assert_eq!(gauge_of(&h, 5), reference);
+        drop(h);
+        service.shutdown();
+
+        let service = test_service(config());
+        let h = service.handle();
+        assert_eq!(gauge_of(&h, 5), reference, "the ledger survives a restart");
+        drop(h);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A replica image held for an id this shard later became primary
+    /// for (and spilled) must never be promoted over the persisted
+    /// ledger: the promotion is refused and the primary is untouched.
+    #[test]
+    fn promotion_never_replaces_a_persisted_primary() {
+        let dir = temp_data_dir("promote-over-primary");
+        let other = test_service(ServiceConfig::default());
+        let ho = other.handle();
+        assert!(create_as(&ho, 7).is_ok());
+        add_education(&ho, 7);
+        let image = image_of_session(&ho, 7);
+
+        let service = test_service(ServiceConfig {
+            max_sessions: 1,
+            data_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        });
+        let h = service.handle();
+        assert!(h
+            .call(Command::ReplicateSession {
+                session: 7,
+                epoch: 1,
+                image,
+            })
+            .is_ok());
+        assert!(create_as(&h, 7).is_ok());
+        let reference = gauge_of(&h, 7);
+        // Creating session 8 evicts 7 to disk.
+        assert!(create_as(&h, 8).is_ok());
+        match h.call(Command::PromoteReplica { session: 7 }) {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::InvalidArgument);
+                assert!(
+                    e.message
+                        .contains("already in use (persisted on this shard)"),
+                    "{e}"
+                );
+            }
+            other => panic!("a promotion replaced a persisted primary: {other:?}"),
+        }
+        assert_eq!(stats_of(&h).promotions, 0);
+        assert_eq!(gauge_of(&h, 7), reference);
+        drop(h);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -29,9 +29,12 @@
 //! the shipped image as `repl-<id>.e<epoch>.awrs` — same tmp + fsync +
 //! rename discipline, but a separate namespace: a replica is never a
 //! generation of the primary, and the primary scan ignores it. The
-//! replication epoch lives in the file name so a restarted shard (and
-//! a restarted router scanning via `list_sessions`) knows exactly how
-//! fresh each held image is without decoding it. Promotion re-reads
+//! store keeps no replica index: the service's held-replica map is the
+//! one record, every replica call names its epoch, and
+//! [`SnapshotStore::replica_entries`] scans the directory once, at
+//! service start. The epoch lives in the file name so a restarted shard
+//! (and a restarted router scanning via `list_sessions`) knows exactly
+//! how fresh each held image is without decoding it. Promotion re-reads
 //! the file as the authoritative bytes and re-validates from scratch —
 //! a tampered replica fails there and is refused, never adopted.
 //!
@@ -96,8 +99,6 @@ pub struct SnapshotStore {
     /// snapshotter holding a stale entry) must not resurrect them. Ids
     /// are never reallocated, so a tombstone is one u64 forever.
     retired: Mutex<HashSet<SessionId>>,
-    /// Replication epoch of each held replica image (`repl-` files).
-    replicas: Mutex<HashMap<SessionId, u64>>,
     /// Snapshot files that failed to decode since the store opened.
     corrupt: AtomicU64,
     /// Chaos hook consulted once per durable write; see [`WriteFault`].
@@ -111,27 +112,12 @@ impl SnapshotStore {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<SnapshotStore> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        let mut index: HashMap<SessionId, u64> = HashMap::new();
-        let mut replicas: HashMap<SessionId, u64> = HashMap::new();
-        for entry in fs::read_dir(&root)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some((id, gen)) = parse_file_name(&name) {
-                let latest = index.entry(id).or_insert(gen);
-                *latest = (*latest).max(gen);
-            } else if let Some((id, epoch)) = parse_replica_name(&name) {
-                let latest = replicas.entry(id).or_insert(epoch);
-                *latest = (*latest).max(epoch);
-            }
-            // tmp leftovers and foreign files are ignored
-        }
+        let index = scan(&root, "sess-", ".g")?;
         Ok(SnapshotStore {
             root,
             index: Mutex::new(index),
             save_lock: Mutex::new(()),
             retired: Mutex::new(HashSet::new()),
-            replicas: Mutex::new(replicas),
             corrupt: AtomicU64::new(0),
             fault_hook: Mutex::new(None),
             faults: AtomicU64::new(0),
@@ -309,10 +295,10 @@ impl SnapshotStore {
     }
 
     /// Clears `id`'s tombstone so the session can persist here again —
-    /// the import path calls this: a session that was exported off this
-    /// shard (which tombstones the id against late snapshotter saves)
-    /// and later migrates *back* must not find its saves silently
-    /// refused forever.
+    /// every install (create, import, promotion) calls this: a session
+    /// closed or exported off this shard (which tombstones the id
+    /// against late snapshotter saves) that later enters *again* must
+    /// not find its saves silently refused forever.
     pub fn revive(&self, id: SessionId) {
         let _writers = self.save_lock.lock().unwrap();
         self.retired.lock().unwrap().remove(&id);
@@ -342,77 +328,67 @@ impl SnapshotStore {
     }
 
     /// Durably writes the replica image for `id` at `epoch` (tmp +
-    /// fsync + rename + directory fsync) and deletes the superseded
+    /// fsync + rename + directory fsync) and deletes the `replaced`
     /// epoch's file. The caller has already validated the bytes; the
     /// store just keeps them safe.
-    pub fn save_replica(&self, id: SessionId, epoch: u64, bytes: &[u8]) -> io::Result<()> {
+    pub fn save_replica(
+        &self,
+        id: SessionId,
+        epoch: u64,
+        replaced: Option<u64>,
+        bytes: &[u8],
+    ) -> io::Result<()> {
         let _writers = self.save_lock.lock().unwrap();
-        let previous = self.replicas.lock().unwrap().get(&id).copied();
         let final_path = self.replica_path(id, epoch);
-        let tmp_path = final_path.with_extension("awrs.tmp");
-        self.write_durable(&tmp_path, &final_path, bytes)?;
-        self.replicas.lock().unwrap().insert(id, epoch);
-        if let Some(previous) = previous {
-            if previous != epoch {
-                let _ = fs::remove_file(self.replica_path(id, previous));
-            }
+        self.write_durable(&final_path.with_extension("awrs.tmp"), &final_path, bytes)?;
+        if let Some(replaced) = replaced.filter(|&r| r != epoch) {
+            let _ = fs::remove_file(self.replica_path(id, replaced));
         }
         Ok(())
     }
 
-    /// Reads the held replica image of `id` straight from disk — the
-    /// authoritative bytes a promotion re-validates. Returns the
-    /// replication epoch alongside.
-    pub fn load_replica(&self, id: SessionId) -> Option<(u64, Vec<u8>)> {
-        let epoch = self.replicas.lock().unwrap().get(&id).copied()?;
-        fs::read(self.replica_path(id, epoch))
-            .ok()
-            .map(|bytes| (epoch, bytes))
+    /// Reads the replica image of `id` at `epoch` straight from disk —
+    /// the authoritative bytes a promotion re-validates.
+    pub fn load_replica(&self, id: SessionId, epoch: u64) -> Option<Vec<u8>> {
+        fs::read(self.replica_path(id, epoch)).ok()
     }
 
-    /// Epoch of the held replica image of `id`, if any.
-    pub fn replica_epoch(&self, id: SessionId) -> Option<u64> {
-        self.replicas.lock().unwrap().get(&id).copied()
-    }
-
-    /// Deletes the held replica image of `id` (idempotent).
-    pub fn remove_replica(&self, id: SessionId) {
+    /// Deletes the replica image of `id` at `epoch` (idempotent).
+    pub fn remove_replica(&self, id: SessionId, epoch: u64) {
         let _writers = self.save_lock.lock().unwrap();
-        if let Some(epoch) = self.replicas.lock().unwrap().remove(&id) {
-            let _ = fs::remove_file(self.replica_path(id, epoch));
-            let _ = fs::remove_file(self.replica_path(id, epoch).with_extension("awrs.tmp"));
+        let path = self.replica_path(id, epoch);
+        let _ = fs::remove_file(path.with_extension("awrs.tmp"));
+        let _ = fs::remove_file(path);
+    }
+
+    /// Every replica image on disk as `(session, latest epoch)` — one
+    /// directory scan, which re-seeds the service's held-replica map at
+    /// start.
+    pub fn replica_entries(&self) -> io::Result<Vec<(SessionId, u64)>> {
+        Ok(scan(&self.root, "repl-", ".e")?.into_iter().collect())
+    }
+}
+
+/// The newest `<n>` per id among `<prefix><id><sep><n>.awrs` files in
+/// `root`; tmp leftovers and foreign files are ignored.
+fn scan(root: &Path, prefix: &str, sep: &str) -> io::Result<HashMap<SessionId, u64>> {
+    let mut latest: HashMap<SessionId, u64> = HashMap::new();
+    for entry in fs::read_dir(root)? {
+        let name = entry?.file_name();
+        if let Some((id, n)) = parse_name(&name.to_string_lossy(), prefix, sep) {
+            let newest = latest.entry(id).or_insert(n);
+            *newest = (*newest).max(n);
         }
     }
-
-    /// Every held replica as `(session, epoch)` — `list_sessions`
-    /// reporting and startup re-seeding.
-    pub fn replica_entries(&self) -> Vec<(SessionId, u64)> {
-        self.replicas
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&id, &epoch)| (id, epoch))
-            .collect()
-    }
-
-    /// Number of held replica images.
-    pub fn replica_count(&self) -> u64 {
-        self.replicas.lock().unwrap().len() as u64
-    }
+    Ok(latest)
 }
 
-/// Parses `sess-<id>.g<gen>.awrs`.
-fn parse_file_name(name: &str) -> Option<(SessionId, u64)> {
-    let rest = name.strip_prefix("sess-")?.strip_suffix(".awrs")?;
-    let (id, gen) = rest.split_once(".g")?;
-    Some((id.parse().ok()?, gen.parse().ok()?))
-}
-
-/// Parses `repl-<id>.e<epoch>.awrs`.
-fn parse_replica_name(name: &str) -> Option<(SessionId, u64)> {
-    let rest = name.strip_prefix("repl-")?.strip_suffix(".awrs")?;
-    let (id, epoch) = rest.split_once(".e")?;
-    Some((id.parse().ok()?, epoch.parse().ok()?))
+/// Parses `<prefix><id><sep><n>.awrs` (`sess-<id>.g<gen>.awrs`,
+/// `repl-<id>.e<epoch>.awrs`).
+fn parse_name(name: &str, prefix: &str, sep: &str) -> Option<(SessionId, u64)> {
+    let rest = name.strip_prefix(prefix)?.strip_suffix(".awrs")?;
+    let (id, n) = rest.split_once(sep)?;
+    Some((id.parse().ok()?, n.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -543,34 +519,29 @@ mod tests {
         let store = SnapshotStore::open(&root).unwrap();
         // A replica is not a primary: saving one changes nothing about
         // the primary index, and vice versa.
-        store.save_replica(7, 1, b"replica bytes e1").unwrap();
+        store.save_replica(7, 1, None, b"replica bytes e1").unwrap();
         assert!(!store.contains(7));
         assert_eq!(store.persisted(), 0);
-        assert_eq!(store.replica_count(), 1);
-        assert_eq!(store.replica_epoch(7), Some(1));
-        assert_eq!(
-            store.load_replica(7),
-            Some((1, b"replica bytes e1".to_vec()))
-        );
+        assert_eq!(store.replica_entries().unwrap(), vec![(7, 1)]);
+        assert_eq!(store.load_replica(7, 1), Some(b"replica bytes e1".to_vec()));
         // A newer epoch supersedes (and deletes) the older file.
-        store.save_replica(7, 5, b"replica bytes e5").unwrap();
+        store
+            .save_replica(7, 5, Some(1), b"replica bytes e5")
+            .unwrap();
         assert!(!root.join("repl-7.e1.awrs").exists(), "superseded");
         assert!(root.join("repl-7.e5.awrs").exists());
-        assert_eq!(
-            store.load_replica(7),
-            Some((5, b"replica bytes e5".to_vec()))
-        );
+        assert_eq!(store.load_replica(7, 5), Some(b"replica bytes e5".to_vec()));
         // A restart rescans the replica namespace with epochs intact.
         store.save(&image(7, 1)).unwrap();
         let reopened = SnapshotStore::open(&root).unwrap();
-        assert_eq!(reopened.replica_entries(), vec![(7, 5)]);
+        assert_eq!(reopened.replica_entries().unwrap(), vec![(7, 5)]);
         assert!(reopened.contains(7), "primary scan unaffected");
         // Dropping a replica leaves the primary alone, and is
         // idempotent.
-        reopened.remove_replica(7);
-        reopened.remove_replica(7);
-        assert_eq!(reopened.replica_count(), 0);
-        assert_eq!(reopened.load_replica(7), None);
+        reopened.remove_replica(7, 5);
+        reopened.remove_replica(7, 5);
+        assert!(reopened.replica_entries().unwrap().is_empty());
+        assert_eq!(reopened.load_replica(7, 5), None);
         assert!(reopened.contains(7));
         let _ = fs::remove_dir_all(&root);
     }
@@ -605,10 +576,12 @@ mod tests {
         assert_eq!(store.faults_injected(), 3);
 
         // The replica path rides the same discipline.
-        let err = store.save_replica(9, 1, b"replica bytes").unwrap_err();
+        let err = store
+            .save_replica(9, 1, None, b"replica bytes")
+            .unwrap_err();
         assert!(err.to_string().contains("injected"));
-        assert_eq!(store.replica_epoch(9), None);
-        assert_eq!(store.load_replica(9), None);
+        assert!(store.replica_entries().unwrap().is_empty());
+        assert_eq!(store.load_replica(9, 1), None);
 
         // Disk healed: the very next save lands, and a rescan (restart)
         // sees only intact state despite the torn tmp leftovers.
@@ -635,8 +608,8 @@ mod tests {
         });
         store.save(&image(2, 1)).unwrap();
         assert!(store.contains(2));
-        assert!(store.save_replica(2, 1, b"bytes").is_err());
-        assert_eq!(store.replica_count(), 0);
+        assert!(store.save_replica(2, 1, None, b"bytes").is_err());
+        assert!(store.replica_entries().unwrap().is_empty());
         let _ = fs::remove_dir_all(&root);
     }
 
