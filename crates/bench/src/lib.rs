@@ -6,14 +6,26 @@
 //! the *systems* side the paper's interactivity argument rests on — a
 //! hypothesis test must be decided in the time budget of a UI interaction.
 //!
-//! Benches (one per paper artifact plus micro-kernels):
+//! Benches (the `[[bench]]` targets in this crate's `Cargo.toml`; some
+//! hold several criterion groups):
 //!
-//! * `fig3_static`     — batch procedures at the Figure-3 stream sizes;
-//! * `fig4_incremental`— sequential/investing decisions per hypothesis;
-//! * `fig5_support`    — ψ-support bidding with per-test support;
-//! * `fig6_workflow`   — census workflow replay (filter + histogram + χ²);
-//! * `session_step`    — end-to-end `add_visualization` latency;
-//! * `stats_kernels`   — p-value kernels (t, χ², Φ⁻¹).
+//! * `stats_kernels`     — p-value kernels (t, χ², Φ⁻¹);
+//! * `procedures`        — groups `fig3_static` (batch procedures at the
+//!   Figure-3 stream sizes), `fig4_incremental` (sequential/investing
+//!   decisions per hypothesis) and `fig5_support` (ψ-support bidding);
+//! * `data_engine`       — the filter → histogram kernels at census scale;
+//! * `session`           — groups `session_step` (one `add_visualization`),
+//!   `fig6_workflow` (census workflow replay), `ledger_text` (gauge and
+//!   transcript, from scratch and memoised) and `durable_read`
+//!   (decode → restore → gauge of a spilled session);
+//! * `serve`             — in-process service throughput at 1/8/64
+//!   sessions, batch dispatch, the wire codecs, filter chains and the
+//!   snapshot-cadence cost;
+//! * `serve_cluster`     — router hop vs direct `serve` over loopback;
+//! * `serve_replication` — replication on vs off through a router;
+//! * `obs`               — observability overhead (tracing armed plus a
+//!   scraped `/metrics` endpoint vs disarmed);
+//! * `serve_reactor`     — the reactor front end vs thread-per-connection.
 //!
 //! Shared stream generators live here so benches measure procedures, not
 //! RNG setup.

@@ -6,34 +6,23 @@
 //!                [--shard-timeout-ms MS]
 //!                [--log-level LEVEL] [--log-json] [--slow-ms MS]
 //!                [--metrics-addr HOST:PORT] [--reactor]
-//! cluster shard  [--addr 127.0.0.1:0] [--rows 20000] [--seed 2017]
-//!                [--data-dir DIR] [--snapshot-every S]
-//!                [--log-level LEVEL] [--log-json] [--slow-ms MS]
-//!                [--metrics-addr HOST:PORT] [--reactor]
+//! cluster shard  [every `serve` flag; --addr defaults to 127.0.0.1:0]
 //! ```
 //!
-//! `--reactor` (either role) swaps the thread-per-connection front end
-//! for the epoll event loop in `aware-reactor`; the wire protocol is
-//! byte-identical either way, a hello's `push` request included: every
-//! front declines it, since no server pushes.
-//!
-//! Both roles share the observability quartet: the structured stderr
-//! logger (`--log-level`, `--log-json`), slow-query records past
-//! `--slow-ms` (the router stamps a trace id on every forwarded
-//! envelope, so one `grep trace=<id>` follows a command across both
-//! processes), and a Prometheus text endpoint on `--metrics-addr` —
-//! the router's endpoint serves merged-plus-per-shard views.
+//! `shard` is the `serve` binary under another name: it runs the same
+//! process body ([`aware_serve::launch::run`]) with the same flags and
+//! defaults, except that `--addr` defaults to an ephemeral port. It
+//! stays a role here so a cluster deploys one executable.
 //!
 //! `router` starts the consistent-hash router and admits each `--shard`
 //! through the same `join_shard` path a live rebalance uses. With
 //! `--replicas R` each session's snapshot image is shipped to its R
 //! ring successors on the probe cadence, and a confirmed-dead shard's
 //! sessions fail over automatically to their freshest verified
-//! replica. `shard`
-//! runs a plain `aware-serve` service (identical `Service` +
-//! `TcpServer` stack to the `serve` binary) — one binary to deploy for
-//! both roles, and the multi-process conformance suite spawns it for
-//! both.
+//! replica — which holds the last *shipped* ledger, so decisions acked
+//! after the last ship are lost (see the README's "Replication &
+//! failover"). `--probe-secs` (default 5) must be positive: failure
+//! detection and replication run on that cadence.
 //!
 //! `--shard-timeout-ms MS` caps every router→shard round trip
 //! (connect, read, write; default 10 000 ms; must be positive — there
@@ -42,283 +31,167 @@
 //! `--replicas R` — a frozen shard converges to confirmed-dead and
 //! fails over exactly like a crashed one.
 //!
+//! `--reactor` swaps the thread-per-connection front end for the epoll
+//! event loop in `aware-reactor`, and the observability flags work as
+//! in `serve`: the router stamps a trace id on every forwarded
+//! envelope, so one `grep trace=<id>` follows a command across both
+//! processes, and its `--metrics-addr` endpoint serves merged-plus-
+//! per-shard views.
+//!
 //! Both roles announce `… listening on ADDR …` on stderr once bound,
-//! and both drain gracefully on SIGTERM/SIGINT: stop accepting, flush
-//! dirty sessions (shard role), then log a structured `drain_complete`
+//! exit 2 on any startup refusal (bad flag, failed bind, failed join),
+//! and drain gracefully on SIGTERM/SIGINT: stop accepting, flush dirty
+//! sessions (shard role), then log a structured `drain_complete`
 //! record and exit 0.
 
 use aware_cluster::router::{Router, RouterConfig};
-use aware_data::census::CensusGenerator;
+use aware_serve::launch::{self, die, parsed, value, ObsFlags, Role};
 use aware_serve::proto::{Command, Response};
 use aware_serve::reactor_front::ServerFront;
-use aware_serve::service::{Service, ServiceConfig};
-use std::path::PathBuf;
 use std::time::Duration;
 
-fn die(message: &str) -> ! {
-    eprintln!("cluster: {message}");
-    std::process::exit(2);
-}
+const ROUTER: &str = "cluster router";
 
-fn usage() -> ! {
-    println!(
-        "cluster router [--addr HOST:PORT] [--shard HOST:PORT]... [--probe-secs S] \
-         [--replicas R] [--shard-timeout-ms MS] \
-         [--log-level debug|info|warn|error] [--log-json] [--slow-ms MS] [--metrics-addr HOST:PORT] \
-         [--reactor]\n\
-         cluster shard  [--addr HOST:PORT] [--rows N] [--seed K] \
-         [--data-dir DIR] [--snapshot-every S] \
-         [--log-level debug|info|warn|error] [--log-json] [--slow-ms MS] [--metrics-addr HOST:PORT] \
-         [--reactor]"
-    );
-    std::process::exit(0);
-}
+const ROUTER_USAGE: &str = "[--addr HOST:PORT] [--shard HOST:PORT]... [--probe-secs S] \
+     [--replicas R] [--shard-timeout-ms MS] \
+     [--log-level debug|info|warn|error] [--log-json] [--slow-ms MS] \
+     [--metrics-addr HOST:PORT] [--reactor]";
 
-/// The observability flags both roles share.
-#[derive(Default)]
-struct ObsArgs {
-    log_level: Option<aware_obs::log::Level>,
-    log_json: bool,
-    slow_ms: Option<u64>,
-    metrics_addr: Option<String>,
-}
-
-impl ObsArgs {
-    /// Consumes the flag if it is one of ours; true when handled.
-    fn accept(&mut self, flag: &str, args: &mut impl Iterator<Item = String>) -> bool {
-        match flag {
-            "--log-level" => {
-                let raw = next_value(args, "--log-level");
-                self.log_level = Some(
-                    aware_obs::log::Level::parse(&raw)
-                        .unwrap_or_else(|| die(&format!("--log-level: unknown level '{raw}'"))),
-                );
-            }
-            "--log-json" => self.log_json = true,
-            "--slow-ms" => {
-                self.slow_ms = Some(
-                    next_value(args, "--slow-ms")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("--slow-ms: {e}"))),
-                )
-            }
-            "--metrics-addr" => self.metrics_addr = Some(next_value(args, "--metrics-addr")),
-            _ => return false,
-        }
-        true
-    }
-
-    fn init_logger(&self) {
-        aware_obs::log::init(
-            self.log_level.unwrap_or(aware_obs::log::Level::Info),
-            self.log_json,
-        );
-    }
-
-    /// Binds the metrics endpoint (if asked) — the returned server must
-    /// stay alive for the process's lifetime.
-    fn bind_metrics(
-        &self,
-        render: impl Fn() -> String + Send + Sync + 'static,
-    ) -> Option<aware_obs::expose::MetricsServer> {
-        self.metrics_addr.as_ref().map(|addr| {
-            match aware_obs::expose::MetricsServer::bind(addr, render) {
-                Ok(m) => {
-                    eprintln!("metrics exposition on http://{}/metrics", m.local_addr());
-                    m
-                }
-                Err(e) => die(&format!("cannot bind metrics addr {addr}: {e}")),
-            }
-        })
-    }
-}
+const SHARD: Role = Role {
+    command: "cluster shard",
+    banner: "aware-cluster-shard",
+    name: "shard",
+};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("router") => run_router(args),
-        Some("shard") => run_shard(args),
+        Some("shard") => launch::run(&SHARD, "127.0.0.1:0", args),
         Some("--help") | Some("-h") | None => usage(),
-        Some(other) => die(&format!("unknown role '{other}' (try --help)")),
+        Some(other) => die("cluster", &format!("unknown role '{other}' (try --help)")),
     }
 }
 
-fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next()
-        .unwrap_or_else(|| die(&format!("flag {flag} needs a value")))
+fn usage() {
+    println!(
+        "{ROUTER} {ROUTER_USAGE}\n{} {}",
+        SHARD.command,
+        launch::USAGE
+    );
 }
 
-fn run_router(mut args: impl Iterator<Item = String>) {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut shards: Vec<String> = Vec::new();
-    let mut config = RouterConfig::default();
-    let mut obs = ObsArgs::default();
-    let mut reactor = false;
+/// A parsed `cluster router` command line.
+struct RouterFlags {
+    addr: String,
+    shards: Vec<String>,
+    reactor: bool,
+    config: RouterConfig,
+    obs: ObsFlags,
+}
+
+fn parse_router(args: impl IntoIterator<Item = String>) -> Result<RouterFlags, String> {
+    let mut args = args.into_iter();
+    let mut flags = RouterFlags {
+        addr: "127.0.0.1:7878".into(),
+        shards: Vec::new(),
+        reactor: false,
+        config: RouterConfig {
+            probe_interval: Some(Duration::from_secs(5)),
+            ..RouterConfig::default()
+        },
+        obs: ObsFlags::default(),
+    };
     while let Some(flag) = args.next() {
-        if obs.accept(&flag, &mut args) {
+        if flags.obs.accept(&flag, &mut args)? {
             continue;
         }
+        let config = &mut flags.config;
         match flag.as_str() {
-            "--addr" => addr = next_value(&mut args, "--addr"),
-            "--shard" => shards.push(next_value(&mut args, "--shard")),
-            "--probe-secs" => {
-                let secs: u64 = next_value(&mut args, "--probe-secs")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--probe-secs: {e}")));
-                config.probe_interval = (secs > 0).then(|| Duration::from_secs(secs));
-            }
-            "--replicas" => {
-                config.replicas = next_value(&mut args, "--replicas")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--replicas: {e}")))
-            }
-            "--shard-timeout-ms" => {
-                let ms: u64 = next_value(&mut args, "--shard-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--shard-timeout-ms: {e}")));
-                if ms == 0 {
-                    die("--shard-timeout-ms must be positive: every shard round trip carries a deadline");
-                }
-                config.shard_timeout = Duration::from_millis(ms);
-            }
-            "--reactor" => reactor = true,
-            "--help" | "-h" => usage(),
-            other => die(&format!("unknown router flag '{other}'")),
+            "--addr" => flags.addr = value(&mut args, &flag)?,
+            "--shard" => flags.shards.push(value(&mut args, &flag)?),
+            "--probe-secs" => match parsed(&mut args, &flag)? {
+                0 => return Err("--probe-secs must be positive: failure detection and replication run on the probe cadence".into()),
+                secs => config.probe_interval = Some(Duration::from_secs(secs)),
+            },
+            "--replicas" => config.replicas = parsed(&mut args, &flag)?,
+            "--shard-timeout-ms" => match parsed(&mut args, &flag)? {
+                0 => return Err("--shard-timeout-ms must be positive: every shard round trip carries a deadline".into()),
+                ms => config.shard_timeout = Duration::from_millis(ms),
+            },
+            "--reactor" => flags.reactor = true,
+            other => return Err(format!("unknown router flag '{other}' (try --help)")),
         }
     }
-    if config.probe_interval.is_none() {
-        config.probe_interval = Some(Duration::from_secs(5));
+    flags.config.slow_ms = flags.obs.slow_ms;
+    Ok(flags)
+}
+
+fn run_router(args: impl Iterator<Item = String>) {
+    let args: Vec<String> = args.collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return usage();
     }
-    obs.init_logger();
-    config.slow_ms = obs.slow_ms;
-    let router = Router::start(config);
+    let flags = parse_router(args).unwrap_or_else(|e| die(ROUTER, &e));
+    flags.obs.init_logger();
+    let router = Router::start(flags.config);
     let handle = router.handle();
-    for shard in &shards {
+    for shard in &flags.shards {
         match handle.call(Command::JoinShard {
             addr: shard.clone(),
         }) {
             Response::Rebalanced { .. } => eprintln!("joined shard {shard}"),
-            Response::Error(e) => die(&format!("cannot join shard {shard}: {e}")),
-            other => die(&format!("unexpected join reply for {shard}: {other:?}")),
+            Response::Error(e) => die(ROUTER, &format!("cannot join shard {shard}: {e}")),
+            other => die(ROUTER, &format!("cannot join shard {shard}: {other:?}")),
         }
     }
-    let server = match ServerFront::bind(&addr, handle.clone(), reactor) {
-        Ok(server) => server,
-        Err(e) => die(&format!("cannot bind {addr}: {e}")),
-    };
-    let _metrics = obs.bind_metrics(move || handle.metrics_text());
+    let front = ServerFront::bind(&flags.addr, handle.clone(), flags.reactor)
+        .unwrap_or_else(|e| die(ROUTER, &format!("cannot bind {}: {e}", flags.addr)));
+    let _metrics = flags
+        .obs
+        .bind_metrics(ROUTER, move || handle.metrics_text());
     eprintln!(
         "aware-cluster listening on {} ({} shards: {})",
-        server.local_addr(),
-        shards.len(),
-        shards.join(", "),
+        front.local_addr(),
+        flags.shards.len(),
+        flags.shards.join(", "),
     );
-
-    aware_obs::signal::install_term_handler();
-    while !aware_obs::signal::term_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // Graceful drain: stop accepting, then drop the router (stops the
-    // probe loop). Session state lives on the shards, which flush it
-    // in their own drain paths; the router records what it was serving.
-    let sessions_live = match router.handle().call(Command::Stats) {
-        Response::Stats(s) => s.sessions_live,
-        _ => 0,
-    };
-    let started = std::time::Instant::now();
-    drop(server);
-    drop(router);
-    aware_obs::logline!(
-        aware_obs::log::Level::Info,
-        "drain_complete",
-        role = "router",
-        shards = shards.len(),
-        sessions_live = sessions_live,
-        drain_ms = started.elapsed().as_millis()
-    );
+    // Session state lives on the shards, which flush it in their own
+    // drains; dropping the router stops its probe loop.
+    let shards = [("shards", flags.shards.len().to_string())];
+    launch::wait_for_term("router", &shards, &router.handle(), front, || drop(router));
 }
 
-fn run_shard(mut args: impl Iterator<Item = String>) {
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut rows: usize = 20_000;
-    let mut seed: u64 = 2017;
-    let mut data_dir: Option<PathBuf> = None;
-    let mut snapshot_every = Duration::from_secs(30);
-    let mut obs = ObsArgs::default();
-    let mut reactor = false;
-    while let Some(flag) = args.next() {
-        if obs.accept(&flag, &mut args) {
-            continue;
-        }
-        match flag.as_str() {
-            "--addr" => addr = next_value(&mut args, "--addr"),
-            "--rows" => {
-                rows = next_value(&mut args, "--rows")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--rows: {e}")))
-            }
-            "--seed" => {
-                seed = next_value(&mut args, "--seed")
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--seed: {e}")))
-            }
-            "--data-dir" => data_dir = Some(PathBuf::from(next_value(&mut args, "--data-dir"))),
-            "--snapshot-every" => {
-                snapshot_every = Duration::from_secs(
-                    next_value(&mut args, "--snapshot-every")
-                        .parse()
-                        .unwrap_or_else(|e| die(&format!("--snapshot-every: {e}"))),
-                )
-            }
-            "--reactor" => reactor = true,
-            "--help" | "-h" => usage(),
-            other => die(&format!("unknown shard flag '{other}'")),
-        }
-    }
-    obs.init_logger();
-    let config = ServiceConfig {
-        snapshot_every: data_dir.as_ref().map(|_| snapshot_every),
-        data_dir,
-        sweep_interval: Some(Duration::from_secs(5)),
-        slow_ms: obs.slow_ms,
-        ..ServiceConfig::default()
-    };
-    eprintln!("generating census dataset: {rows} rows (seed {seed}) …");
-    let table = CensusGenerator::new(seed).generate(rows);
-    let service = Service::start(config);
-    let handle = service.handle();
-    handle.register_table("census", table);
-    let server = match ServerFront::bind(&addr, handle.clone(), reactor) {
-        Ok(server) => server,
-        Err(e) => die(&format!("cannot bind {addr}: {e}")),
-    };
-    let _metrics = obs.bind_metrics(move || handle.metrics_text());
-    eprintln!(
-        "aware-cluster-shard listening on {} ({rows} census rows, seed {seed})",
-        server.local_addr()
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    aware_obs::signal::install_term_handler();
-    while !aware_obs::signal::term_requested() {
-        std::thread::sleep(Duration::from_millis(50));
+    fn parse(line: &str) -> Result<RouterFlags, String> {
+        parse_router(line.split_whitespace().map(String::from))
     }
 
-    // Graceful drain: stop accepting, then Service::shutdown waits for
-    // admitted commands and spills every dirty session to disk before
-    // the summary line goes out.
-    let sessions_live = match service.handle().call(Command::Stats) {
-        Response::Stats(s) => s.sessions_live,
-        _ => 0,
-    };
-    let started = std::time::Instant::now();
-    drop(server);
-    service.shutdown();
-    aware_obs::logline!(
-        aware_obs::log::Level::Info,
-        "drain_complete",
-        role = "shard",
-        sessions_live = sessions_live,
-        drain_ms = started.elapsed().as_millis()
-    );
+    #[test]
+    fn probe_cadence_defaults_to_five_seconds_and_zero_is_refused() {
+        let flags = parse("--shard 127.0.0.1:1 --replicas 1 --slow-ms 9").unwrap();
+        assert_eq!(flags.config.probe_interval, Some(Duration::from_secs(5)));
+        assert_eq!((flags.config.replicas, flags.config.slow_ms), (1, Some(9)));
+        assert_eq!(flags.shards, ["127.0.0.1:1"]);
+        let custom = parse("--probe-secs 2").unwrap();
+        assert_eq!(custom.config.probe_interval, Some(Duration::from_secs(2)));
+        let zero = parse("--replicas 1 --probe-secs 0").err().unwrap();
+        assert!(zero.starts_with("--probe-secs must be positive"), "{zero}");
+    }
+
+    #[test]
+    fn a_zero_shard_deadline_and_unknown_flags_are_refused() {
+        let zero = parse("--shard-timeout-ms 0").err().unwrap();
+        assert!(
+            zero.starts_with("--shard-timeout-ms must be positive"),
+            "{zero}"
+        );
+        let ms = parse("--shard-timeout-ms 250").unwrap();
+        assert_eq!(ms.config.shard_timeout, Duration::from_millis(250));
+        let unknown = parse("--rows 5").err().unwrap();
+        assert!(unknown.contains("'--rows'"), "{unknown}");
+    }
 }

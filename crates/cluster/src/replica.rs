@@ -15,6 +15,15 @@
 //! highest *acked* epoch — so the promoted ledger is provably the last
 //! state the primary confirmed shipped, never something older racing
 //! in from a slow packet.
+//!
+//! That is the last state a replica acked, not the last state the
+//! client was acked. Replication is asynchronous: a decision acked
+//! after the last complete ship only sets `dirty`, and promotion
+//! never reads `dirty`. Such a decision is lost at promotion, and the
+//! client can run the same test again with a fresh bid. The ROADMAP
+//! Queue item "Close the failover rewind window" tracks the fix; the
+//! failover conformance tests wait for a replication lag of 0 before
+//! each kill, so they do not exercise this window.
 
 use crate::ring::Ring;
 use aware_serve::proto::SessionId;

@@ -72,6 +72,13 @@
 //! replicas on the new ring. Replicas are standby images; only
 //! promotion reads them. Every command, reads included, goes to the
 //! session's primary, mutations at most once.
+//!
+//! Failover can rewind a ledger. The promoted image is the last epoch
+//! a replica acked; a mutation acked after that ship is lost, and the
+//! client can spend on the same test again. A primary that rejoins
+//! after a promotion is ignored (`stale_primary_ignored`) even when its
+//! `--data-dir` holds the *longer* ledger. See the `replica` module
+//! docs and the ROADMAP Queue item "Close the failover rewind window".
 
 use crate::pool::{PoolError, ShardPool};
 use crate::replica::{self, SessState};

@@ -85,6 +85,7 @@ mod conn;
 pub mod error;
 pub mod frame;
 pub mod json;
+pub mod launch;
 pub mod metrics;
 pub mod proto;
 pub mod reactor_front;
